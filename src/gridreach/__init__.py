@@ -2,21 +2,7 @@
 sublinear tracked space, with a full-memory oracle and instrumentation for
 validating the traversal's invariants and both resource recurrences."""
 
-from .auxgraph import (
-    AuxParams,
-    BlockRef,
-    Gridline,
-    block_view,
-    blocks_of,
-    explicit_edges,
-    format_edges,
-    boundary_edge,
-    is_gridline_vertex,
-    next_neighbor,
-    on_gridlines,
-    precedes,
-    straight_walk,
-)
+from .auxgraph import AuxParams, is_gridline_vertex
 from .engine import (
     Answer,
     EngineConfig,
@@ -26,6 +12,7 @@ from .engine import (
     choose_k,
     reach,
     reach_recursive,
+    straight_walk,
 )
 from .grid import (
     LayeredGridGraph,
@@ -37,7 +24,6 @@ from .grid import (
     gen_family,
     gen_random,
     oracle_reach,
-    pad_to_multiple,
     parse_lgg,
 )
 from .metrics import (
@@ -52,12 +38,10 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Answer", "AuxParams", "BlockRef", "Bounds", "EngineConfig", "Gridline",
-    "InvariantViolation", "LayeredGridGraph", "LggFormatError", "Metrics",
-    "SplitMix64", "SubgridView", "Vertex", "marker_dfs", "base_dfs",
-    "block_view", "blocks_of", "calibrate", "check_bounds", "choose_k",
-    "emit_lgg", "explicit_edges", "format_edges", "gen_family", "gen_random",
-    "boundary_edge", "is_gridline_vertex", "next_neighbor", "on_gridlines", "oracle_reach",
-    "pad_to_multiple", "parse_lgg", "precedes", "predicted_calls",
+    "Answer", "AuxParams", "Bounds", "EngineConfig", "InvariantViolation",
+    "LayeredGridGraph", "LggFormatError", "Metrics", "SplitMix64",
+    "SubgridView", "Vertex", "marker_dfs", "base_dfs", "calibrate",
+    "check_bounds", "choose_k", "emit_lgg", "gen_family", "gen_random",
+    "is_gridline_vertex", "oracle_reach", "parse_lgg", "predicted_calls",
     "predicted_words", "reach", "reach_recursive", "straight_walk",
 ]

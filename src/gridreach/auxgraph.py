@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import SubgridView, Vertex
+from .grid import Vertex
 
 # Sort key for neighbor enumeration: (slope class, L-inf distance, x, y).
 # Direction angle ascends from due east (slope 0) to due north (SLOPE_INF);
@@ -45,146 +45,14 @@ class AuxParams:
         object.__setattr__(self, "slope_shift", 2 * self.n.bit_length() + 2)
 
 
-@dataclass(frozen=True)
-class Gridline:
-    """One coarse line: vertical i is x=(i-1)b, horizontal i is y=(i-1)b."""
-
-    axis: str  # "v" or "h"
-    index: int  # 1-based, 1..k+1
-
-
-@dataclass(frozen=True)
-class BlockRef:
-    """Block at column bx, row by; spans [bx*b..(bx+1)*b] x [by*b..(by+1)*b]."""
-
-    bx: int
-    by: int
-    lid: int  # 1-based, numbered west-to-east then south-to-north
-
-
-def on_gridlines(p: AuxParams, v: Vertex) -> tuple[Gridline, ...]:
-    """The 0, 1 or 2 gridlines through v; empty means v is block-interior."""
-    _check_vertex(p, v)
-    out = []
-    if v[0] % p.b == 0:
-        out.append(Gridline("v", v[0] // p.b + 1))
-    if v[1] % p.b == 0:
-        out.append(Gridline("h", v[1] // p.b + 1))
-    return tuple(out)
-
-
 def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
     return v[0] % p.b == 0 or v[1] % p.b == 0
-
-
-def _axis_blocks(p: AuxParams, c: int) -> range:
-    """Block indices along one axis whose closed span contains coordinate c."""
-    q, r = divmod(c, p.b)
-    lo = q - 1 if (r == 0 and q > 0) else q
-    return range(max(lo, 0), min(q, p.k - 1) + 1)
-
-
-def blocks_of(p: AuxParams, v: Vertex) -> tuple[BlockRef, ...]:
-    """All blocks containing v: 1 interior, 2 on a line, up to 4 at a crossing."""
-    _check_vertex(p, v)
-    return tuple(
-        BlockRef(bx, by, by * p.k + bx + 1)
-        for by in _axis_blocks(p, v[1])
-        for bx in _axis_blocks(p, v[0])
-    )
-
-
-def block_view(p: AuxParams, g: SubgridView, ref: BlockRef) -> SubgridView:
-    return g.sub(ref.bx * p.b, ref.by * p.b, p.b)
-
-
-def _check_vertex(p: AuxParams, v: Vertex) -> None:
-    if not (0 <= v[0] <= p.n and 0 <= v[1] <= p.n):
-        raise ValueError(f"vertex {v} outside lattice of side {p.n}")
-
-
-def _common_block_coords(p: AuxParams, a: Vertex, c: Vertex):
-    """(bx, by) pairs of blocks containing both a and c (possibly none)."""
-    ax = _axis_blocks(p, a[0])
-    cx = _axis_blocks(p, c[0])
-    ay = _axis_blocks(p, a[1])
-    cy = _axis_blocks(p, c[1])
-    x_lo, x_hi = max(ax.start, cx.start), min(ax.stop, cx.stop)
-    y_lo, y_hi = max(ay.start, cy.start), min(ay.stop, cy.stop)
-    return [(bx, by) for by in range(y_lo, y_hi) for bx in range(x_lo, x_hi)]
-
-
-def precedes(line: Gridline, a: Vertex, b: Vertex) -> bool:
-    """The traversal order on one gridline: below on vertical lines, right of
-    on horizontal lines.  Strict and irreflexive."""
-    if line.axis == "v":
-        if a[0] != b[0]:
-            raise ValueError(f"{a} and {b} are not both on vertical line {line.index}")
-        return a[1] < b[1]
-    if a[1] != b[1]:
-        raise ValueError(f"{a} and {b} are not both on horizontal line {line.index}")
-    return a[0] > b[0]
-
-
-# ---------------------------------------------------------------------------
-# Edge rule
-
-def boundary_edge(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, reach_fn,
-           metrics=None) -> bool:
-    """Is (u, v) an edge of the boundary graph?
-
-    True iff some block contains both endpoints, the pair passes the
-    gridline rule (different gridlines, or corners of the block on its two
-    parallel boundary lines), and reach_fn finds a path inside that block.
-    The graph is never materialized; reach_fn carries the recursion.
-    """
-    if not is_gridline_vertex(p, u):
-        raise ValueError(f"{u} is not a gridline vertex")
-    if not is_gridline_vertex(p, v):
-        raise ValueError(f"{v} is not a gridline vertex")
-    if u == v:
-        raise ValueError("boundary_edge requires distinct endpoints")
-    if metrics is not None:
-        metrics.edge_queries += 1
-    ux, uy = u
-    vx, vy = v
-    if vx < ux or vy < uy:
-        return False
-    if not _admissible(p.b, u, v):
-        return False
-    for bx, by in _common_block_coords(p, u, v):
-        x0 = bx * p.b
-        y0 = by * p.b
-        bv = g.sub(x0, y0, p.b)
-        if reach_fn(bv, (ux - x0, uy - y0), (vx - x0, vy - y0)):
-            return True
-    return False
-
-
-def _admissible(b: int, u: Vertex, v: Vertex) -> bool:
-    """Gridline filter: same-line pairs are excluded unless both endpoints
-    are lattice corners (then they sit on two parallel block boundaries)."""
-    ux, uy = u
-    vx, vy = v
-    same_line = (ux == vx and ux % b == 0) or (uy == vy and uy % b == 0)
-    if not same_line:
-        return True
-    return ux % b == 0 and uy % b == 0 and vx % b == 0 and vy % b == 0
 
 
 # ---------------------------------------------------------------------------
 # Counter-clockwise neighbor enumeration
 
-def _key(shift: int, cx: int, cy: int, wx: int, wy: int):
-    dx = wx - cx
-    dy = wy - cy
-    if dx:
-        return ((dy << shift) // dx, dx if dx > dy else dy, wx, wy)
-    return (SLOPE_INF, dy, wx, wy)
-
-
-def iter_candidates(p: AuxParams, curr: Vertex, after_key=None,
-                    extra: Vertex | None = None):
+def iter_candidates(p: AuxParams, curr: Vertex, extra: Vertex | None = None):
     """Yield (key, vertex) for boundary vertices north-east of curr that can
     pass the edge rule, in ascending key order, lazily and without
     materializing a neighbor list.
@@ -194,8 +62,7 @@ def iter_candidates(p: AuxParams, curr: Vertex, after_key=None,
     since a non-corner vertex on curr's own row or column can never be an
     edge target (targets off the gridline vertex set travel separately via
     ``extra``).  Each block therefore contributes two monotone runs (its
-    east column and its north row), merged on the fly.  ``after_key``
-    resumes the enumeration strictly past a previous key; ``extra`` injects
+    east column and its north row), merged on the fly.  ``extra`` injects
     one extra candidate.
     """
     b = p.b
@@ -209,29 +76,10 @@ def iter_candidates(p: AuxParams, curr: Vertex, after_key=None,
     heads: list[list] = []
 
     def add(x, y, dx, dy, count):
-        # Position the run strictly past after_key (keys ascend with index).
-        lo = 0
-        if after_key is not None:
-            hi = count
-            while lo < hi:
-                mid = (lo + hi) // 2
-                wx = x + dx * mid
-                wy = y + dy * mid
-                ddx = wx - cx
-                kmid = (((wy - cy) << sh) // ddx, ddx if ddx > wy - cy else wy - cy,
-                        wx, wy) if ddx else (inf, wy - cy, wx, wy)
-                if kmid <= after_key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo >= count:
-                return
-        wx = x + dx * lo
-        wy = y + dy * lo
-        ddx = wx - cx
-        kk = (((wy - cy) << sh) // ddx, ddx if ddx > wy - cy else wy - cy,
-              wx, wy) if ddx else (inf, wy - cy, wx, wy)
-        heads.append([kk, wx, wy, dx, dy, count - lo - 1])
+        ddx = x - cx
+        kk = (((y - cy) << sh) // ddx, ddx if ddx > y - cy else y - cy,
+              x, y) if ddx else (inf, y - cy, x, y)
+        heads.append([kk, x, y, dx, dy, count - 1])
 
     qx, rx = divmod(cx, b)
     qy, ry = divmod(cy, b)
@@ -274,86 +122,3 @@ def iter_candidates(p: AuxParams, curr: Vertex, after_key=None,
             best[5] = remaining - 1
         else:
             heads.remove(best)
-
-
-def next_neighbor(p: AuxParams, g: SubgridView, curr: Vertex,
-                  prev: Vertex | None, reach_fn) -> Vertex | None:
-    """The neighbor of curr next to prev in counter-clockwise order.
-
-    Scans candidates past prev in ascending key order, testing boundary_edge on
-    each, and returns the first edge found (None when exhausted; the least
-    neighbor overall when prev is None).
-    """
-    after = None
-    if prev is not None:
-        if prev == curr or prev[0] < curr[0] or prev[1] < curr[1]:
-            raise ValueError(f"{prev} cannot be a neighbor of {curr}")
-        after = _key(p.slope_shift, curr[0], curr[1], prev[0], prev[1])
-    for _, w in iter_candidates(p, curr, after):
-        if boundary_edge(p, g, curr, w, reach_fn):
-            return w
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Straight-line reachability
-
-def straight_walk(g: SubgridView, u: Vertex, v: Vertex, metrics=None) -> bool:
-    """Reachability along one row or one column.
-
-    Any path between two vertices of a common row (column) must run
-    straight along it, because the other coordinate can never dip and
-    recover; so it exists iff every edge in between does.  Tracked state is
-    O(1) words beyond the endpoints.
-    """
-    if not g.contains(u):
-        raise ValueError(f"{u} outside view")
-    if not g.contains(v):
-        raise ValueError(f"{v} outside view")
-    if metrics is not None:
-        metrics.charge(metrics.WALK_WORDS)
-    try:
-        if u[0] == v[0]:
-            if v[1] < u[1]:
-                return False
-            return all(g.north(u[0], y) for y in range(u[1], v[1]))
-        if u[1] == v[1]:
-            if v[0] < u[0]:
-                return False
-            return all(g.east(x, u[1]) for x in range(u[0], v[0]))
-        raise ValueError(f"{u} and {v} share no row or column")
-    finally:
-        if metrics is not None:
-            metrics.release(metrics.WALK_WORDS)
-
-
-# ---------------------------------------------------------------------------
-# Test-only materialization
-
-def explicit_edges(p: AuxParams, g: SubgridView, reach_fn) -> list[tuple[Vertex, Vertex]]:
-    """The full boundary-graph edge list, sorted.  Strictly a test aid: the
-    space-bounded engine never materializes this."""
-    vh = [
-        (x, y)
-        for y in range(p.n + 1)
-        for x in range(p.n + 1)
-        if x % p.b == 0 or y % p.b == 0
-    ]
-    edges = []
-    for u in vh:
-        for v in vh:
-            if v == u or v[0] < u[0] or v[1] < u[1]:
-                continue
-            if not _admissible(p.b, u, v):
-                continue
-            if boundary_edge(p, g, u, v, reach_fn):
-                edges.append((u, v))
-    edges.sort()
-    return edges
-
-
-def format_edges(edges) -> str:
-    """Golden-file form: one 'x1,y1 -> x2,y2' line per edge, sorted order."""
-    return "\n".join(f"{u[0]},{u[1]} -> {v[0]},{v[1]}" for u, v in edges) + (
-        "\n" if edges else ""
-    )

@@ -57,20 +57,9 @@ def _float_list(text: str):
         raise UsageError(f"expected comma-separated floats, got {text!r}") from None
 
 
-def _check_epsilon(value: float):
-    if not (0.0 < value <= 1.0):
-        raise UsageError(f"epsilon must lie in (0, 1], got {value}")
-
-
-def _config(epsilon, k):
-    if (epsilon is None) == (k is None):
-        raise UsageError("give exactly one of --epsilon and --k")
-    if epsilon is not None:
-        _check_epsilon(epsilon)
-        return EngineConfig(epsilon=epsilon)
-    if k < 2:
-        raise UsageError(f"k must be >= 2, got {k}")
-    return EngineConfig(k=k)
+def _violations(m) -> int:
+    return (m.stack_bound_violations + m.visit_once_violations
+            + m.push_bound_violations)
 
 
 def _metrics_fields(answer, n):
@@ -99,7 +88,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_query(args) -> int:
-    cfg = _config(args.epsilon, args.k)
+    cfg = EngineConfig(epsilon=args.epsilon, k=args.k)
     try:
         with open(args.graph) as fh:
             g = parse_lgg(fh.read())
@@ -107,15 +96,11 @@ def cmd_query(args) -> int:
         raise UsageError(f"cannot load graph {args.graph}: {exc}") from exc
     s = _vertex(args.s)
     t = _vertex(args.t)
-    if not (0 <= s[0] <= g.n and 0 <= s[1] <= g.n):
-        raise UsageError(f"source {args.s} outside lattice of side {g.n}")
-    if not (0 <= t[0] <= g.n and 0 <= t[1] <= g.n):
-        raise UsageError(f"target {args.t} outside lattice of side {g.n}")
     t0 = time.perf_counter()
     answer = reach(g, s, t, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print("YES" if answer.reachable else "NO")
-    if answer.metrics.stack_bound_violations or answer.metrics.visit_once_violations:
+    if _violations(answer.metrics):
         raise InvariantViolation("traversal invariant violated; rerun with checks")
     if args.metrics:
         fields = _metrics_fields(answer, g.n)
@@ -125,14 +110,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for eps in args.epsilon_list:
-        _check_epsilon(eps)
+    cfgs = [EngineConfig(epsilon=eps) for eps in args.epsilon_list]
     if args.trials < 0:
         raise UsageError("--trials must be >= 0")
     rng = SplitMix64(args.seed)
     comparisons = 0
+    violations = 0
     for n in args.n_list:
-        for eps in args.epsilon_list:
+        for cfg in cfgs:
+            eps = cfg.epsilon
             for trial in range(args.trials):
                 p_n = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
                 p_e = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
@@ -140,7 +126,7 @@ def cmd_verify(args) -> int:
                 s = (rng.next_below(n + 1), rng.next_below(n + 1))
                 t = (rng.next_below(n + 1), rng.next_below(n + 1))
                 expected = oracle_reach(SubgridView.whole(g), s, t)
-                answer = reach(g, s, t, EngineConfig(epsilon=eps))
+                answer = reach(g, s, t, cfg)
                 comparisons += 1
                 if answer.reachable != expected:
                     graph_path = "counterexample.lgg"
@@ -163,22 +149,26 @@ def cmd_verify(args) -> int:
                           f"t={t[0]},{t[1]}: engine={answer.reachable} "
                           f"oracle={expected}; wrote {graph_path}, {query_path}")
                     return 1
+                violations += _violations(answer.metrics)
     print(f"verified {comparisons} comparisons, 0 mismatches")
+    if violations:
+        print(f"INVARIANT {violations} traversal invariant violations "
+              f"(stack bound, visit-once, push bound)")
+        return 1
     return 0
 
 
 def cmd_bench(args) -> int:
-    _check_epsilon(args.epsilon)
-    if args.fixed_k is not None and args.fixed_k < 2:
-        raise UsageError(f"--fixed-k must be >= 2, got {args.fixed_k}")
+    # --epsilon is required, so it is checked even when --fixed-k overrides it.
+    cfg = EngineConfig(epsilon=args.epsilon)
+    if args.fixed_k is not None:
+        cfg = EngineConfig(k=args.fixed_k)
     bounds = Bounds(c_t=DEFAULT_C_T, c_s=DEFAULT_C_S)
     for n in args.n_list:
         if args.family == "random":
             g = gen_random(n, 0.5, 0.5, 1)
         else:
             g = gen_family(args.family, n)
-        cfg = (EngineConfig(k=args.fixed_k) if args.fixed_k is not None
-               else EngineConfig(epsilon=args.epsilon))
         t0 = time.perf_counter()
         answer = reach(g, (0, 0), (n, n), cfg)
         wall_ms = (time.perf_counter() - t0) * 1000.0

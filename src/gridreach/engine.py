@@ -51,15 +51,12 @@ class EngineConfig:
     every level recomputes k = clamp(round(side^(eps/2)), 2, side) from its
     own side; with k, the same divisor is reused at every level (the
     fixed-k schedule used for recurrence validation).  ``base_side_max``
-    defaults to the current level's k.  ``untracked_memo`` caches block
-    queries in a hash table for speed; the cache is deliberately excluded
-    from tracked-space accounting and off by default.
+    defaults to the current level's k.
     """
 
     epsilon: float | None = None
     k: int | None = None
     base_side_max: int | None = None
-    untracked_memo: bool = False
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -200,7 +197,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             curr = frame[0]
             gen = frame[1]
             if gen is None:
-                gen = iter_candidates(p, curr, None, extra)
+                gen = iter_candidates(p, curr, extra)
                 frame[1] = gen
             advanced = False
             for _, w in gen:
@@ -265,12 +262,11 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
 class _Run:
     """Per-query context threaded through the recursion."""
 
-    __slots__ = ("cfg", "metrics", "memo", "plan")
+    __slots__ = ("cfg", "metrics", "plan")
 
     def __init__(self, cfg: EngineConfig, metrics: Metrics):
         self.cfg = cfg
         self.metrics = metrics
-        self.memo: dict | None = {} if cfg.untracked_memo else None
         # side -> (None for base case) | AuxParams; the schedule is a pure
         # function of the side for a fixed config.
         self.plan: dict[int, AuxParams | None] = {}
@@ -325,25 +321,44 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     return True
 
 
-def _subview(parent: SubgridView, ox: int, oy: int, side: int) -> SubgridView:
-    v = SubgridView.__new__(SubgridView)
-    v.base = parent.base
-    v.ox = parent.ox + ox
-    v.oy = parent.oy + oy
-    v.side = side
-    wx = parent.wx - ox
-    if wx > side:
-        wx = side
-    elif wx < 0:
-        wx = 0
-    wy = parent.wy - oy
-    if wy > side:
-        wy = side
-    elif wy < 0:
-        wy = 0
-    v.wx = wx
-    v.wy = wy
-    return v
+def straight_walk(g: SubgridView, u: Vertex, v: Vertex,
+                  metrics: Metrics | None = None) -> bool:
+    """Reachability along one row or one column.
+
+    Any path between two vertices of a common row (column) must run
+    straight along it, because the other coordinate can never dip and
+    recover; so it exists iff every edge in between does.  Tracked state is
+    O(1) words beyond the endpoints.
+    """
+    if not g.contains(u):
+        raise ValueError(f"{u} outside view")
+    if not g.contains(v):
+        raise ValueError(f"{v} outside view")
+    if u[0] != v[0] and u[1] != v[1]:
+        raise ValueError(f"{u} and {v} share no row or column")
+    m = metrics if metrics is not None else Metrics()
+    return _straight(g, u[0], u[1], v[0], v[1], m)
+
+
+def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
+    """Origin of a side-b block holding both a and c, or None.
+
+    Requires a <= c coordinate-wise.  Along each axis the lowest block
+    holding c starts at c // b, one lower when c sits on a gridline; it
+    holds a too iff it starts no higher than a's block.  Points off a
+    common row and column share at most one block.
+    """
+    qx = cx // b
+    if qx and cx == qx * b:
+        qx -= 1
+    if qx > ax // b:
+        return None
+    qy = cy // b
+    if qy and cy == qy * b:
+        qy -= 1
+    if qy > ay // b:
+        return None
+    return qx * b, qy * b
 
 
 def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bool:
@@ -375,61 +390,22 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bo
         acc |= er(y)
     if acc & col_need != col_need:
         return False
-    memo_key = None
-    if run.memo is not None:
-        memo_key = (view.ox, view.oy, view.side, view.wx, view.wy, u, v)
-        hit = run.memo.get(memo_key)
-        if hit is not None:
-            return hit
     side = view.side
     p = run.params_for(side)
     if p is None:
-        ans = base_dfs(view, u, v, m)
-        if memo_key is not None:
-            run.memo[memo_key] = ans
-        return ans
+        return base_dfs(view, u, v, m)
 
     padded_side = p.n
     pview = view if padded_side == side else view.padded(padded_side)
     b = p.b
-    k1 = p.k - 1
-
-    # Block ranges along each axis for the two endpoints.
-    qx = ux // b
-    if ux % b == 0 and qx > 0:
-        qx -= 1
-    wqx = vx // b
-    if vx % b == 0 and wqx > 0:
-        wqx -= 1
-    xlo = qx if qx > wqx else wqx
-    xhi = ux // b
-    if vx // b < xhi:
-        xhi = vx // b
-    if k1 < xhi:
-        xhi = k1
-    qy = uy // b
-    if uy % b == 0 and qy > 0:
-        qy -= 1
-    wqy = vy // b
-    if vy % b == 0 and wqy > 0:
-        wqy -= 1
-    ylo = qy if qy > wqy else wqy
-    yhi = uy // b
-    if vy // b < yhi:
-        yhi = vy // b
-    if k1 < yhi:
-        yhi = k1
-    if xlo <= xhi and ylo <= yhi:
+    o = shared_block(b, ux, uy, vx, vy)
+    if o is not None:
         # Two vertices of one closed block can only be joined inside it
         # (paths never leave a block north-east-ward and return), so a
         # shared block answers the query outright.
-        x0 = xlo * b
-        y0 = ylo * b
-        ans = _reach(_subview(pview, x0, y0, b), (ux - x0, uy - y0),
-                     (vx - x0, vy - y0), run, depth + 1)
-        if memo_key is not None:
-            run.memo[memo_key] = ans
-        return ans
+        x0, y0 = o
+        return _reach(pview.sub(x0, y0, b), (ux - x0, uy - y0),
+                      (vx - x0, vy - y0), run, depth + 1)
 
     u_on = ux % b == 0 or uy % b == 0
     v_on = vx % b == 0 or vy % b == 0
@@ -444,58 +420,16 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bo
                     wx % b == 0 and wy % b == 0)))
                     or (curr == u and wx % b == 0 and wy % b == 0)):
                 return False
-        a = cx // b
-        if cx % b == 0 and a > 0:
-            a -= 1
-        c = wx // b
-        if wx % b == 0 and c > 0:
-            c -= 1
-        bx_lo = a if a > c else c
-        bx_hi = cx // b
-        if wx // b < bx_hi:
-            bx_hi = wx // b
-        if k1 < bx_hi:
-            bx_hi = k1
-        if bx_lo > bx_hi:
+        o = shared_block(b, cx, cy, wx, wy)
+        if o is None:
             return False
-        a = cy // b
-        if cy % b == 0 and a > 0:
-            a -= 1
-        c = wy // b
-        if wy % b == 0 and c > 0:
-            c -= 1
-        by_lo = a if a > c else c
-        by_hi = cy // b
-        if wy // b < by_hi:
-            by_hi = wy // b
-        if k1 < by_hi:
-            by_hi = k1
-        if by_lo > by_hi:
-            return False
-        if cx == wx or cy == wy:
-            # The only candidate path runs along the segment, which is
-            # visible identically through the level view.
-            rd2 = m.recursive_calls_by_depth
-            if depth1 < len(rd2):
-                rd2[depth1] += 1
-            else:
-                m.note_call(depth1)
-            return _straight(pview, cx, cy, wx, wy, m)
-        for by in range(by_lo, by_hi + 1):
-            y0 = by * b
-            for bx in range(bx_lo, bx_hi + 1):
-                x0 = bx * b
-                if _reach(_subview(pview, x0, y0, b), (cx - x0, cy - y0),
-                          (wx - x0, wy - y0), run, depth1):
-                    return True
-        return False
+        x0, y0 = o
+        return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
+                      (wx - x0, wy - y0), run, depth1)
 
-    ans = marker_dfs(p, pview, u, v, edge_test, m, depth=depth,
-                    u_on_lines=u_on, v_on_lines=v_on, extra=v,
-                    check=run.cfg.check_invariants)
-    if memo_key is not None:
-        run.memo[memo_key] = ans
-    return ans
+    return marker_dfs(p, pview, u, v, edge_test, m, depth=depth,
+                      u_on_lines=u_on, v_on_lines=v_on, extra=v,
+                      check=run.cfg.check_invariants)
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:

@@ -198,14 +198,24 @@ class SubgridView:
 
     def sub(self, ox: int, oy: int, side: int) -> "SubgridView":
         """Window of this view; the content clip propagates."""
-        return SubgridView(
-            self.base,
-            self.ox + ox,
-            self.oy + oy,
-            side,
-            max(0, min(side, self.wx - ox)),
-            max(0, min(side, self.wy - oy)),
-        )
+        v = SubgridView.__new__(SubgridView)
+        v.base = self.base
+        v.ox = self.ox + ox
+        v.oy = self.oy + oy
+        v.side = side
+        wx = self.wx - ox
+        if wx > side:
+            wx = side
+        elif wx < 0:
+            wx = 0
+        wy = self.wy - oy
+        if wy > side:
+            wy = side
+        elif wy < 0:
+            wy = 0
+        v.wx = wx
+        v.wy = wy
+        return v
 
     def padded(self, new_side: int) -> "SubgridView":
         """Same window, addressable out to new_side with no added edges."""
@@ -357,24 +367,6 @@ def gen_family(name: str, n: int) -> LayeredGridGraph:
     else:
         raise ValueError(f"unknown family {name!r}")
     return LayeredGridGraph(n, north, east)
-
-
-def pad_to_multiple(g: LayeredGridGraph, k: int) -> LayeredGridGraph:
-    """Grow g so k divides its side; added rows and columns carry no edges.
-
-    Returns g itself when k already divides n, so reachability between
-    original vertices is trivially unchanged; otherwise the south-west
-    (n+1)^2 sublattice of the result equals g.
-    """
-    if k < 2:
-        raise ValueError("divisor must be >= 2")
-    r = g.n % k
-    if r == 0:
-        return g
-    n2 = g.n + (k - r)
-    north = [g.north_row(y) for y in range(g.n + 1)] + [0] * (n2 - g.n)
-    east = [g.east_row(y) for y in range(g.n + 1)] + [0] * (n2 - g.n)
-    return LayeredGridGraph(n2, north, east)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ live marker entries (2(k+1) per decomposition level), live stack frames
 (2 words each: a vertex record plus its resume slot), a fixed constant of
 locals per live level, the straight-walk cursor, and the base-case visited
 flags plus its DFS stack (one word per vertex or counter).  The read-only
-input graph, the output, instrumentation, and the optional memo cache are
-never counted.  Space is measured by this explicit instrumentation rather
-than process RSS, which is noisy and dominated by the input itself.
+input graph, the output and instrumentation are never counted.  Space is
+measured by this explicit instrumentation rather than process RSS, which
+is noisy and dominated by the input itself.
 """
 
 from __future__ import annotations

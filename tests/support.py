@@ -70,6 +70,15 @@ def block_reach(p: AuxParams, g: SubgridView, block, u, v) -> bool:
                         (v[0] - bx * p.b, v[1] - by * p.b))
 
 
+def is_edge(p: AuxParams, g: SubgridView, u, v) -> bool:
+    """The literal boundary-graph edge rule: v north-east of u, the
+    gridline filter, and a path inside a block holding both."""
+    if u == v or v[0] < u[0] or v[1] < u[1]:
+        return False
+    return admissible(p, u, v) and any(
+        block_reach(p, g, blk, u, v) for blk in common_blocks(p, u, v))
+
+
 def _block_boundary(p: AuxParams, bx: int, by: int):
     b = p.b
     x0, y0 = bx * b, by * b

@@ -6,50 +6,72 @@ from hypothesis import strategies as st
 
 from gridreach import (
     AuxParams,
-    Gridline,
+    EngineConfig,
+    LayeredGridGraph,
     SplitMix64,
     SubgridView,
-    blocks_of,
-    explicit_edges,
-    format_edges,
     gen_family,
     gen_random,
-    boundary_edge,
-    next_neighbor,
-    on_gridlines,
+    is_gridline_vertex,
     oracle_reach,
-    precedes,
+    reach,
     straight_walk,
 )
+from gridreach import engine
 from gridreach.auxgraph import iter_candidates
 
-from support import admissible, brute_boundary_edges
+from support import (
+    admissible,
+    brute_boundary_edges,
+    common_blocks,
+    gridline_vertices,
+    is_edge,
+)
 
 P93 = AuxParams(9, 3)
 
 
-def oracle_fn(view, a, c):
-    return oracle_reach(view, a, c)
+def _lids(p, v):
+    """1-based ids, west-to-east then south-to-north, of the blocks holding v."""
+    return sorted(by * p.k + bx + 1 for bx, by in common_blocks(p, v, v))
+
+
+def _engine_edge_test(g):
+    """The edge rule the engine hands marker_dfs at the top level of the
+    corner query on a side-9 graph (k = 3 at epsilon 1).  Its endpoints are
+    lattice corners, so the endpoint augmentation adds no edge."""
+    captured = []
+
+    def capture(p, view, u, v, edge_test, *args, **kw):
+        captured.append((p, edge_test))
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "marker_dfs", capture)
+        reach(g, (0, 0), (9, 9), EngineConfig(epsilon=1.0))
+    (p, edge_test), = captured
+    assert p == P93
+    return edge_test
 
 
 # ---------------------------------------------------------------------------
 # decomposition geometry
 
 def test_on_gridlines():
-    assert on_gridlines(P93, (3, 5)) == (Gridline("v", 2),)
-    assert set(on_gridlines(P93, (3, 3))) == {Gridline("v", 2), Gridline("h", 2)}
-    assert on_gridlines(P93, (1, 2)) == ()
-    assert on_gridlines(P93, (0, 0)) == (Gridline("v", 1), Gridline("h", 1))
-    assert on_gridlines(P93, (9, 9)) == (Gridline("v", 4), Gridline("h", 4))
+    assert is_gridline_vertex(P93, (3, 5))
+    assert is_gridline_vertex(P93, (3, 3))
+    assert not is_gridline_vertex(P93, (1, 2))
+    assert is_gridline_vertex(P93, (0, 0))
+    assert is_gridline_vertex(P93, (9, 9))
+    assert is_gridline_vertex(P93, (4, 6))
 
 
 def test_blocks_of():
-    assert [b.lid for b in blocks_of(P93, (1, 1))] == [1]
-    assert [b.lid for b in blocks_of(P93, (3, 1))] == [1, 2]
-    assert sorted(b.lid for b in blocks_of(P93, (3, 3))) == [1, 2, 4, 5]
-    assert [b.lid for b in blocks_of(P93, (9, 9))] == [9]
-    b = blocks_of(P93, (1, 1))[0]
-    assert (b.bx, b.by) == (0, 0)
+    assert _lids(P93, (1, 1)) == [1]
+    assert _lids(P93, (3, 1)) == [1, 2]
+    assert _lids(P93, (3, 3)) == [1, 2, 4, 5]
+    assert _lids(P93, (9, 9)) == [9]
+    assert common_blocks(P93, (1, 1), (1, 1)) == [(0, 0)]
 
 
 def test_aux_params_validation():
@@ -59,61 +81,43 @@ def test_aux_params_validation():
         AuxParams(9, 1)
 
 
-def test_precedes():
-    vline = Gridline("v", 2)
-    hline = Gridline("h", 2)
-    assert precedes(vline, (3, 1), (3, 5))          # below
-    assert not precedes(vline, (3, 5), (3, 1))
-    assert precedes(hline, (7, 3), (2, 3))          # right of
-    assert not precedes(hline, (2, 3), (7, 3))
-    assert not precedes(vline, (3, 4), (3, 4))      # irreflexive
-    with pytest.raises(ValueError):
-        precedes(vline, (2, 1), (3, 5))
-
-
-@given(st.integers(min_value=0, max_value=9).flatmap(
-    lambda _: st.lists(st.integers(min_value=0, max_value=9), min_size=2,
-                       max_size=6, unique=True)))
-def test_precedes_is_strict_total_order_on_a_line(ys):
-    line = Gridline("v", 2)
-    pts = [(3, y) for y in ys]
-    for a in pts:
-        assert not precedes(line, a, a)
-        for b in pts:
-            if a != b:
-                assert precedes(line, a, b) != precedes(line, b, a)
-            for c in pts:
-                if precedes(line, a, b) and precedes(line, b, c):
-                    assert precedes(line, a, c)
-
-
 # ---------------------------------------------------------------------------
-# edge rule
+# edge rule, as the engine applies it
 
 def test_h_edge_examples_on_full_grid():
-    g = SubgridView.whole(gen_family("full", 9))
-    assert boundary_edge(P93, g, (0, 0), (3, 2), oracle_fn)
+    edge = _engine_edge_test(gen_family("full", 9))
+    assert edge((0, 0), (3, 2))
     # same vertical gridline, not corners: excluded no matter the paths
-    assert not boundary_edge(P93, g, (3, 1), (3, 2), oracle_fn)
+    assert not edge((3, 1), (3, 2))
     # corners of one block on its two parallel horizontal boundaries
-    assert boundary_edge(P93, g, (0, 0), (0, 3), oracle_fn)
-    assert boundary_edge(P93, g, (0, 0), (3, 0), oracle_fn)
-    assert boundary_edge(P93, g, (3, 0), (3, 3), oracle_fn)
+    assert edge((0, 0), (0, 3))
+    assert edge((0, 0), (3, 0))
+    assert edge((3, 0), (3, 3))
     # corners of different blocks two lines apart: no shared block
-    assert not boundary_edge(P93, g, (0, 0), (6, 0), oracle_fn)
+    assert not edge((0, 0), (6, 0))
 
 
 def test_h_edge_requires_gridline_vertices():
-    g = SubgridView.whole(gen_family("full", 9))
-    with pytest.raises(ValueError):
-        boundary_edge(P93, g, (1, 1), (3, 2), oracle_fn)
-    with pytest.raises(ValueError):
-        boundary_edge(P93, g, (0, 0), (2, 2), oracle_fn)
+    """Edge tests only ever see gridline vertices: every candidate is one,
+    and lies north-east of the current vertex."""
+    for curr in [(x, y) for y in range(10) for x in range(10)]:
+        for _, w in iter_candidates(P93, curr):
+            assert is_gridline_vertex(P93, w), (curr, w)
+            assert w != curr and w[0] >= curr[0] and w[1] >= curr[1]
 
 
 def test_h_edge_needs_a_path():
-    g = SubgridView.whole(gen_family("empty", 9))
-    assert not boundary_edge(P93, g, (0, 0), (3, 2), oracle_fn)
+    # the full grid with every edge of block (0, 0) removed
+    full = gen_family("full", 9)
+    north = [full.north_row(y) & ~0b1111 if y < 3 else full.north_row(y)
+             for y in range(10)]
+    east = [full.east_row(y) & ~0b111 if y <= 3 else full.east_row(y)
+            for y in range(10)]
+    g = LayeredGridGraph(9, north, east)
+    edge = _engine_edge_test(g)
+    assert not edge((0, 0), (3, 2))
+    assert not is_edge(P93, SubgridView.whole(g), (0, 0), (3, 2))
+    assert edge((3, 3), (6, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +129,19 @@ def _ccw_key(curr, w):
     return (math.atan2(dy, dx), max(dx, dy), w)
 
 
-def _neighbor_cycle(p, g, curr):
-    """Walk next_neighbor to exhaustion."""
-    out = []
-    prev = None
-    while True:
-        w = next_neighbor(p, g, curr, prev, oracle_fn)
-        if w is None:
-            return out
-        out.append(w)
-        prev = w
+def _neighbors(p, g, curr):
+    """One pass of the candidates, filtered by the reference edge rule."""
+    return [w for _, w in iter_candidates(p, curr) if is_edge(p, g, curr, w)]
+
+
+def _candidate_edges(p, g):
+    """The boundary-graph edge list as the engine enumerates it."""
+    return sorted((u, w) for u in gridline_vertices(p) for w in _neighbors(p, g, u))
 
 
 def test_next_neighbor_first_is_due_east_nearest():
     g = SubgridView.whole(gen_family("full", 9))
-    assert next_neighbor(P93, g, (0, 0), None, oracle_fn) == (3, 0)
+    assert _neighbors(P93, g, (0, 0))[0] == (3, 0)
 
 
 def test_next_neighbor_exhausts_and_matches_brute_force_order():
@@ -150,25 +152,17 @@ def test_next_neighbor_exhausts_and_matches_brute_force_order():
         for curr in [(0, 0), (3, 0), (3, 3), (1, 0), (0, 6), (6, 3)]:
             expect = sorted((w for u, w in edges if u == curr),
                             key=lambda w: _ccw_key(curr, w))
-            assert _neighbor_cycle(P93, g, curr) == expect
+            assert _neighbors(P93, g, curr) == expect
 
 
 def test_next_neighbor_empty_graph():
     g = SubgridView.whole(gen_family("empty", 9))
-    assert next_neighbor(P93, g, (0, 0), None, oracle_fn) is None
-
-
-def test_next_neighbor_rejects_bad_prev():
-    g = SubgridView.whole(gen_family("full", 9))
-    with pytest.raises(ValueError):
-        next_neighbor(P93, g, (3, 3), (3, 3), oracle_fn)
-    with pytest.raises(ValueError):
-        next_neighbor(P93, g, (3, 3), (0, 0), oracle_fn)
+    assert _neighbors(P93, g, (0, 0)) == []
 
 
 def test_candidate_enumeration_is_bounded_per_block():
     for curr in [(0, 0), (3, 3), (1, 0), (3, 1), (9, 9), (4, 6)]:
-        n_blocks = len(blocks_of(P93, curr))
+        n_blocks = len(common_blocks(P93, curr, curr))
         emitted = list(iter_candidates(P93, curr))
         assert len(emitted) <= (4 * P93.b + 4) * n_blocks
         keys = [k for k, _ in emitted]
@@ -215,16 +209,16 @@ def test_straight_walk_agrees_with_oracle(seed, p):
 
 
 # ---------------------------------------------------------------------------
-# explicit materialization (test aid)
+# the candidates cover the boundary graph
 
 def test_explicit_h_empty():
     g = SubgridView.whole(gen_family("empty", 9))
-    assert explicit_edges(P93, g, oracle_fn) == []
+    assert _candidate_edges(P93, g) == []
 
 
 def test_explicit_h_full_matches_brute_force():
     g = SubgridView.whole(gen_family("full", 9))
-    got = explicit_edges(P93, g, oracle_fn)
+    got = _candidate_edges(P93, g)
     assert got == brute_boundary_edges(P93, g)
     # on the full grid every admissible north-east pair with a shared block
     # is an edge
@@ -236,17 +230,16 @@ def test_explicit_h_full_matches_brute_force():
 def test_explicit_h_random_self_consistent_with_h_edge():
     rng = SplitMix64(77)
     for _ in range(6):
-        g = SubgridView.whole(gen_random(9, 0.5, 0.5, rng.next_u64()))
-        edges = set(explicit_edges(P93, g, oracle_fn))
-        assert edges == set(brute_boundary_edges(P93, g))
-        for u, v in list(edges)[:80]:
-            assert boundary_edge(P93, g, u, v, oracle_fn)
-
-
-def test_format_edges_golden():
-    edges = [((0, 0), (3, 0)), ((0, 0), (3, 2))]
-    assert format_edges(edges) == "0,0 -> 3,0\n0,0 -> 3,2\n"
-    assert format_edges([]) == ""
+        g = gen_random(9, 0.5, 0.5, rng.next_u64())
+        view = SubgridView.whole(g)
+        assert _candidate_edges(P93, view) == brute_boundary_edges(P93, view)
+        # the engine's edge rule agrees with the reference on every pair
+        edge = _engine_edge_test(g)
+        vh = gridline_vertices(P93)
+        for u in vh:
+            for w in vh:
+                if w != u and w[0] >= u[0] and w[1] >= u[1]:
+                    assert edge(u, w) == is_edge(P93, view, u, w), (u, w)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,29 @@ def test_query_determinism_modulo_wall_ms(full9, capsys):
     assert len(outputs) == 1
 
 
+def _with_push_bound_violation(monkeypatch):
+    """Make the CLI's engine report one push-bound breach per query."""
+    import gridreach.cli as cli_mod
+
+    real = cli_mod.reach
+
+    def flagged(g, s, t, cfg):
+        answer = real(g, s, t, cfg)
+        answer.metrics.push_bound_violations += 1
+        return answer
+
+    monkeypatch.setattr(cli_mod, "reach", flagged)
+
+
+def test_query_push_bound_violation_exits_1(full9, capsys, monkeypatch):
+    _with_push_bound_violation(monkeypatch)
+    code, out, err = run(capsys, "query", "--graph", full9, "--s", "0,0",
+                         "--t", "9,9", "--epsilon", "1.0")
+    assert code == 1
+    assert out == "YES\n"
+    assert "invariant violation" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -170,6 +193,16 @@ def test_verify_persists_counterexample_on_mismatch(capsys, tmp_path, monkeypatc
     answer = real(g, tuple(sidecar["s"]), tuple(sidecar["t"]),
                   cli_mod.EngineConfig(epsilon=sidecar["epsilon"]))
     assert answer.reachable == sidecar["expected"]
+
+
+def test_verify_fails_on_invariant_counters(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _with_push_bound_violation(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n-list", "8", "--trials", "3",
+                       "--seed", "1", "--epsilon-list", "1.0")
+    assert code == 1
+    assert "0 mismatches" in out
+    assert "INVARIANT 3 " in out
 
 
 def test_verify_epsilon_out_of_range(capsys):

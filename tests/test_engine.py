@@ -17,6 +17,9 @@ from gridreach import (
     reach,
     reach_recursive,
 )
+from gridreach.engine import shared_block
+
+from support import common_blocks, is_edge
 
 
 def whole(g):
@@ -74,16 +77,31 @@ def test_base_dfs_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
+# block geometry
+
+@pytest.mark.parametrize("p", [AuxParams(9, 3), AuxParams(12, 4)])
+def test_shared_block_matches_reference(p):
+    pts = [(x, y) for y in range(p.n + 1) for x in range(p.n + 1)]
+    for a in pts:
+        for c in pts:
+            if c[0] < a[0] or c[1] < a[1]:
+                continue
+            blocks = common_blocks(p, a, c)
+            origin = shared_block(p.b, a[0], a[1], c[0], c[1])
+            if origin is None:
+                assert blocks == [], (a, c)
+            else:
+                assert origin[0] % p.b == 0 and origin[1] % p.b == 0
+                assert (origin[0] // p.b, origin[1] // p.b) in blocks, (a, c)
+            if a[0] != c[0] and a[1] != c[1]:
+                assert len(blocks) <= 1, (a, c)
+
+
+# ---------------------------------------------------------------------------
 # the marker traversal on a supplied edge oracle
 
 def _edge_oracle_from(g, p):
-    def fn(curr, w):
-        from gridreach import boundary_edge, oracle_reach as orc
-        try:
-            return boundary_edge(p, g, curr, w, lambda bv, a, c: orc(bv, a, c))
-        except ValueError:
-            return False
-    return fn
+    return lambda curr, w: is_edge(p, g, curr, w)
 
 
 def test_algo_lggr_full_and_empty():
@@ -325,19 +343,6 @@ def test_determinism_of_answers_and_metrics():
         assert getattr(a1.metrics, field) == getattr(a2.metrics, field)
     assert a1.metrics.recursive_calls_by_depth == a2.metrics.recursive_calls_by_depth
     assert a1.metrics.peak_stack_by_depth == a2.metrics.peak_stack_by_depth
-
-
-def test_memo_mode_changes_nothing_observable_but_time():
-    rng = SplitMix64(555)
-    for trial in range(20):
-        g = gen_random(16, 0.5, 0.5, rng.next_u64())
-        s = (rng.next_below(17), rng.next_below(17))
-        t = (rng.next_below(17), rng.next_below(17))
-        plain = reach(g, s, t, EngineConfig(epsilon=0.5))
-        memo = reach(g, s, t, EngineConfig(epsilon=0.5, untracked_memo=True))
-        assert plain.reachable == memo.reachable
-        # the cache is not tracked space
-        assert memo.metrics.peak_tracked_words <= plain.metrics.peak_tracked_words
 
 
 def test_check_mode_raises_on_violation():

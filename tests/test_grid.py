@@ -11,7 +11,6 @@ from gridreach import (
     gen_family,
     gen_random,
     oracle_reach,
-    pad_to_multiple,
     parse_lgg,
 )
 
@@ -139,15 +138,30 @@ def test_splitmix_is_stable():
 # ---------------------------------------------------------------------------
 # padding
 
+def _padded(g, k):
+    """The engine's padding: the whole view, addressable out to the next
+    multiple of k."""
+    return SubgridView.whole(g).padded(-(-g.n // k) * k)
+
+
+def _view_rows(view):
+    return ([view.north_row(y) for y in range(view.side + 1)],
+            [view.east_row(y) for y in range(view.side + 1)])
+
+
 def test_pad_noop_when_divisible():
     g = gen_random(9, 0.5, 0.5, 1)
-    assert pad_to_multiple(g, 3) is g
+    padded = _padded(g, 3)
+    assert (padded.side, padded.wx, padded.wy) == (9, 9, 9)
+    assert _view_rows(padded) == _view_rows(SubgridView.whole(g))
+    with pytest.raises(ValueError):
+        SubgridView.whole(g).padded(8)
 
 
 def test_pad_grows_and_keeps_content():
     g = gen_random(10, 0.5, 0.5, 2)
-    padded = pad_to_multiple(g, 4)
-    assert padded.n == 12
+    padded = _padded(g, 4)
+    assert padded.side == 12
     for y in range(11):
         assert padded.north_row(y) == g.north_row(y)
         assert padded.east_row(y) == g.east_row(y)
@@ -155,16 +169,16 @@ def test_pad_grows_and_keeps_content():
     for y in range(11, 13):
         assert padded.north_row(y) == 0
         assert padded.east_row(y) == 0
-    assert padded.edge_count == g.edge_count
+    north, east = _view_rows(padded)
+    assert sum(m.bit_count() for m in north + east) == g.edge_count
 
 
 @given(graphs(max_side=10), st.integers(min_value=2, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_pad_preserves_reachability(g, k):
-    padded = pad_to_multiple(g, k)
+    pwhole = _padded(g, k)
     rng = SplitMix64(g.n * 1000 + k)
     whole = SubgridView.whole(g)
-    pwhole = SubgridView.whole(padded)
     for _ in range(10):
         s = (rng.next_below(g.n + 1), rng.next_below(g.n + 1))
         t = (rng.next_below(g.n + 1), rng.next_below(g.n + 1))
@@ -236,6 +250,9 @@ def test_view_clips_edges_at_window():
     assert padded.side == 6
     assert not padded.east(4, 0)  # beyond the content window
     assert padded.north(3, 3)
+    beyond = padded.sub(5, 0, 1)  # wholly past the content window
+    assert (beyond.wx, beyond.wy) == (0, 1)
+    assert not beyond.east(0, 0)
 
 
 def test_view_oracle_matches_manual_subgrid():

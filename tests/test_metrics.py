@@ -108,16 +108,6 @@ def test_tracked_accounting_returns_to_zero():
     assert m.pops <= m.pushes
 
 
-def test_memo_cache_is_not_tracked():
-    rng = SplitMix64(44)
-    for _ in range(10):
-        g = gen_random(16, 0.5, 0.5, rng.next_u64())
-        s, t = (1, 2), (14, 15)
-        plain = reach(g, s, t, EngineConfig(epsilon=0.5)).metrics
-        memo = reach(g, s, t, EngineConfig(epsilon=0.5, untracked_memo=True)).metrics
-        assert memo.peak_tracked_words <= plain.peak_tracked_words
-
-
 def test_counters_populated():
     g = gen_random(16, 0.6, 0.6, 5)
     a = reach(g, (0, 1), (15, 16), EngineConfig(epsilon=0.5))
