@@ -2,9 +2,10 @@
 
 The driver answers a query on a view by dispatching, in order: equal
 endpoints; impossible (west/south) displacement; shared row or column
-(straight walk); small side (plain DFS); otherwise it divides the view
-into k^2 blocks and runs a marker-array DFS over the implicit boundary
-graph, deciding each edge by recursing into the corresponding block.
+(straight walk); small side (the oracle's row sweep); otherwise it
+divides the view into k^2 blocks and runs a marker-array DFS over the
+implicit boundary graph, deciding each edge by recursing into the
+corresponding block.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate is pushed
@@ -35,7 +36,7 @@ from .auxgraph import (
     is_gridline_vertex,
     iter_candidates,
 )
-from .grid import LayeredGridGraph, SubgridView, Vertex
+from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach
 from .metrics import Metrics
 
 
@@ -50,13 +51,12 @@ class EngineConfig:
     Exactly one of ``epsilon`` and ``k`` drives the divisor: with epsilon,
     every level recomputes k = clamp(round(side^(eps/2)), 2, side) from its
     own side; with k, the same divisor is reused at every level (the
-    fixed-k schedule used for recurrence validation).  ``base_side_max``
-    defaults to the current level's k.
+    fixed-k schedule used for recurrence validation).  A side of at most
+    k is the base case.
     """
 
     epsilon: float | None = None
     k: int | None = None
-    base_side_max: int | None = None
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -66,8 +66,6 @@ class EngineConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.k is not None and self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.base_side_max is not None and self.base_side_max < 2:
-            raise ValueError("base_side_max must be >= 2")
 
 
 @dataclass
@@ -88,70 +86,17 @@ def choose_k(side: int, epsilon: float) -> int:
 
 
 def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = None) -> bool:
-    """Plain DFS with a visited flag per vertex; the recursion's base case.
+    """The recursion's base case: the oracle's row sweep on a small block.
 
-    Charged as one word per visited flag and live stack entry plus the row
-    masks and locals; the peak is recorded once since nothing else runs
-    concurrently with a leaf call.
+    The sweep holds one (side+1)-bit reach mask, charged in words of
+    n.bit_length() = ceil(log2(n+1)) bits, plus the locals.
     """
     m = metrics if metrics is not None else Metrics()
     m.base_case_calls += 1
-    if u == v:
-        return True
-    vx, vy = v
-    ux, uy = u
-    if vx < ux or vy < uy:
-        return False
-    w1 = view.side + 1
-    base = view.base
-    bn = base.n
-    ox = view.ox
-    oy = view.oy
-    wxl = view.wx
-    wyl = view.wy
-    emask = (1 << wxl) - 1 if wxl > 0 else 0
-    nmask = (2 << wxl) - 1
-    east = []
-    north = []
-    for y in range(w1):
-        ay = oy + y
-        east.append((base._east[ay] >> ox) & emask if y <= wyl and ay <= bn else 0)
-        north.append((base._north[ay] >> ox) & nmask if y < wyl and ay < bn else 0)
-    visited = bytearray(w1 * w1)
-    stack = [u]
-    visited[uy * w1 + ux] = 1
-    live = 1
-    peak = 1
-    found = False
-    while stack:
-        x, y = stack.pop()
-        live -= 1
-        if (east[y] >> x) & 1:
-            nx = x + 1
-            if nx == vx and y == vy:
-                found = True
-                break
-            idx = y * w1 + nx
-            if not visited[idx]:
-                visited[idx] = 1
-                stack.append((nx, y))
-                live += 1
-        if (north[y] >> x) & 1:
-            ny = y + 1
-            if x == vx and ny == vy:
-                found = True
-                break
-            idx = ny * w1 + x
-            if not visited[idx]:
-                visited[idx] = 1
-                stack.append((x, ny))
-                live += 1
-        if live > peak:
-            peak = live
-    words = w1 * w1 + 2 * w1 + Metrics.BASE_WORDS + peak
+    words = -(-(view.side + 1) // view.base.n.bit_length()) + Metrics.BASE_WORDS
     m.charge(words)
     m.release(words)
-    return found
+    return oracle_reach(view, u, v)
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
@@ -207,26 +152,20 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                     return True
                 wx, wy = w
                 admit = False
-                on_v = wx % b == 0
-                on_h = wy % b == 0
-                if on_v:
-                    mv = av[wx // b + 1]
+                if wx % b == 0:
+                    i = wx // b + 1
+                    mv = av[i]
                     if mv is None or mv[1] < wy:
+                        av[i] = w
                         admit = True
-                if not admit and on_h:
-                    mh = ah[wy // b + 1]
+                if wy % b == 0:
+                    j = wy // b + 1
+                    mh = ah[j]
                     if mh is None or mh[0] > wx:
+                        ah[j] = w
                         admit = True
                 if not admit:
                     continue  # skip; the cursor is already past w
-                if on_v:
-                    i = wx // b + 1
-                    if av[i] is None or av[i][1] < wy:
-                        av[i] = w
-                if on_h:
-                    j = wy // b + 1
-                    if ah[j] is None or ah[j][0] > wx:
-                        ah[j] = w
                 if w in pushed:
                     m.visit_once_violations += 1
                     if check:
@@ -280,12 +219,9 @@ class _Run:
             k = cfg.k
         else:
             k = choose_k(side, cfg.epsilon) if side >= 2 else 2
-        base_max = cfg.base_side_max if cfg.base_side_max is not None else k
-        if side <= base_max:
+        if side <= k:
             p = None
         else:
-            if k > side:
-                k = side
             p = AuxParams(((side + k - 1) // k) * k, k)
         plan[side] = p
         return p

@@ -203,16 +203,18 @@ class SubgridView:
         v.ox = self.ox + ox
         v.oy = self.oy + oy
         v.side = side
+        # A window of -1 shows no column (row) at all; 0 still shows the
+        # west column's north edges (the south row's east edges).
         wx = self.wx - ox
         if wx > side:
             wx = side
-        elif wx < 0:
-            wx = 0
+        elif wx < -1:
+            wx = -1
         wy = self.wy - oy
         if wy > side:
             wy = side
-        elif wy < 0:
-            wy = 0
+        elif wy < -1:
+            wy = -1
         v.wx = wx
         v.wy = wy
         return v

@@ -3,11 +3,11 @@
 Tracked words measure the auxiliary state the algorithm is allowed to hold:
 live marker entries (2(k+1) per decomposition level), live stack frames
 (2 words each: a vertex record plus its resume slot), a fixed constant of
-locals per live level, the straight-walk cursor, and the base-case visited
-flags plus its DFS stack (one word per vertex or counter).  The read-only
-input graph, the output and instrumentation are never counted.  Space is
-measured by this explicit instrumentation rather than process RSS, which
-is noisy and dominated by the input itself.
+locals per live level, the straight-walk cursor, and the base case's one
+reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
+locals.  The read-only input graph, the output and instrumentation are
+never counted.  Space is measured by this explicit instrumentation rather
+than process RSS, which is noisy and dominated by the input itself.
 """
 
 from __future__ import annotations

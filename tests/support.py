@@ -7,7 +7,36 @@ itself.
 
 from __future__ import annotations
 
-from gridreach import AuxParams, SubgridView, oracle_reach
+from gridreach import AuxParams, LayeredGridGraph, SubgridView
+
+
+def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
+    """Reachability from s to t over the edges of g with both ends inside
+    the inclusive base-coordinate box (x0, y0, x1, y1).
+
+    A plain DFS over the graph's own edge predicates: it reads no view and
+    runs no row sweep, so it checks ``oracle_reach`` and the views rather
+    than sharing their code.
+    """
+    if s == t:
+        return True
+    x0, y0, x1, y1 = box
+    x1 = min(x1, g.n)
+    y1 = min(y1, g.n)
+    if not (x0 <= s[0] <= x1 and y0 <= s[1] <= y1):
+        return False
+    seen = {s}
+    stack = [s]
+    while stack:
+        x, y = stack.pop()
+        for w, ok in (((x + 1, y), x < x1 and g.east(x, y)),
+                      ((x, y + 1), y < y1 and g.north(x, y))):
+            if ok and w not in seen:
+                if w == t:
+                    return True
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def closure_bits(view: SubgridView):
@@ -64,10 +93,12 @@ def common_blocks(p: AuxParams, u, v):
 
 
 def block_reach(p: AuxParams, g: SubgridView, block, u, v) -> bool:
-    bx, by = block
-    bv = g.sub(bx * p.b, by * p.b, p.b)
-    return oracle_reach(bv, (u[0] - bx * p.b, u[1] - by * p.b),
-                        (v[0] - bx * p.b, v[1] - by * p.b))
+    """A path u -> v inside one block of g (u, v in g's coordinates)."""
+    x0 = g.ox + block[0] * p.b
+    y0 = g.oy + block[1] * p.b
+    box = (x0, y0, min(x0 + p.b, g.ox + g.wx), min(y0 + p.b, g.oy + g.wy))
+    return lattice_reach(g.base, box, (g.ox + u[0], g.oy + u[1]),
+                         (g.ox + v[0], g.oy + v[1]))
 
 
 def is_edge(p: AuxParams, g: SubgridView, u, v) -> bool:

@@ -17,9 +17,10 @@ from gridreach import (
     reach,
     reach_recursive,
 )
+from gridreach import engine
 from gridreach.engine import shared_block
 
-from support import common_blocks, is_edge
+from support import common_blocks, is_edge, lattice_reach
 
 
 def whole(g):
@@ -50,8 +51,6 @@ def test_engine_config_validation():
         EngineConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         EngineConfig(k=1)
-    with pytest.raises(ValueError):
-        EngineConfig(epsilon=1.0, base_side_max=1)
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +65,27 @@ def test_base_dfs_trivia():
 
 def test_base_dfs_matches_oracle():
     rng = SplitMix64(11)
+    box = (0, 0, 4, 4)
     for _ in range(60):
-        g = whole(gen_random(4, 0.5, 0.5, rng.next_u64()))
+        g = gen_random(4, 0.5, 0.5, rng.next_u64())
         for _ in range(8):
             s = (rng.next_below(5), rng.next_below(5))
             t = (rng.next_below(5), rng.next_below(5))
-            assert base_dfs(g, s, t) == oracle_reach(g, s, t)
-    stair = whole(gen_family("staircase", 4))
-    assert base_dfs(stair, (0, 0), (4, 4)) == oracle_reach(stair, (0, 0), (4, 4))
+            assert base_dfs(whole(g), s, t) == lattice_reach(g, box, s, t)
+    stair = gen_family("staircase", 4)
+    assert base_dfs(whole(stair), (0, 0), (4, 4)) == lattice_reach(
+        stair, box, (0, 0), (4, 4))
+
+
+def test_base_dfs_charges_one_reach_mask():
+    """ceil((side+1) / ceil(log2(n+1))) words for the mask, plus 4 locals."""
+    for view, words in ((whole(gen_family("full", 4)), 6),
+                        (whole(gen_family("full", 16)).sub(4, 8, 4), 5)):
+        m = Metrics()
+        assert base_dfs(view, (0, 0), (4, 4), m)
+        assert m.peak_tracked_words == words
+        assert m.cur_tracked_words == 0
+        assert m.base_case_calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +272,6 @@ def test_fixed_k_schedule():
         assert a.reachable == oracle_reach(whole(g), s, t)
 
 
-def test_explicit_base_side_max():
-    rng = SplitMix64(203)
-    for trial in range(20):
-        g = gen_random(12, 0.5, 0.5, rng.next_u64())
-        s = (rng.next_below(13), rng.next_below(13))
-        t = (rng.next_below(13), rng.next_below(13))
-        a = reach(g, s, t, EngineConfig(epsilon=1.0, base_side_max=6))
-        assert a.reachable == oracle_reach(whole(g), s, t)
-
-
 # ---------------------------------------------------------------------------
 # traversal invariants
 
@@ -345,9 +347,25 @@ def test_determinism_of_answers_and_metrics():
     assert a1.metrics.peak_stack_by_depth == a2.metrics.peak_stack_by_depth
 
 
-def test_check_mode_raises_on_violation():
+def test_check_mode_raises_on_violation(monkeypatch):
     # sanity: a healthy run never raises
     g = gen_family("full", 16)
     reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0, check_invariants=True))
-    with pytest.raises(InvariantViolation):
-        raise InvariantViolation("synthetic")
+
+    # Fault: the enumeration offers only the vertex one step north, so the
+    # vertical marker admits a whole column and the stack climbs to 13
+    # frames against the 2k+1 = 7 bound.
+    def north_only(p, curr, extra=None):
+        x, y = curr
+        if y < p.n:
+            yield None, (x, y + 1)
+
+    monkeypatch.setattr(engine, "iter_candidates", north_only)
+    p = AuxParams(12, 3)
+    full = whole(gen_family("full", 12))
+    with pytest.raises(InvariantViolation, match=r"stack depth 8 exceeds 7 \(k=3\)"):
+        marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, Metrics(),
+                   check=True)
+    m = Metrics()
+    assert not marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, m)
+    assert m.stack_bound_violations == 6

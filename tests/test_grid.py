@@ -14,6 +14,8 @@ from gridreach import (
     parse_lgg,
 )
 
+from support import lattice_reach
+
 
 @st.composite
 def graphs(draw, max_side=12):
@@ -251,8 +253,43 @@ def test_view_clips_edges_at_window():
     assert not padded.east(4, 0)  # beyond the content window
     assert padded.north(3, 3)
     beyond = padded.sub(5, 0, 1)  # wholly past the content window
-    assert (beyond.wx, beyond.wy) == (0, 1)
+    assert (beyond.wx, beyond.wy) == (-1, 1)
     assert not beyond.east(0, 0)
+    assert not beyond.north(0, 0)
+
+
+def test_oracle_matches_lattice_reach_on_view_chains():
+    """oracle_reach on chains of sub and padded views agrees with a DFS
+    over the base graph clipped to the box the subs cut out; padding adds
+    no content."""
+    rng = SplitMix64(31)
+    for _ in range(400):
+        n = 4 + rng.next_below(13)
+        density = (0.3, 0.6, 0.9)[rng.next_below(3)]
+        g = gen_random(n, density, density, rng.next_u64())
+        view = SubgridView.whole(g)
+        ox = oy = 0
+        box = (0, 0, n, n)
+        for _ in range(1 + rng.next_below(4)):
+            if rng.next_below(3) == 0:
+                view = view.padded(view.side + rng.next_below(view.side + 1))
+                continue
+            dx = rng.next_below(view.side)
+            dy = rng.next_below(view.side)
+            side = 1 + rng.next_below(view.side - max(dx, dy))
+            view = view.sub(dx, dy, side)
+            ox += dx
+            oy += dy
+            box = (max(box[0], ox), max(box[1], oy),
+                   min(box[2], ox + side), min(box[3], oy + side))
+        side = view.side
+        for _ in range(30):
+            s = (rng.next_below(side + 1), rng.next_below(side + 1))
+            t = (s[0] + rng.next_below(side - s[0] + 1),
+                 s[1] + rng.next_below(side - s[1] + 1))
+            expect = lattice_reach(g, box, (ox + s[0], oy + s[1]),
+                                   (ox + t[0], oy + t[1]))
+            assert oracle_reach(view, s, t) == expect, (view, box, s, t)
 
 
 def test_view_oracle_matches_manual_subgrid():
