@@ -57,68 +57,53 @@ def iter_candidates(p: AuxParams, curr: Vertex, extra: Vertex | None = None):
     pass the edge rule, in ascending key order, lazily and without
     materializing a neighbor list.
 
-    Candidates come from the boundary of every block containing curr.
+    Candidates come from the boundary of the blocks containing curr.
     Same-gridline runs are pruned to the block corner that delimits them,
     since a non-corner vertex on curr's own row or column can never be an
     edge target (targets off the gridline vertex set travel separately via
-    ``extra``).  Each block therefore contributes two monotone runs (its
-    east column and its north row), merged on the fly.  ``extra`` injects
-    one extra candidate.
+    ``extra``).  What remains is one run: the east column of curr's
+    north-eastmost block going north, then its north row going west.  The
+    other blocks holding curr (curr on their east or north side) add only
+    vertices of that run.  ``extra`` injects one extra candidate, merged in
+    by key.
     """
     b = p.b
     k = p.k
     sh = p.slope_shift
     cx, cy = curr
-    inf = SLOPE_INF
+    x1 = min(cx // b, k - 1) * b + b
+    y1 = min(cy // b, k - 1) * b + b
 
-    # Run = [key, x, y, dx, dy, remaining]: vertices from (x, y) stepping by
-    # (dx, dy), keys strictly ascending within a run.
-    heads: list[list] = []
-
-    def add(x, y, dx, dy, count):
-        ddx = x - cx
-        kk = (((y - cy) << sh) // ddx, ddx if ddx > y - cy else y - cy,
-              x, y) if ddx else (inf, y - cy, x, y)
-        heads.append([kk, x, y, dx, dy, count - 1])
-
-    qx, rx = divmod(cx, b)
-    qy, ry = divmod(cy, b)
-    bx_lo = max(qx - 1 if rx == 0 and qx > 0 else qx, 0)
-    bx_hi = min(qx, k - 1)
-    by_lo = max(qy - 1 if ry == 0 and qy > 0 else qy, 0)
-    by_hi = min(qy, k - 1)
-    for by in range(by_lo, by_hi + 1):
-        y1 = by * b + b
-        for bx in range(bx_lo, bx_hi + 1):
-            x1 = bx * b + b
-            if x1 > cx:
-                add(x1, cy, 0, 1, y1 - cy + 1)   # east column, upward
-            if cy < y1:
-                add(x1, y1, -1, 0, x1 - cx + 1)  # north row, slope rising
+    ekey = None
     if extra is not None and extra != curr:
         ex, ey = extra
         if ex >= cx and ey >= cy:
-            add(ex, ey, 0, 0, 1)
+            ddx = ex - cx
+            ddy = ey - cy
+            ekey = ((ddy << sh) // ddx, ddx if ddx > ddy else ddy,
+                    ex, ey) if ddx else (SLOPE_INF, ddy, ex, ey)
 
-    last = None
-    while heads:
-        best = heads[0]
-        for h in heads:
-            if h[0] < best[0]:
-                best = h
-        key, wx, wy, dx, dy, remaining = best
-        if key != last:
-            yield key, (wx, wy)
-            last = key
-        if remaining:
-            wx += dx
-            wy += dy
-            ddx = wx - cx
-            best[0] = (((wy - cy) << sh) // ddx,
-                       ddx if ddx > wy - cy else wy - cy, wx, wy) if ddx else (
-                inf, wy - cy, wx, wy)
-            best[1] = wx
-            best[2] = wy
-            best[5] = remaining - 1
-        else:
-            heads.remove(best)
+    dx = x1 - cx
+    if dx:
+        for y in range(cy, y1 + 1):     # east column, slope rising
+            dy = y - cy
+            key = ((dy << sh) // dx, dx if dx > dy else dy, x1, y)
+            if ekey is not None and ekey <= key:
+                if ekey < key:
+                    yield ekey, extra
+                ekey = None
+            yield key, (x1, y)
+        x1 -= 1                         # the column ended on the corner
+    dy = y1 - cy
+    if dy:
+        for x in range(x1, cx - 1, -1):  # north row, slope rising
+            ddx = x - cx
+            key = ((dy << sh) // ddx, ddx if ddx > dy else dy,
+                   x, y1) if ddx else (SLOPE_INF, dy, x, y1)
+            if ekey is not None and ekey <= key:
+                if ekey < key:
+                    yield ekey, extra
+                ekey = None
+            yield key, (x, y1)
+    if ekey is not None:
+        yield ekey, extra

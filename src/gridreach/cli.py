@@ -73,6 +73,7 @@ def _metrics_fields(answer, n):
         "edge_queries": m.edge_queries,
         "peak_stack": m.peak_stack,
         "peak_tracked_words": m.peak_tracked_words,
+        "recursive_calls_by_depth": m.recursive_calls_by_depth,
     }
 
 

@@ -48,11 +48,10 @@ class InvariantViolation(AssertionError):
 class EngineConfig:
     """Engine knobs.
 
-    Exactly one of ``epsilon`` and ``k`` drives the divisor: with epsilon,
-    every level recomputes k = clamp(round(side^(eps/2)), 2, side) from its
-    own side; with k, the same divisor is reused at every level (the
-    fixed-k schedule used for recurrence validation).  A side of at most
-    k is the base case.
+    Exactly one of ``epsilon`` and ``k`` drives the divisor.  With epsilon,
+    k = clamp(round(n^(eps/2)), 2, n) is computed once from the top side n;
+    with k, that divisor is given.  Either way the same k is reused at every
+    level, and a side of at most k is the base case.
     """
 
     epsilon: float | None = None
@@ -199,30 +198,28 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
 
 
 class _Run:
-    """Per-query context threaded through the recursion."""
+    """Per-query context threaded through the recursion.
 
-    __slots__ = ("cfg", "metrics", "plan")
+    k is fixed once per query from the top side and reused at every level,
+    so a side of at most k is the base case and every larger side is padded
+    to a multiple of k and divided k ways.
+    """
 
-    def __init__(self, cfg: EngineConfig, metrics: Metrics):
+    __slots__ = ("cfg", "metrics", "k", "plan")
+
+    def __init__(self, cfg: EngineConfig, metrics: Metrics, k: int):
         self.cfg = cfg
         self.metrics = metrics
-        # side -> (None for base case) | AuxParams; the schedule is a pure
-        # function of the side for a fixed config.
+        self.k = k
+        # side -> (None for base case) | AuxParams
         self.plan: dict[int, AuxParams | None] = {}
 
     def params_for(self, side: int) -> AuxParams | None:
         plan = self.plan
         if side in plan:
             return plan[side]
-        cfg = self.cfg
-        if cfg.k is not None:
-            k = cfg.k
-        else:
-            k = choose_k(side, cfg.epsilon) if side >= 2 else 2
-        if side <= k:
-            p = None
-        else:
-            p = AuxParams(((side + k - 1) // k) * k, k)
+        k = self.k
+        p = None if side <= k else AuxParams(((side + k - 1) // k) * k, k)
         plan[side] = p
         return p
 
@@ -235,7 +232,12 @@ def reach_recursive(view: SubgridView, u: Vertex, v: Vertex, cfg: EngineConfig,
     if not view.contains(v):
         raise ValueError(f"target {v} outside view")
     m = metrics if metrics is not None else Metrics()
-    return _reach(view, u, v, _Run(cfg, m), depth)
+    side = view.side
+    if cfg.k is not None:
+        k = cfg.k
+    else:
+        k = choose_k(side, cfg.epsilon) if side >= 2 else 2
+    return _reach(view, u, v, _Run(cfg, m, k), depth)
 
 
 def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
@@ -376,9 +378,9 @@ def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answe
         raise ValueError(f"target {t} outside lattice of side {g.n}")
     m = Metrics()
     if cfg.k is not None:
-        m.k_top = min(cfg.k, g.n) if g.n >= 2 else cfg.k
+        k = min(cfg.k, g.n) if g.n >= 2 else cfg.k
     else:
-        m.k_top = choose_k(g.n, cfg.epsilon) if g.n >= 2 else 2
-    run = _Run(cfg, m)
-    result = _reach(SubgridView.whole(g), s, t, run, 0)
+        k = choose_k(g.n, cfg.epsilon) if g.n >= 2 else 2
+    m.k_top = k
+    result = _reach(SubgridView.whole(g), s, t, _Run(cfg, m, k), 0)
     return Answer(result, m)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,40 @@ def test_candidate_enumeration_is_bounded_per_block():
         keys = [k for k, _ in emitted]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def _block_runs_reference(p, curr, extra):
+    """Every block holding curr contributes its east column and north row
+    north-east of curr; extra joins them; exact CCW order, no repeats."""
+    cx, cy = curr
+    out = set()
+    for bx, by in common_blocks(p, curr, curr):
+        x1, y1 = bx * p.b + p.b, by * p.b + p.b
+        if x1 > cx:
+            out.update((x1, y) for y in range(cy, y1 + 1))
+        if y1 > cy:
+            out.update((x, y1) for x in range(cx, x1 + 1))
+    if extra is not None and extra != curr and extra[0] >= cx and extra[1] >= cy:
+        out.add(extra)
+
+    def key(w):
+        dx, dy = w[0] - cx, w[1] - cy
+        return (Fraction(dy, dx) if dx else math.inf, max(dx, dy), w)
+
+    return sorted(out, key=key)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (12, 4), (16, 4), (25, 5)])
+def test_candidates_are_every_holding_blocks_runs(n, k):
+    """The one run of the north-eastmost block holding curr loses nothing
+    that the other blocks holding curr offer, with or without extra."""
+    p = AuxParams(n, k)
+    rng = SplitMix64(n * 31 + k)
+    for y in range(n + 1):
+        for x in range(n + 1):
+            for extra in (None, (n, n), (rng.next_below(n + 1), rng.next_below(n + 1))):
+                got = [w for _, w in iter_candidates(p, (x, y), extra)]
+                assert got == _block_runs_reference(p, (x, y), extra), ((x, y), extra)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from gridreach import parse_lgg
 from gridreach.cli import main
 
 QUERY_FIELDS = ["reachable", "n", "k_top", "pushes", "pops", "edge_queries",
-                "peak_stack", "peak_tracked_words", "wall_ms"]
+                "peak_stack", "peak_tracked_words", "recursive_calls_by_depth",
+                "wall_ms"]
 
 
 def run(capsys, *argv):

@@ -272,6 +272,56 @@ def test_fixed_k_schedule():
         assert a.reachable == oracle_reach(whole(g), s, t)
 
 
+def _fixed_k_depth(n, k):
+    """Levels of the fixed-k recursion: a side above k is padded to a
+    multiple of k and its blocks have side ceil(side / k)."""
+    depth, side = 1, n
+    while side > k:
+        side = -(-side // k)
+        depth += 1
+    return depth
+
+
+@pytest.fixture(scope="module")
+def schedule_sweep():
+    """Seeded (n, eps, graph, s, t, epsilon-mode answer), shared by the two
+    schedule tests: per graph one uniform pair and one with the source in
+    the south-west quadrant and the target in the north-east one."""
+    rng = SplitMix64(404)
+    rows = []
+    for n in (8, 12, 16, 24, 32, 48):
+        half = n // 2
+        for p in (0.3, 0.5, 0.7):
+            g = gen_random(n, p, p, rng.next_u64())
+            pairs = [((rng.next_below(n + 1), rng.next_below(n + 1)),
+                      (rng.next_below(n + 1), rng.next_below(n + 1))),
+                     ((rng.next_below(half), rng.next_below(half)),
+                      (half + 1 + rng.next_below(n - half),
+                       half + 1 + rng.next_below(n - half)))]
+            for s, t in pairs:
+                for eps in (0.5, 1.0):
+                    rows.append((n, eps, g, s, t,
+                                 reach(g, s, t, EngineConfig(epsilon=eps))))
+    return rows
+
+
+def test_epsilon_schedule_is_fixed_k_at_the_top_divisor(schedule_sweep):
+    """epsilon mode keeps the top level's k at every level: it matches the
+    fixed-k mode at k = choose_k(n, eps) in the verdict and every counter."""
+    for n, eps, g, s, t, a in schedule_sweep:
+        f = reach(g, s, t, EngineConfig(k=choose_k(n, eps)))
+        assert a.reachable == f.reachable, (n, eps, s, t)
+        for slot in Metrics.__slots__:
+            assert getattr(a.metrics, slot) == getattr(f.metrics, slot), (
+                slot, n, eps, s, t)
+
+
+def test_epsilon_schedule_runs_no_extra_levels(schedule_sweep):
+    for n, eps, g, s, t, a in schedule_sweep:
+        levels = _fixed_k_depth(n, choose_k(n, eps))
+        assert len(a.metrics.recursive_calls_by_depth) <= levels, (n, eps, s, t)
+
+
 # ---------------------------------------------------------------------------
 # traversal invariants
 
@@ -302,7 +352,8 @@ def test_every_pushed_vertex_is_reachable_from_source():
         m = Metrics()
         m.push_log = []
         from gridreach.engine import _Run, _reach
-        _reach(whole(g), s, t, _Run(EngineConfig(epsilon=1.0), m), 0)
+        _reach(whole(g), s, t,
+               _Run(EngineConfig(epsilon=1.0), m, choose_k(12, 1.0)), 0)
         for depth, w in m.push_log:
             if depth == 0:
                 assert oracle_reach(whole(g), s, w), (s, w)
