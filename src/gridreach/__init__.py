@@ -6,7 +6,6 @@ from .auxgraph import AuxParams, is_gridline_vertex
 from .engine import (
     Answer,
     EngineConfig,
-    InvariantViolation,
     marker_dfs,
     base_dfs,
     choose_k,
@@ -38,7 +37,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Answer", "AuxParams", "Bounds", "EngineConfig", "InvariantViolation",
+    "Answer", "AuxParams", "Bounds", "EngineConfig",
     "LayeredGridGraph", "LggFormatError", "Metrics", "SplitMix64",
     "SubgridView", "Vertex", "marker_dfs", "base_dfs", "calibrate",
     "check_bounds", "choose_k", "emit_lgg", "gen_family", "gen_random",

@@ -28,6 +28,7 @@ rule, which is what bounds the stack depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,23 +41,17 @@ from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach
 from .metrics import Metrics
 
 
-class InvariantViolation(AssertionError):
-    """A debug-mode check failed (stack bound, visit-once)."""
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine knobs.
+    """The divisor schedule: exactly one of ``epsilon`` and ``k``.
 
-    Exactly one of ``epsilon`` and ``k`` drives the divisor.  With epsilon,
-    k = clamp(round(n^(eps/2)), 2, n) is computed once from the top side n;
-    with k, that divisor is given.  Either way the same k is reused at every
-    level, and a side of at most k is the base case.
+    With epsilon, k = clamp(round(n^(eps/2)), 2, n) is computed once from the
+    top side n; with k, that divisor is given.  Either way the same k is
+    reused at every level, and a side of at most k is the base case.
     """
 
     epsilon: float | None = None
     k: int | None = None
-    check_invariants: bool = False
 
     def __post_init__(self):
         if (self.epsilon is None) == (self.k is None):
@@ -84,6 +79,29 @@ def choose_k(side: int, epsilon: float) -> int:
     return max(2, min(k, side))
 
 
+@functools.lru_cache(maxsize=1024)
+def _schedule(side: int, cfg: EngineConfig) -> tuple[int, tuple[AuxParams | None, ...]]:
+    """A query's divisor k and its decomposition at every depth.
+
+    k is the given one clamped to the side, or choose_k(side, epsilon); a
+    side below 2 keeps the given k, or 2.  levels[d] pads the depth-d side
+    to a multiple of k and divides it k ways while that side exceeds k; the
+    last entry, None, is the base case.  Cached, because the dispatch-only
+    queries would otherwise pay for building the AuxParams.
+    """
+    if cfg.k is not None:
+        k = min(cfg.k, side) if side >= 2 else cfg.k
+    else:
+        k = choose_k(side, cfg.epsilon) if side >= 2 else 2
+    levels: list[AuxParams | None] = []
+    while side > k:
+        p = AuxParams(-(-side // k) * k, k)
+        levels.append(p)
+        side = p.b
+    levels.append(None)
+    return k, tuple(levels)
+
+
 def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = None) -> bool:
     """The recursion's base case: the oracle's row sweep on a small block.
 
@@ -99,26 +117,26 @@ def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = 
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
-              metrics: Metrics | None = None, depth: int = 0,
-              u_on_lines: bool | None = None, v_on_lines: bool | None = None,
-              extra: Vertex | None = None, check: bool = False) -> bool:
+               metrics: Metrics | None = None, depth: int = 0) -> bool:
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
     sees fit); candidates are enumerated lazily in counter-clockwise order,
-    and each frame keeps its enumeration cursor, so returning to a frame
-    resumes strictly past the child it just popped.  Returns True iff v is
-    reached.  The target check runs before the marker check: a target
-    sitting below a marker must still be recognized.
+    with v merged in wherever it sits, and each frame keeps its enumeration
+    cursor, so returning to a frame resumes strictly past the child it just
+    popped.  Returns True iff v is reached.  The target check runs before
+    the marker check: a target sitting below a marker must still be
+    recognized.  g is unused: edge_test reads the view.
+
+    Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
+    the gridlines), of visit-once and of the push bound are counted in the
+    metrics' violation counters.
     """
     m = metrics if metrics is not None else Metrics()
     b = p.b
     k = p.k
-    if u_on_lines is None:
-        u_on_lines = is_gridline_vertex(p, u)
-    if v_on_lines is None:
-        v_on_lines = is_gridline_vertex(p, v)
-    limit = 2 * k + 1 if (u_on_lines and v_on_lines) else 2 * k + 3
+    on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
+    limit = 2 * k + 1 if on_lines else 2 * k + 3
 
     av: list[Vertex | None] = [None] * (k + 2)
     ah: list[Vertex | None] = [None] * (k + 2)
@@ -141,7 +159,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             curr = frame[0]
             gen = frame[1]
             if gen is None:
-                gen = iter_candidates(p, curr, extra)
+                gen = iter_candidates(p, curr, v)
                 frame[1] = gen
             advanced = False
             for _, w in gen:
@@ -167,8 +185,6 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                     continue  # skip; the cursor is already past w
                 if w in pushed:
                     m.visit_once_violations += 1
-                    if check:
-                        raise InvariantViolation(f"vertex {w} pushed twice")
                 pushed.add(w)
                 stack.append([w, None])
                 m.pushes += 1
@@ -178,9 +194,6 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                     log.append((depth, w))
                 if len(stack) > limit:
                     m.stack_bound_violations += 1
-                    if check:
-                        raise InvariantViolation(
-                            f"stack depth {len(stack)} exceeds {limit} (k={k})")
                 advanced = True
                 break
             if not advanced:
@@ -192,52 +205,18 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
         m.release(level_words + Metrics.FRAME_WORDS * len(stack))
         if len(pushed) > 2 * (k + 1) * (p.n + 1) + 2:
             m.push_bound_violations += 1
-            if check:
-                raise InvariantViolation(
-                    f"{len(pushed)} pushes exceed the vertex-set bound")
-
-
-class _Run:
-    """Per-query context threaded through the recursion.
-
-    k is fixed once per query from the top side and reused at every level,
-    so a side of at most k is the base case and every larger side is padded
-    to a multiple of k and divided k ways.
-    """
-
-    __slots__ = ("cfg", "metrics", "k", "plan")
-
-    def __init__(self, cfg: EngineConfig, metrics: Metrics, k: int):
-        self.cfg = cfg
-        self.metrics = metrics
-        self.k = k
-        # side -> (None for base case) | AuxParams
-        self.plan: dict[int, AuxParams | None] = {}
-
-    def params_for(self, side: int) -> AuxParams | None:
-        plan = self.plan
-        if side in plan:
-            return plan[side]
-        k = self.k
-        p = None if side <= k else AuxParams(((side + k - 1) // k) * k, k)
-        plan[side] = p
-        return p
 
 
 def reach_recursive(view: SubgridView, u: Vertex, v: Vertex, cfg: EngineConfig,
-                    metrics: Metrics | None = None, depth: int = 0) -> bool:
+                    metrics: Metrics | None = None) -> bool:
     """Decide reachability on a view; endpoints may sit anywhere in it."""
     if not view.contains(u):
         raise ValueError(f"source {u} outside view")
     if not view.contains(v):
         raise ValueError(f"target {v} outside view")
     m = metrics if metrics is not None else Metrics()
-    side = view.side
-    if cfg.k is not None:
-        k = cfg.k
-    else:
-        k = choose_k(side, cfg.epsilon) if side >= 2 else 2
-    return _reach(view, u, v, _Run(cfg, m, k), depth)
+    m.k_top, levels = _schedule(view.side, cfg)
+    return _reach(view, u, v, m, levels, 0)
 
 
 def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
@@ -299,8 +278,8 @@ def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
     return qx * b, qy * b
 
 
-def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bool:
-    m = run.metrics
+def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
+           levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     rd = m.recursive_calls_by_depth
     if depth < len(rd):
         rd[depth] += 1
@@ -328,13 +307,11 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bo
         acc |= er(y)
     if acc & col_need != col_need:
         return False
-    side = view.side
-    p = run.params_for(side)
+    p = levels[depth]
     if p is None:
         return base_dfs(view, u, v, m)
 
-    padded_side = p.n
-    pview = view if padded_side == side else view.padded(padded_side)
+    pview = view if p.n == view.side else view.padded(p.n)
     b = p.b
     o = shared_block(b, ux, uy, vx, vy)
     if o is not None:
@@ -343,10 +320,8 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bo
         # shared block answers the query outright.
         x0, y0 = o
         return _reach(pview.sub(x0, y0, b), (ux - x0, uy - y0),
-                      (vx - x0, vy - y0), run, depth + 1)
+                      (vx - x0, vy - y0), m, levels, depth + 1)
 
-    u_on = ux % b == 0 or uy % b == 0
-    v_on = vx % b == 0 or vy % b == 0
     depth1 = depth + 1
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:
@@ -363,11 +338,9 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, run: _Run, depth: int) -> bo
             return False
         x0, y0 = o
         return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
-                      (wx - x0, wy - y0), run, depth1)
+                      (wx - x0, wy - y0), m, levels, depth1)
 
-    return marker_dfs(p, pview, u, v, edge_test, m, depth=depth,
-                      u_on_lines=u_on, v_on_lines=v_on, extra=v,
-                      check=run.cfg.check_invariants)
+    return marker_dfs(p, pview, u, v, edge_test, m, depth)
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:
@@ -377,10 +350,5 @@ def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answe
     if not (0 <= t[0] <= g.n and 0 <= t[1] <= g.n):
         raise ValueError(f"target {t} outside lattice of side {g.n}")
     m = Metrics()
-    if cfg.k is not None:
-        k = min(cfg.k, g.n) if g.n >= 2 else cfg.k
-    else:
-        k = choose_k(g.n, cfg.epsilon) if g.n >= 2 else 2
-    m.k_top = k
-    result = _reach(SubgridView.whole(g), s, t, _Run(cfg, m, k), 0)
-    return Answer(result, m)
+    m.k_top, levels = _schedule(g.n, cfg)
+    return Answer(_reach(SubgridView.whole(g), s, t, m, levels, 0), m)

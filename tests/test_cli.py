@@ -150,6 +150,7 @@ def test_query_push_bound_violation_exits_1(full9, capsys, monkeypatch):
     assert code == 1
     assert out == "YES\n"
     assert "invariant violation" in err
+    assert "0 stack bound, 0 visit-once, 1 push bound" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from gridreach import (
     AuxParams,
     EngineConfig,
-    InvariantViolation,
     LayeredGridGraph,
     Metrics,
     SplitMix64,
@@ -18,13 +17,18 @@ from gridreach import (
     reach_recursive,
 )
 from gridreach import engine
-from gridreach.engine import shared_block
+from gridreach.engine import _schedule, shared_block
 
 from support import common_blocks, is_edge, lattice_reach
 
 
 def whole(g):
     return SubgridView.whole(g)
+
+
+def assert_no_violations(m):
+    assert (m.stack_bound_violations, m.visit_once_violations,
+            m.push_bound_violations) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +175,9 @@ def test_algo_lggr_differential_boundary_pairs():
             if share_line or common_blocks(p, u, v):
                 continue
             m = Metrics()
-            got = marker_dfs(p, g, u, v, _aug_edge_oracle(p, g, u, v), m,
-                            extra=v, check=True)
+            got = marker_dfs(p, g, u, v, _aug_edge_oracle(p, g, u, v), m)
             assert got == oracle_reach(g, u, v), (u, v)
+            assert_no_violations(m)
             checked += 1
     assert checked > 100
 
@@ -189,9 +193,9 @@ def test_target_found_even_when_markers_point_past_it():
         north[y] |= 1 << 3         # column x=3 up to (3,3)
     g = LayeredGridGraph(9, north, east)
     for eps in (0.5, 1.0):
-        a = reach(g, (0, 0), (3, 1), EngineConfig(epsilon=eps, check_invariants=True))
+        a = reach(g, (0, 0), (3, 1), EngineConfig(epsilon=eps))
         assert a.reachable
-        assert a.metrics.visit_once_violations == 0
+        assert_no_violations(a.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,15 @@ def test_reach_recursive_on_views():
         s = (rng.next_below(9), rng.next_below(9))
         t = (rng.next_below(9), rng.next_below(9))
         assert reach_recursive(v, s, t, cfg) == oracle_reach(v, s, t)
+    # On a whole view, reach_recursive is reach: same verdict, same metrics.
+    for _ in range(40):
+        s = (rng.next_below(17), rng.next_below(17))
+        t = (rng.next_below(17), rng.next_below(17))
+        m = Metrics()
+        a = reach(g, s, t, cfg)
+        assert reach_recursive(whole(g), s, t, cfg, m) == a.reachable
+        for slot in Metrics.__slots__:
+            assert getattr(m, slot) == getattr(a.metrics, slot), (slot, s, t)
 
 
 def test_gridline_crawl_instances():
@@ -244,8 +257,9 @@ def test_gridline_crawl_instances():
                  ((1, 0), (4, 2)), ((0, 0), (5, 3))]:
         expect = oracle_reach(v, s, t)
         for eps in (0.5, 1.0):
-            a = reach(g, s, t, EngineConfig(epsilon=eps, check_invariants=True))
+            a = reach(g, s, t, EngineConfig(epsilon=eps))
             assert a.reachable == expect, (s, t, eps)
+            assert_no_violations(a.metrics)
 
 
 def test_differential_random_sweep():
@@ -257,8 +271,9 @@ def test_differential_random_sweep():
                 g = gen_random(n, p, p, rng.next_u64())
                 s = (rng.next_below(n + 1), rng.next_below(n + 1))
                 t = (rng.next_below(n + 1), rng.next_below(n + 1))
-                a = reach(g, s, t, EngineConfig(epsilon=eps, check_invariants=True))
+                a = reach(g, s, t, EngineConfig(epsilon=eps))
                 assert a.reachable == oracle_reach(whole(g), s, t), (n, eps, s, t)
+                assert_no_violations(a.metrics)
 
 
 def test_fixed_k_schedule():
@@ -280,6 +295,26 @@ def _fixed_k_depth(n, k):
         side = -(-side // k)
         depth += 1
     return depth
+
+
+def _check_schedule(n, cfg, k):
+    got_k, levels = _schedule(n, cfg)
+    assert got_k == k, (n, cfg)
+    assert len(levels) == _fixed_k_depth(n, k), (n, cfg)
+    assert levels[-1] is None
+    side = n
+    for p in levels[:-1]:
+        assert p.k == k and p.n % k == 0 and p.n >= side > k, (n, cfg, p)
+        side = p.b
+    assert side <= k
+
+
+def test_schedule_levels():
+    for n in range(2, 601):
+        for k in range(2, 31):
+            _check_schedule(n, EngineConfig(k=k), min(k, n))
+        for eps in (0.5, 1.0):
+            _check_schedule(n, EngineConfig(epsilon=eps), choose_k(n, eps))
 
 
 @pytest.fixture(scope="module")
@@ -333,11 +368,9 @@ def test_invariants_across_random_sweep():
             g = gen_random(n, p, p, rng.next_u64())
             s = (rng.next_below(n + 1), rng.next_below(n + 1))
             t = (rng.next_below(n + 1), rng.next_below(n + 1))
-            a = reach(g, s, t, EngineConfig(epsilon=0.5, check_invariants=True))
+            a = reach(g, s, t, EngineConfig(epsilon=0.5))
             m = a.metrics
-            assert m.stack_bound_violations == 0
-            assert m.visit_once_violations == 0
-            assert m.push_bound_violations == 0
+            assert_no_violations(m)
             assert m.pops <= m.pushes
 
 
@@ -351,9 +384,7 @@ def test_every_pushed_vertex_is_reachable_from_source():
         t = (rng.next_below(13), rng.next_below(13))
         m = Metrics()
         m.push_log = []
-        from gridreach.engine import _Run, _reach
-        _reach(whole(g), s, t,
-               _Run(EngineConfig(epsilon=1.0), m, choose_k(12, 1.0)), 0)
+        reach_recursive(whole(g), s, t, EngineConfig(epsilon=1.0), m)
         for depth, w in m.push_log:
             if depth == 0:
                 assert oracle_reach(whole(g), s, w), (s, w)
@@ -398,25 +429,53 @@ def test_determinism_of_answers_and_metrics():
     assert a1.metrics.peak_stack_by_depth == a2.metrics.peak_stack_by_depth
 
 
-def test_check_mode_raises_on_violation(monkeypatch):
-    # sanity: a healthy run never raises
+def test_injected_faults_trip_the_counters(monkeypatch):
+    # sanity: a healthy run counts no violation
     g = gen_family("full", 16)
-    reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0, check_invariants=True))
+    assert_no_violations(reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0)).metrics)
 
-    # Fault: the enumeration offers only the vertex one step north, so the
-    # vertical marker admits a whole column and the stack climbs to 13
-    # frames against the 2k+1 = 7 bound.
-    def north_only(p, curr, extra=None):
-        x, y = curr
-        if y < p.n:
-            yield None, (x, y + 1)
-
-    monkeypatch.setattr(engine, "iter_candidates", north_only)
     p = AuxParams(12, 3)
     full = whole(gen_family("full", 12))
-    with pytest.raises(InvariantViolation, match=r"stack depth 8 exceeds 7 \(k=3\)"):
-        marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, Metrics(),
-                   check=True)
-    m = Metrics()
-    assert not marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, m)
-    assert m.stack_bound_violations == 6
+    real = engine.iter_candidates
+
+    def run(fault):
+        monkeypatch.setattr(engine, "iter_candidates", fault)
+        m = Metrics()
+        got = marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, m)
+        return got, (m.stack_bound_violations, m.visit_once_violations,
+                     m.push_bound_violations)
+
+    # The enumeration climbs column 0 one vertex at a time and stops after
+    # `pushes` vertices.  Past the top it skips the horizontal gridlines,
+    # which have no marker there.
+    bound = 2 * (p.k + 1) * (p.n + 1) + 2
+    ys = [y for y in range(2 * bound) if y <= p.n or y % p.b]
+
+    def climb(pushes):
+        nxt = dict(zip(ys[:pushes - 1], ys[1:pushes]))
+
+        def fault(p, curr, extra=None):
+            if curr[1] in nxt:
+                yield None, (0, nxt[curr[1]])
+        return fault
+
+    # Stack bound: within the lattice the vertical marker admits the whole
+    # column, and the stack climbs to 13 frames against the 2k+1 = 7 bound.
+    assert run(climb(p.n + 1)) == (False, (6, 0, 0))
+
+    # Visit-once: the enumeration offers the current vertex back first.
+    # Both markers still admit the source, which is pushed a second time;
+    # every later vertex moved its own markers onto itself when pushed, so
+    # the strict marker tests refuse it.
+    def self_first(p, curr, extra=None):
+        yield None, curr
+        yield from real(p, curr, extra)
+
+    assert run(self_first) == (True, (0, 1, 0))
+
+    # Push bound: inside the lattice each marker advances at most n+1
+    # times, so at most 2(k+1)(n+1)+1 distinct vertices are pushed and the
+    # bound of 2(k+1)(n+1)+2 is out of reach.  Only an enumeration that
+    # leaves the lattice can breach it.
+    assert run(climb(bound)) == (False, (bound - 7, 0, 0))
+    assert run(climb(bound + 1)) == (False, (bound - 6, 0, 1))
