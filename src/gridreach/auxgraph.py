@@ -18,12 +18,6 @@ from dataclasses import dataclass, field
 
 from .grid import Vertex
 
-# Sort key for neighbor enumeration: (slope class, L-inf distance, x, y).
-# Direction angle ascends from due east (slope 0) to due north (SLOPE_INF);
-# slopes are compared via (dy << shift) // dx, which is exact as long as
-# shift exceeds twice the coordinate bit length.
-SLOPE_INF = 1 << 62
-
 
 @dataclass(frozen=True)
 class AuxParams:
@@ -32,7 +26,6 @@ class AuxParams:
     n: int
     k: int
     b: int = field(init=False)
-    slope_shift: int = field(init=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -42,7 +35,24 @@ class AuxParams:
         if self.n // self.k < 1:
             raise ValueError("block side must be >= 1")
         object.__setattr__(self, "b", self.n // self.k)
-        object.__setattr__(self, "slope_shift", 2 * self.n.bit_length() + 2)
+
+
+def decompose(side: int, k: int) -> tuple[AuxParams | None, ...]:
+    """The decomposition of a side-`side` problem at every depth.
+
+    While a side exceeds k it is padded to a multiple of k and divided k
+    ways, and the next side is the block side; the last entry, None, is the
+    base case.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    levels: list[AuxParams | None] = []
+    while side > k:
+        p = AuxParams(-(-side // k) * k, k)
+        levels.append(p)
+        side = p.b
+    levels.append(None)
+    return tuple(levels)
 
 
 def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
@@ -52,58 +62,28 @@ def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
 # ---------------------------------------------------------------------------
 # Counter-clockwise neighbor enumeration
 
-def iter_candidates(p: AuxParams, curr: Vertex, extra: Vertex | None = None):
-    """Yield (key, vertex) for boundary vertices north-east of curr that can
-    pass the edge rule, in ascending key order, lazily and without
-    materializing a neighbor list.
+def iter_candidates(p: AuxParams, curr: Vertex):
+    """Yield the boundary vertices north-east of curr that can pass the
+    edge rule, in counter-clockwise order, lazily and without materializing
+    a neighbor list.
 
     Candidates come from the boundary of the blocks containing curr.
     Same-gridline runs are pruned to the block corner that delimits them,
     since a non-corner vertex on curr's own row or column can never be an
-    edge target (targets off the gridline vertex set travel separately via
-    ``extra``).  What remains is one run: the east column of curr's
+    edge target.  What remains is one run: the east column of curr's
     north-eastmost block going north, then its north row going west.  The
     other blocks holding curr (curr on their east or north side) add only
-    vertices of that run.  ``extra`` injects one extra candidate, merged in
-    by key.
+    vertices of that run.
     """
     b = p.b
     k = p.k
-    sh = p.slope_shift
     cx, cy = curr
     x1 = min(cx // b, k - 1) * b + b
     y1 = min(cy // b, k - 1) * b + b
-
-    ekey = None
-    if extra is not None and extra != curr:
-        ex, ey = extra
-        if ex >= cx and ey >= cy:
-            ddx = ex - cx
-            ddy = ey - cy
-            ekey = ((ddy << sh) // ddx, ddx if ddx > ddy else ddy,
-                    ex, ey) if ddx else (SLOPE_INF, ddy, ex, ey)
-
-    dx = x1 - cx
-    if dx:
-        for y in range(cy, y1 + 1):     # east column, slope rising
-            dy = y - cy
-            key = ((dy << sh) // dx, dx if dx > dy else dy, x1, y)
-            if ekey is not None and ekey <= key:
-                if ekey < key:
-                    yield ekey, extra
-                ekey = None
-            yield key, (x1, y)
-        x1 -= 1                         # the column ended on the corner
-    dy = y1 - cy
-    if dy:
-        for x in range(x1, cx - 1, -1):  # north row, slope rising
-            ddx = x - cx
-            key = ((dy << sh) // ddx, ddx if ddx > dy else dy,
-                   x, y1) if ddx else (SLOPE_INF, dy, x, y1)
-            if ekey is not None and ekey <= key:
-                if ekey < key:
-                    yield ekey, extra
-                ekey = None
-            yield key, (x, y1)
-    if ekey is not None:
-        yield ekey, extra
+    if x1 > cx:
+        for y in range(cy, y1 + 1):      # east column, going north
+            yield x1, y
+        x1 -= 1                          # the column ended on the corner
+    if y1 > cy:
+        for x in range(x1, cx - 1, -1):  # north row, going west
+            yield x, y1

@@ -9,11 +9,13 @@ corresponding block.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate is pushed
-only when one of its lines still admits it.  Neighbors are cycled in
-counter-clockwise order starting due east, so lower and righter targets
-are explored first and the skip rule never hides a reachable vertex.  The
-stack then never holds more than 2k+1 frames (2k+3 when an endpoint is
-block-interior and enters through augmented edges).
+only when one of its lines still admits it.  Each frame tests the edge
+into the target once, on entry, before it enumerates anything else.
+Neighbors are cycled in counter-clockwise order starting due east, so
+lower and righter targets are explored first and the skip rule never
+hides a reachable vertex.  The stack then never holds more than 2k+1
+frames (2k+3 when an endpoint is block-interior and enters through
+augmented edges).
 
 Two details extend the block-boundary edge rule at the query endpoints:
 an endpoint lying strictly inside a block is joined to every boundary
@@ -32,11 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import (
-    AuxParams,
-    is_gridline_vertex,
-    iter_candidates,
-)
+from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach
 from .metrics import Metrics
 
@@ -84,22 +82,15 @@ def _schedule(side: int, cfg: EngineConfig) -> tuple[int, tuple[AuxParams | None
     """A query's divisor k and its decomposition at every depth.
 
     k is the given one clamped to the side, or choose_k(side, epsilon); a
-    side below 2 keeps the given k, or 2.  levels[d] pads the depth-d side
-    to a multiple of k and divides it k ways while that side exceeds k; the
-    last entry, None, is the base case.  Cached, because the dispatch-only
-    queries would otherwise pay for building the AuxParams.
+    side below 2 keeps the given k, or 2.  The levels are decompose(side,
+    k).  Cached, because the dispatch-only queries would otherwise pay for
+    building the AuxParams.
     """
     if cfg.k is not None:
         k = min(cfg.k, side) if side >= 2 else cfg.k
     else:
         k = choose_k(side, cfg.epsilon) if side >= 2 else 2
-    levels: list[AuxParams | None] = []
-    while side > k:
-        p = AuxParams(-(-side // k) * k, k)
-        levels.append(p)
-        side = p.b
-    levels.append(None)
-    return k, tuple(levels)
+    return k, decompose(side, k)
 
 
 def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = None) -> bool:
@@ -121,12 +112,13 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
-    sees fit); candidates are enumerated lazily in counter-clockwise order,
-    with v merged in wherever it sits, and each frame keeps its enumeration
-    cursor, so returning to a frame resumes strictly past the child it just
-    popped.  Returns True iff v is reached.  The target check runs before
-    the marker check: a target sitting below a marker must still be
-    recognized.  g is unused: edge_test reads the view.
+    sees fit).  A frame tests the target v once, on entry, before it opens
+    its enumeration, and no marker is consulted: a target sitting below a
+    marker must still be recognized.  Candidates are then enumerated lazily
+    in counter-clockwise order, skipping v, and each frame keeps its
+    enumeration cursor, so returning to a frame resumes strictly past the
+    child it just popped.  Returns True iff v is reached.  g is unused:
+    edge_test reads the view.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -135,6 +127,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     m = metrics if metrics is not None else Metrics()
     b = p.b
     k = p.k
+    vx, vy = v
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
@@ -159,14 +152,15 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             curr = frame[0]
             gen = frame[1]
             if gen is None:
-                gen = iter_candidates(p, curr, v)
+                if (curr != v and vx >= curr[0] and vy >= curr[1]
+                        and edge_test(curr, v)):
+                    return True
+                gen = iter_candidates(p, curr)
                 frame[1] = gen
             advanced = False
-            for _, w in gen:
-                if not edge_test(curr, w):
+            for w in gen:
+                if w == v or not edge_test(curr, w):
                     continue
-                if w == v:
-                    return True
                 wx, wy = w
                 admit = False
                 if wx % b == 0:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .auxgraph import decompose
+
 
 class Metrics:
     """Per-query counters; single-query, unshared."""
@@ -95,27 +97,34 @@ class Bounds:
         return predicted_words(n, k, self.c_s)
 
 
+def _divided_sides(n: int, k: int) -> list[int]:
+    """The unpadded side of each divided level of decompose(n, k), top
+    first."""
+    sides = []
+    for p in decompose(n, k)[:-1]:
+        sides.append(n)
+        n = p.b
+    return sides
+
+
 def predicted_calls(n: int, k: int, c_t: float = 1.0) -> float:
-    """Exact unrolling of the work recurrence: P(n) = 8n^2 (P(n/k) + c_t)
-    above the base, c_t * k^2 at or below it.  Sides that k does not divide
-    are padded up before descending, matching the engine."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n <= k:
-        return c_t * k * k
-    padded = ((n + k - 1) // k) * k
-    return 8.0 * n * n * (predicted_calls(padded // k, k, c_t) + c_t)
+    """Exact unrolling of the work recurrence over the engine's levels:
+    P(n) = 8n^2 (P(n/k) + c_t) above the base, c_t * k^2 at or below it,
+    where n is each level's unpadded side."""
+    calls = c_t * k * k
+    for side in reversed(_divided_sides(n, k)):
+        calls = 8.0 * side * side * (calls + c_t)
+    return calls
 
 
 def predicted_words(n: int, k: int, c_s: float = 1.0) -> float:
-    """Exact unrolling of the space recurrence: W(n) = W(n/k) + c_s k
-    ceil(log2 n) above the base, c_s * k^2 at or below it."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n <= k:
-        return c_s * k * k
-    padded = ((n + k - 1) // k) * k
-    return predicted_words(padded // k, k, c_s) + c_s * k * math.ceil(math.log2(n))
+    """Exact unrolling of the space recurrence over the engine's levels:
+    W(n) = W(n/k) + c_s k ceil(log2 n) above the base, c_s * k^2 at or
+    below it, where n is each level's unpadded side."""
+    words = c_s * k * k
+    for side in reversed(_divided_sides(n, k)):
+        words += c_s * k * math.ceil(math.log2(side))
+    return words
 
 
 # Calibration reference: full grid n=16, epsilon=1.0 (k=4), corner-to-corner

@@ -102,7 +102,7 @@ def test_h_edge_requires_gridline_vertices():
     """Edge tests only ever see gridline vertices: every candidate is one,
     and lies north-east of the current vertex."""
     for curr in [(x, y) for y in range(10) for x in range(10)]:
-        for _, w in iter_candidates(P93, curr):
+        for w in iter_candidates(P93, curr):
             assert is_gridline_vertex(P93, w), (curr, w)
             assert w != curr and w[0] >= curr[0] and w[1] >= curr[1]
 
@@ -132,7 +132,7 @@ def _ccw_key(curr, w):
 
 def _neighbors(p, g, curr):
     """One pass of the candidates, filtered by the reference edge rule."""
-    return [w for _, w in iter_candidates(p, curr) if is_edge(p, g, curr, w)]
+    return [w for w in iter_candidates(p, curr) if is_edge(p, g, curr, w)]
 
 
 def _candidate_edges(p, g):
@@ -166,14 +166,13 @@ def test_candidate_enumeration_is_bounded_per_block():
         n_blocks = len(common_blocks(P93, curr, curr))
         emitted = list(iter_candidates(P93, curr))
         assert len(emitted) <= (4 * P93.b + 4) * n_blocks
-        keys = [k for k, _ in emitted]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        assert len(set(emitted)) == len(emitted)
+        assert emitted == _block_runs_reference(P93, curr)
 
 
-def _block_runs_reference(p, curr, extra):
+def _block_runs_reference(p, curr):
     """Every block holding curr contributes its east column and north row
-    north-east of curr; extra joins them; exact CCW order, no repeats."""
+    north-east of curr; exact CCW order, no repeats."""
     cx, cy = curr
     out = set()
     for bx, by in common_blocks(p, curr, curr):
@@ -182,8 +181,6 @@ def _block_runs_reference(p, curr, extra):
             out.update((x1, y) for y in range(cy, y1 + 1))
         if y1 > cy:
             out.update((x, y1) for x in range(cx, x1 + 1))
-    if extra is not None and extra != curr and extra[0] >= cx and extra[1] >= cy:
-        out.add(extra)
 
     def key(w):
         dx, dy = w[0] - cx, w[1] - cy
@@ -195,14 +192,12 @@ def _block_runs_reference(p, curr, extra):
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (12, 4), (16, 4), (25, 5)])
 def test_candidates_are_every_holding_blocks_runs(n, k):
     """The one run of the north-eastmost block holding curr loses nothing
-    that the other blocks holding curr offer, with or without extra."""
+    that the other blocks holding curr offer."""
     p = AuxParams(n, k)
-    rng = SplitMix64(n * 31 + k)
     for y in range(n + 1):
         for x in range(n + 1):
-            for extra in (None, (n, n), (rng.next_below(n + 1), rng.next_below(n + 1))):
-                got = [w for _, w in iter_candidates(p, (x, y), extra)]
-                assert got == _block_runs_reference(p, (x, y), extra), ((x, y), extra)
+            got = list(iter_candidates(p, (x, y)))
+            assert got == _block_runs_reference(p, (x, y)), (x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def test_algo_lggr_differential_boundary_pairs():
 
 def test_target_found_even_when_markers_point_past_it():
     """A target sitting below an already-advanced marker must still be
-    recognized the moment it is enumerated."""
+    recognized: each frame tests the edge into it on entry, and no marker
+    is consulted for that test."""
     north = [0] * 10
     east = [0] * 10
     for x in range(3):
@@ -390,6 +391,47 @@ def test_every_pushed_vertex_is_reachable_from_source():
                 assert oracle_reach(whole(g), s, w), (s, w)
 
 
+def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
+    """Each frame tests the edge into the target on entry, so a YES query
+    decided by the depth-0 traversal stops at the first pushed vertex with
+    an edge into the target: that edge is true from the last depth-0 push
+    and false from every earlier one (checked with the engine's own edge
+    rule)."""
+    real = engine.marker_dfs
+    captured = []
+
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
+        if depth == 0:
+            captured.append(edge_test)
+        return real(p, g, u, v, edge_test, metrics, depth)
+
+    monkeypatch.setattr(engine, "marker_dfs", spy)
+    rng = SplitMix64(515)
+    checked = 0
+    for eps in (0.5, 1.0):
+        for n in (8, 12, 16):
+            half = n // 2
+            for _ in range(20):
+                g = gen_random(n, 0.7, 0.7, rng.next_u64())
+                s = (rng.next_below(half), rng.next_below(half))
+                t = (half + 1 + rng.next_below(n - half),
+                     half + 1 + rng.next_below(n - half))
+                m = Metrics()
+                m.push_log = []
+                captured.clear()
+                if not reach_recursive(whole(g), s, t, EngineConfig(epsilon=eps), m):
+                    continue
+                if not captured:
+                    continue  # decided before the depth-0 traversal
+                edge_test, = captured
+                pushes = [w for depth, w in m.push_log if depth == 0]
+                hits = [w[0] <= t[0] and w[1] <= t[1] and edge_test(w, t)
+                        for w in pushes]
+                assert hits == [False] * (len(pushes) - 1) + [True], (eps, n, s, t)
+                checked += 1
+    assert checked >= 40
+
+
 def test_marker_arrays_only_advance():
     """Every push is admitted by a marker that still points strictly below
     (vertical lines) or strictly right (horizontal lines) of the vertex,
@@ -437,26 +479,28 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     p = AuxParams(12, 3)
     full = whole(gen_family("full", 12))
     real = engine.iter_candidates
+    u, v = (0, 0), (12, 12)
 
-    def run(fault):
+    def run(fault, edge_test=lambda c, w: w != v):
         monkeypatch.setattr(engine, "iter_candidates", fault)
         m = Metrics()
-        got = marker_dfs(p, full, (0, 0), (12, 12), lambda c, w: True, m)
+        got = marker_dfs(p, full, u, v, edge_test, m)
         return got, (m.stack_bound_violations, m.visit_once_violations,
                      m.push_bound_violations)
 
     # The enumeration climbs column 0 one vertex at a time and stops after
     # `pushes` vertices.  Past the top it skips the horizontal gridlines,
-    # which have no marker there.
+    # which have no marker there.  Every edge into v is refused, so no
+    # frame's entry test ends the search.
     bound = 2 * (p.k + 1) * (p.n + 1) + 2
     ys = [y for y in range(2 * bound) if y <= p.n or y % p.b]
 
     def climb(pushes):
         nxt = dict(zip(ys[:pushes - 1], ys[1:pushes]))
 
-        def fault(p, curr, extra=None):
+        def fault(p, curr):
             if curr[1] in nxt:
-                yield None, (0, nxt[curr[1]])
+                yield 0, nxt[curr[1]]
         return fault
 
     # Stack bound: within the lattice the vertical marker admits the whole
@@ -466,12 +510,14 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     # Visit-once: the enumeration offers the current vertex back first.
     # Both markers still admit the source, which is pushed a second time;
     # every later vertex moved its own markers onto itself when pushed, so
-    # the strict marker tests refuse it.
-    def self_first(p, curr, extra=None):
-        yield None, curr
-        yield from real(p, curr, extra)
+    # the strict marker tests refuse it.  Only the edge from the source
+    # into v is refused, so the first vertex pushed past the source's
+    # second frame reaches v.
+    def self_first(p, curr):
+        yield curr
+        yield from real(p, curr)
 
-    assert run(self_first) == (True, (0, 1, 0))
+    assert run(self_first, lambda c, w: (c, w) != (u, v)) == (True, (0, 1, 0))
 
     # Push bound: inside the lattice each marker advances at most n+1
     # times, so at most 2(k+1)(n+1)+1 distinct vertices are pushed and the
