@@ -28,7 +28,6 @@ from .grid import (
 from .metrics import (
     Bounds,
     Metrics,
-    calibrate,
     check_bounds,
     predicted_calls,
     predicted_words,
@@ -39,8 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Answer", "AuxParams", "Bounds", "EngineConfig",
     "LayeredGridGraph", "LggFormatError", "Metrics", "SplitMix64",
-    "SubgridView", "Vertex", "marker_dfs", "base_dfs", "calibrate",
-    "check_bounds", "choose_k", "emit_lgg", "gen_family", "gen_random",
+    "SubgridView", "Vertex", "marker_dfs", "base_dfs", "check_bounds",
+    "choose_k", "emit_lgg", "gen_family", "gen_random",
     "is_gridline_vertex", "oracle_reach", "parse_lgg", "predicted_calls",
     "predicted_words", "reach", "reach_recursive", "straight_walk",
 ]

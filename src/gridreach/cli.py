@@ -24,7 +24,7 @@ from .grid import (
     oracle_reach,
     parse_lgg,
 )
-from .metrics import DEFAULT_C_S, DEFAULT_C_T, Bounds, check_bounds
+from .metrics import Bounds, check_bounds
 
 _VERIFY_PROBS = (0.3, 0.5, 0.7)
 
@@ -168,7 +168,7 @@ def cmd_bench(args) -> int:
     cfg = EngineConfig(epsilon=args.epsilon)
     if args.fixed_k is not None:
         cfg = EngineConfig(k=args.fixed_k)
-    bounds = Bounds(c_t=DEFAULT_C_T, c_s=DEFAULT_C_S)
+    bounds = Bounds()
     for n in args.n_list:
         if args.family == "random":
             g = gen_random(n, 0.5, 0.5, 1)

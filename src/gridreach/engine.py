@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach
-from .metrics import Metrics
+from .metrics import Metrics, base_charge, level_charge
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,12 @@ def _schedule(side: int, cfg: EngineConfig) -> tuple[int, tuple[AuxParams | None
 def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = None) -> bool:
     """The recursion's base case: the oracle's row sweep on a small block.
 
-    The sweep holds one (side+1)-bit reach mask, charged in words of
-    n.bit_length() = ceil(log2(n+1)) bits, plus the locals.
+    The sweep holds one (side+1)-bit reach mask plus its locals; see
+    metrics.base_charge.
     """
     m = metrics if metrics is not None else Metrics()
     m.base_case_calls += 1
-    words = -(-(view.side + 1) // view.base.n.bit_length()) + Metrics.BASE_WORDS
+    words = base_charge(view.side, view.base.n)
     m.charge(words)
     m.release(words)
     return oracle_reach(view, u, v)
@@ -133,7 +133,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
 
     av: list[Vertex | None] = [None] * (k + 2)
     ah: list[Vertex | None] = [None] * (k + 2)
-    level_words = 2 * (k + 1) + Metrics.LEVEL_WORDS
+    level_words = level_charge(k)
     m.charge(level_words)
 
     # Frame = [vertex, candidate cursor]; the cursor is created on first use.

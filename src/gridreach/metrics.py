@@ -1,4 +1,4 @@
-"""Counters, tracked-space accounting, and analytic recurrence bounds.
+"""Counters, tracked-space accounting, and the analytic bounds.
 
 Tracked words measure the auxiliary state the algorithm is allowed to hold:
 live marker entries (2(k+1) per decomposition level), live stack frames
@@ -8,11 +8,13 @@ reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
 locals.  The read-only input graph, the output and instrumentation are
 never counted.  Space is measured by this explicit instrumentation rather
 than process RSS, which is noisy and dominated by the input itself.
+
+The word bound is the worst case of those same charges over the levels
+of the schedule; the engine charges through level_charge and base_charge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .auxgraph import decompose
@@ -82,57 +84,66 @@ class Metrics:
         return max(self.peak_stack_by_depth, default=0)
 
 
+def level_charge(k: int) -> int:
+    """Words a divided level holds besides its frames: 2(k+1) marker
+    entries plus its locals."""
+    return 2 * (k + 1) + Metrics.LEVEL_WORDS
+
+
+def base_charge(side: int, n: int) -> int:
+    """Words the base case holds on a side-`side` block of a side-n graph:
+    one (side+1)-bit reach mask, in words of n.bit_length() =
+    ceil(log2(n+1)) bits, plus its locals."""
+    return -(-(side + 1) // n.bit_length()) + Metrics.BASE_WORDS
+
+
 @dataclass
 class Bounds:
-    """Analytic node-expansion and tracked-word bounds with calibration
-    constants; monotone nondecreasing in n for fixed k."""
+    """Analytic node-expansion and tracked-word bounds, each scaled by a
+    plain multiplier."""
 
     c_t: float = 1.0
     c_s: float = 1.0
 
     def call_bound(self, n: int, k: int) -> float:
-        return predicted_calls(n, k, self.c_t)
+        return self.c_t * predicted_calls(n, k)
 
     def word_bound(self, n: int, k: int) -> float:
-        return predicted_words(n, k, self.c_s)
+        return self.c_s * predicted_words(n, k)
 
 
-def _divided_sides(n: int, k: int) -> list[int]:
-    """The unpadded side of each divided level of decompose(n, k), top
-    first."""
+def predicted_calls(n: int, k: int) -> float:
+    """Exact unrolling of the work recurrence over the engine's levels:
+    P(n) = 8n^2 (P(n/k) + 1) above the base, k^2 at or below it, where n
+    is each level's unpadded side."""
     sides = []
     for p in decompose(n, k)[:-1]:
         sides.append(n)
         n = p.b
-    return sides
-
-
-def predicted_calls(n: int, k: int, c_t: float = 1.0) -> float:
-    """Exact unrolling of the work recurrence over the engine's levels:
-    P(n) = 8n^2 (P(n/k) + c_t) above the base, c_t * k^2 at or below it,
-    where n is each level's unpadded side."""
-    calls = c_t * k * k
-    for side in reversed(_divided_sides(n, k)):
-        calls = 8.0 * side * side * (calls + c_t)
+    calls = float(k * k)
+    for side in reversed(sides):
+        calls = 8.0 * side * side * (calls + 1.0)
     return calls
 
 
-def predicted_words(n: int, k: int, c_s: float = 1.0) -> float:
-    """Exact unrolling of the space recurrence over the engine's levels:
-    W(n) = W(n/k) + c_s k ceil(log2 n) above the base, c_s * k^2 at or
-    below it, where n is each level's unpadded side."""
-    words = c_s * k * k
-    for side in reversed(_divided_sides(n, k)):
-        words += c_s * k * math.ceil(math.log2(side))
-    return words
+def predicted_words(n: int, k: int) -> int:
+    """The most tracked words a query on a side-n graph under divisor k can
+    charge, unrolled over decompose(n, k): each divided level holds its
+    level_charge plus at most 2k+3 frames, and the bottom holds the larger
+    of a straight walk and a base case on the last block side (n when no
+    level divides)."""
+    words = 0
+    b = n
+    for p in decompose(n, k)[:-1]:
+        words += level_charge(p.k) + Metrics.FRAME_WORDS * (2 * p.k + 3)
+        b = p.b
+    return words + max(Metrics.WALK_WORDS, base_charge(b, n))
 
 
-# Calibration reference: full grid n=16, epsilon=1.0 (k=4), corner-to-corner
-# query (measured 9 recursive calls and a 36-word peak against raw bounds of
-# 34816 and 32).  Frozen from that run, with a small margin on the space
-# constant; see README for the procedure.
+# Multipliers for callers that still pass them to Bounds; the bounds are
+# derived, so neither scales anything.
 DEFAULT_C_T = 1.0
-DEFAULT_C_S = 1.25
+DEFAULT_C_S = 1.0
 
 
 def check_bounds(metrics: Metrics, bounds: Bounds, n: int, k: int) -> dict:
@@ -149,10 +160,3 @@ def check_bounds(metrics: Metrics, bounds: Bounds, n: int, k: int) -> dict:
     calls = part(metrics.recursive_calls, bounds.call_bound(n, k))
     words = part(metrics.peak_tracked_words, bounds.word_bound(n, k))
     return {"calls": calls, "words": words, "passed": calls["passed"] and words["passed"]}
-
-
-def calibrate(measured_calls: int, measured_words: int, n: int, k: int) -> Bounds:
-    """Constants that make the reference measurement sit exactly at ratio 1."""
-    c_t = max(1.0, measured_calls / predicted_calls(n, k, 1.0))
-    c_s = max(1.0, measured_words / predicted_words(n, k, 1.0))
-    return Bounds(c_t=c_t, c_s=c_s)

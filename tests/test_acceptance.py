@@ -23,7 +23,7 @@ from gridreach import (
     reach,
     straight_walk,
 )
-from gridreach.metrics import calibrate, predicted_calls, predicted_words
+from gridreach.metrics import predicted_calls, predicted_words
 
 from support import (
     BoundaryReachability,
@@ -56,7 +56,7 @@ def _differential_bin(task):
     cfg = EngineConfig(epsilon=eps)
     count = 0
     mismatches = []
-    stack_viol = visit_viol = push_viol = 0
+    stack_viol = visit_viol = push_viol = words_over = 0
     for _ in range(trials):
         g = gen_random(n, p, p, rng.next_u64())
         s = (rng.next_below(n + 1), rng.next_below(n + 1))
@@ -70,7 +70,8 @@ def _differential_bin(task):
         stack_viol += m.stack_bound_violations
         visit_viol += m.visit_once_violations
         push_viol += m.push_bound_violations
-    return count, mismatches, stack_viol, visit_viol, push_viol
+        words_over += m.peak_tracked_words > predicted_words(n, m.k_top)
+    return count, mismatches, stack_viol, visit_viol, push_viol, words_over
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +96,8 @@ def differential_results():
     stack_viol = sum(r[2] for r in results)
     visit_viol = sum(r[3] for r in results)
     push_viol = sum(r[4] for r in results)
-    return total, mismatches, stack_viol, visit_viol, push_viol
+    words_over = sum(r[5] for r in results)
+    return total, mismatches, stack_viol, visit_viol, push_viol, words_over
 
 
 def test_criterion_1_differential_correctness(differential_results):
@@ -109,7 +111,7 @@ def test_criterion_1_differential_correctness(differential_results):
 
 
 def test_criterion_2_stack_bound(differential_results):
-    total, _, stack_viol, _, _ = differential_results
+    total, _, stack_viol, *_ = differential_results
     ok = stack_viol == 0
     _report(2, "stack bound 2k+1 / 2k+3", ok,
             f"{stack_viol} violations across {total} trials at every level")
@@ -117,7 +119,7 @@ def test_criterion_2_stack_bound(differential_results):
 
 
 def test_criterion_3_visit_once(differential_results):
-    total, _, _, visit_viol, push_viol = differential_results
+    total, _, _, visit_viol, push_viol, _ = differential_results
     ok = visit_viol == 0 and push_viol == 0
     _report(3, "visit-once", ok,
             f"{visit_viol} duplicate pushes, {push_viol} push-bound breaches "
@@ -257,32 +259,32 @@ def test_criterion_6_straight_walk():
 # ---------------------------------------------------------------------------
 # criterion 7: recurrence conformance
 
-def test_criterion_7_recurrence_conformance():
-    # calibrate on the n=16 full grid, then freeze
-    ref = reach(gen_family("full", 16), (0, 0), (16, 16), EngineConfig(epsilon=1.0))
-    bounds = calibrate(ref.metrics.recursive_calls,
-                       ref.metrics.peak_tracked_words, 16, ref.metrics.k_top)
+def test_criterion_7_recurrence_conformance(differential_results):
+    # the bounds are derived from the schedule and the charges: no fitting
+    total, *_, words_over = differential_results
     rows = []
     for n in (16, 64, 256):
         a = reach(gen_family("full", n), (0, 0), (n, n), EngineConfig(epsilon=1.0))
         m = a.metrics
         k = m.k_top
         assert k == round(math.sqrt(n))
-        rows.append((n, k, m.recursive_calls, predicted_calls(n, k, bounds.c_t),
-                     m.peak_tracked_words, predicted_words(n, k, bounds.c_s)))
+        rows.append((n, k, m.recursive_calls, predicted_calls(n, k),
+                     m.peak_tracked_words, predicted_words(n, k)))
     calls_ok = all(meas <= pred for _, _, meas, pred, _, _ in rows)
     words_ok = all(meas <= pred for _, _, _, _, meas, pred in rows)
     space_ratio = rows[2][4] / rows[0][4]
     sublinear = space_ratio < 16
-    ok = calls_ok and words_ok and sublinear
+    ok = calls_ok and words_ok and sublinear and words_over == 0
     detail = "; ".join(
-        f"n={n}: calls {mc}<={pc:.0f}, words {mw}<={pw:.1f}"
+        f"n={n}: calls {mc}<={pc:.0f}, words {mw}<={pw}"
         for n, _, mc, pc, mw, pw in rows)
     _report(7, "recurrence conformance", ok,
-            f"{detail}; S(256)/S(16)={space_ratio:.2f}<16")
+            f"{detail}; S(256)/S(16)={space_ratio:.2f}<16; "
+            f"{words_over} of {total} random trials over the word bound")
     assert calls_ok
     assert words_ok
     assert sublinear
+    assert words_over == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from gridreach import (
@@ -7,7 +5,6 @@ from gridreach import (
     EngineConfig,
     Metrics,
     SplitMix64,
-    calibrate,
     check_bounds,
     gen_family,
     gen_random,
@@ -18,23 +15,25 @@ from gridreach import (
 
 
 def test_predicted_calls_base_and_one_level():
-    # at or below the base: c_t * k^2
-    assert predicted_calls(4, 4, 2.0) == 2.0 * 16
-    assert predicted_calls(3, 4, 1.0) == 16.0
-    # one unrolling: 8 n^2 (c_t k^2 + c_t) at n = k^2
+    # at or below the base: k^2
+    assert predicted_calls(4, 4) == 16.0
+    assert predicted_calls(3, 4) == 16.0
+    # one unrolling: 8 n^2 (k^2 + 1) at n = k^2
     k = 4
     n = k * k
-    c_t = 1.5
-    assert predicted_calls(n, k, c_t) == 8 * n * n * (c_t * k * k + c_t)
+    assert predicted_calls(n, k) == 8 * n * n * (k * k + 1)
 
 
 def test_predicted_words_base_and_one_level():
-    k = 4
-    c_s = 2.0
-    assert predicted_words(4, 4, c_s) == c_s * 16
-    n = k * k
-    assert predicted_words(n, k, c_s) == c_s * k * k + c_s * k * math.ceil(
-        math.log2(n))
+    # No level: the base mask of n+1 = 5 bits in 3-bit words is 2 words,
+    # plus 4 locals.
+    assert predicted_words(4, 4) == 6
+    # One level: 2*5 markers + 8 locals + 2*11 frame words = 40; base on
+    # side 4 with 5-bit words: 1 + 4.
+    assert predicted_words(16, 4) == 45
+    # Three levels (81 -> 27 -> 9 -> 3) of 2*4 + 8 + 2*9 = 34; base on
+    # side 3 with 7-bit words: 1 + 4.
+    assert predicted_words(81, 3) == 107
 
 
 def test_predicted_bounds_monotone_in_n():
@@ -61,42 +60,55 @@ def test_check_bounds_zeroed_metrics_pass():
     assert report["words"]["ratio"] == 0.0
 
 
-def test_measured_within_calibrated_bounds_on_reference():
+def test_measured_within_derived_bounds_on_reference():
     g = gen_family("full", 16)
-    a = reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0))
-    m = a.metrics
-    bounds = calibrate(m.recursive_calls, m.peak_tracked_words, 16, 4)
-    report = check_bounds(m, bounds, 16, 4)
-    assert report["passed"]
-    assert report["calls"]["ratio"] <= 1.0
-    assert report["words"]["ratio"] <= 1.0
+    m = reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0)).metrics
+    assert m.recursive_calls <= predicted_calls(16, 4)
+    assert m.peak_tracked_words <= predicted_words(16, 4)
+    assert check_bounds(m, Bounds(), 16, 4)["passed"]
 
 
 def test_measured_within_bounds_fixed_k_ladder():
     # powers of one fixed divisor, per-level structure identical
     g = gen_family("full", 81)
-    a = reach(g, (0, 0), (81, 81), EngineConfig(k=3))
-    m = a.metrics
-    bounds = calibrate(m.recursive_calls, m.peak_tracked_words, 81, 3)
-    report = check_bounds(m, bounds, 81, 3)
-    assert report["passed"]
-    assert report["calls"]["ratio"] <= 1.0 and report["words"]["ratio"] <= 1.0
+    m = reach(g, (0, 0), (81, 81), EngineConfig(k=3)).metrics
+    assert m.recursive_calls <= predicted_calls(81, 3)
+    assert m.peak_tracked_words <= predicted_words(81, 3)
+    assert check_bounds(m, Bounds(), 81, 3)["passed"]
 
 
-def test_random_instances_within_reference_calibration():
-    """Constants calibrated once on the n=16 full grid hold over random
-    instances at the same shape (call bound is loose by construction; the
-    word bound needs the small frozen margin)."""
-    from gridreach.metrics import DEFAULT_C_S, DEFAULT_C_T
-
+def test_random_instances_within_derived_bounds():
     rng = SplitMix64(7)
-    bounds = Bounds(c_t=DEFAULT_C_T, c_s=DEFAULT_C_S)
     for trial in range(25):
         g = gen_random(16, 0.5, 0.5, rng.next_u64())
-        a = reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0))
-        m = a.metrics
-        report = check_bounds(m, bounds, 16, m.k_top)
+        m = reach(g, (0, 0), (16, 16), EngineConfig(epsilon=1.0)).metrics
+        report = check_bounds(m, Bounds(), 16, m.k_top)
         assert report["calls"]["passed"]
+        assert report["words"]["passed"]
+
+
+# Sides per fixed k, capped by cost alone: a dense query takes up to 50 s
+# at k=2, n=32 and up to 5 s at k=3, n=48.
+_FIXED_K_SIDES = {2: (16,), 3: (16, 24, 32), 5: (16, 32, 64), 8: (16, 32, 64)}
+
+
+@pytest.mark.parametrize("k", sorted(_FIXED_K_SIDES))
+def test_random_queries_within_word_bound_fixed_k(k):
+    """Seeded south-west -> north-east queries on random graphs stay within
+    the derived word bound under a fixed divisor."""
+    over = []
+    for n in _FIXED_K_SIDES[k]:
+        h = n // 2
+        for p in (0.3, 0.5, 0.7):
+            rng = SplitMix64(1000 * n + 10 * k + int(10 * p))
+            for _ in range(5):
+                g = gen_random(n, p, p, rng.next_u64())
+                s = (rng.next_below(h + 1), rng.next_below(h + 1))
+                t = (h + rng.next_below(n - h + 1), h + rng.next_below(n - h + 1))
+                m = reach(g, s, t, EngineConfig(k=k)).metrics
+                if m.peak_tracked_words > predicted_words(n, k):
+                    over.append((n, p, s, t, m.peak_tracked_words))
+    assert over == []
 
 
 def test_tracked_accounting_returns_to_zero():
