@@ -74,6 +74,7 @@ def _metrics_fields(answer, n):
         "peak_stack": m.peak_stack,
         "peak_tracked_words": m.peak_tracked_words,
         "recursive_calls_by_depth": m.recursive_calls_by_depth,
+        "base_case_calls": m.base_case_calls,
     }
 
 

@@ -5,7 +5,10 @@ endpoints; impossible (west/south) displacement; shared row or column
 (straight walk); small side (the oracle's row sweep); otherwise it
 divides the view into k^2 blocks and runs a marker-array DFS over the
 implicit boundary graph, deciding each edge by recursing into the
-corresponding block.
+corresponding block.  At the last divided level, where that recursion
+would end in one base-case row sweep per edge, a frame's candidates are
+instead read off one row sweep of its block, resumed from test to test
+and charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate is pushed
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates
-from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach
+from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge
 
 
@@ -272,6 +275,29 @@ def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
     return qx * b, qy * b
 
 
+def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int) -> bool:
+    """The prefilter, for ux < vx and uy < vy: necessary conditions for a
+    path.  A path crosses every row of the span inside the column range,
+    and every column inside the row range; two cheap mask sweeps prune most
+    dead queries before any subdivision or row sweep.
+
+    Its masks (acc, the OR of the span's east rows, and row_span and
+    col_need) hold up to `side` bits each and are not charged as tracked
+    words: at the top level they are as wide as the oracle's row mask
+    (ROADMAP item 5).
+    """
+    nr = view.north_row
+    er = view.east_row
+    row_span = ((2 << (vx - ux)) - 1) << ux
+    col_need = ((1 << (vx - ux)) - 1) << ux
+    acc = er(vy)
+    for y in range(uy, vy):
+        if not nr(y) & row_span:
+            return False
+        acc |= er(y)
+    return acc & col_need == col_need
+
+
 def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
            levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     rd = m.recursive_calls_by_depth
@@ -287,19 +313,7 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         return False
     if ux == vx or uy == vy:
         return _straight(view, ux, uy, vx, vy, m)
-    # Necessary conditions: a path crosses every row of the span inside the
-    # column range, and every column inside the row range.  Two cheap mask
-    # sweeps prune most dead queries before any subdivision.
-    nr = view.north_row
-    er = view.east_row
-    row_span = ((2 << (vx - ux)) - 1) << ux
-    col_need = ((1 << (vx - ux)) - 1) << ux
-    acc = er(vy)
-    for y in range(uy, vy):
-        if not nr(y) & row_span:
-            return False
-        acc |= er(y)
-    if acc & col_need != col_need:
+    if not _may_reach(view, ux, uy, vx, vy):
         return False
     p = levels[depth]
     if p is None:
@@ -315,10 +329,29 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         x0, y0 = o
         return _reach(pview.sub(x0, y0, b), (ux - x0, uy - y0),
                       (vx - x0, vy - y0), m, levels, depth + 1)
+    return _divided(pview, p, u, v, m, levels, depth)
 
+
+def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
+             levels: tuple[AuxParams | None, ...], depth: int) -> bool:
+    """A divided level: the marker DFS over pview's boundary graph, with
+    its edge test.  Kept out of _reach, whose dispatch-only queries would
+    otherwise pay for creating the edge test's closure cells."""
+    b = p.b
     depth1 = depth + 1
+    last = levels[depth1] is None
+    # The frame sweep, at the last divided level: the row sweep of one
+    # frame's block from the frame's vertex (s_curr while s_pushes pushes
+    # had been made), advanced to local row s_y with reach mask s_mask
+    # (closed in that row once a test has read it).  It holds the base
+    # case's words while `held`.
+    words = base_charge(b, pview.base.n)
+    s_curr = s_view = None
+    s_pushes = s_y = s_mask = 0
+    held = False
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:
+        nonlocal s_curr, s_view, s_pushes, s_y, s_mask, held
         m.edge_queries += 1
         cx, cy = curr
         wx, wy = w
@@ -331,10 +364,48 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         if o is None:
             return False
         x0, y0 = o
+        if last and cx < wx and cy < wy and w != v:
+            # w is strictly north-east of curr, so the block they share is
+            # curr's north-eastmost one, whose east column and north row
+            # are the run iter_candidates yields: the frame sweep answers.
+            ty = wy - y0
+            if curr != s_curr or m.pushes != s_pushes or ty < s_y:
+                if held:
+                    m.release(words)
+                    held = False
+                s_curr = None
+                s_view = pview.sub(x0, y0, b)
+                if not _may_reach(s_view, cx - x0, cy - y0, wx - x0, ty):
+                    return False
+                m.note_call(depth1)
+                m.base_case_calls += 1
+                s_curr = curr
+                s_pushes = m.pushes
+                s_y = cy - y0  # below ty, so the sweep runs at once
+                s_mask = 1 << (cx - x0)
+            if not held:
+                m.charge(words)
+                held = True
+            if ty > s_y:
+                s_mask = row_sweep(s_view, s_mask, s_y, ty)
+                s_y = ty
+            if (s_mask >> (wx - x0)) & 1:
+                m.release(words)  # a push may follow
+                held = False
+                return True
+            return False
+        if held:
+            m.release(words)
+            held = False
         return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
                       (wx - x0, wy - y0), m, levels, depth1)
 
-    return marker_dfs(p, pview, u, v, edge_test, m, depth)
+    try:
+        return marker_dfs(p, pview, u, v, edge_test, m, depth)
+    finally:
+        if held:
+            m.release(words)
+            held = False
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:

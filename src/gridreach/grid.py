@@ -374,12 +374,35 @@ def gen_family(name: str, n: int) -> LayeredGridGraph:
 # ---------------------------------------------------------------------------
 # Full-memory oracle
 
+def row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
+    """The row sweep from row y up to row ty >= y.
+
+    reach holds columns reached in row y.  Each row is closed under its
+    east edges and, below ty, lifted through its north edges into the next
+    row.  Returns the closed reach mask of row ty (0 once a lift leaves
+    nothing).  A mask already closed in row y may be passed back in to
+    continue the sweep.
+    """
+    while True:
+        em = view.east_row(y)
+        while True:
+            spread = reach | ((reach & em) << 1)
+            if spread == reach:
+                break
+            reach = spread
+        if y == ty:
+            return reach
+        reach &= view.north_row(y)
+        if reach == 0:
+            return 0
+        y += 1
+
+
 def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
     """Ground-truth reachability with unrestricted memory.
 
-    Row-sweep over bitmasks: close each row under east edges, then lift the
-    reachable set through the row's north edges.  Correct because every
-    path visits rows in nondecreasing order.
+    The row sweep over bitmasks (row_sweep) from s's row to t's.  Correct
+    because every path visits rows in nondecreasing order.
     """
     if not view.contains(s):
         raise ValueError(f"source {s} outside view")
@@ -389,17 +412,4 @@ def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
         return True
     if t[0] < s[0] or t[1] < s[1]:
         return False
-    reach = 1 << s[0]
-    for y in range(s[1], t[1] + 1):
-        em = view.east_row(y)
-        while True:
-            spread = reach | ((reach & em) << 1)
-            if spread == reach:
-                break
-            reach = spread
-        if y == t[1]:
-            break
-        reach &= view.north_row(y)
-        if reach == 0:
-            return False
-    return (reach >> t[0]) & 1 == 1
+    return (row_sweep(view, 1 << s[0], s[1], t[1]) >> t[0]) & 1 == 1

@@ -7,7 +7,7 @@ from gridreach.cli import main
 
 QUERY_FIELDS = ["reachable", "n", "k_top", "pushes", "pops", "edge_queries",
                 "peak_stack", "peak_tracked_words", "recursive_calls_by_depth",
-                "wall_ms"]
+                "base_case_calls", "wall_ms"]
 
 
 def run(capsys, *argv):

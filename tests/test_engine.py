@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gridreach import (
@@ -17,9 +19,10 @@ from gridreach import (
     reach_recursive,
 )
 from gridreach import engine
+from gridreach.auxgraph import iter_candidates
 from gridreach.engine import _schedule, shared_block
 
-from support import common_blocks, is_edge, lattice_reach
+from support import common_blocks, gridline_vertices, is_edge, lattice_reach
 
 
 def whole(g):
@@ -430,6 +433,108 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
                 assert hits == [False] * (len(pushes) - 1) + [True], (eps, n, s, t)
                 checked += 1
     assert checked >= 40
+
+
+def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
+    """The last divided level's edge_test answers every gridline vertex's
+    run (and the source's) like the literal edge rule plus the endpoint
+    augmentation: in enumeration order, where one sweep serves a whole run;
+    in reverse; interleaved between two vertices' runs; and with a push
+    counted before every test, which forces a fresh sweep each time.  A
+    True answer leaves no sweep words charged, since a push may follow
+    it."""
+    real = engine.marker_dfs
+    captured = []
+
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
+        captured.append((p, edge_test, metrics))
+        return real(p, g, u, v, edge_test, metrics, depth)
+
+    monkeypatch.setattr(engine, "marker_dfs", spy)
+    rng = SplitMix64(606)
+    for n in (12, 16):
+        cfg = EngineConfig(k=4)  # one divided level: depth 0 is the last
+        graphs = 0
+        while graphs < 3:
+            g = gen_random(n, 0.6, 0.6, rng.next_u64())
+            u = (1 + rng.next_below(3), 1 + rng.next_below(3))
+            v = (n - 1 - rng.next_below(3), n - 1 - rng.next_below(3))
+            captured.clear()
+            reach(g, u, v, cfg)
+            if not captured:
+                continue  # decided by the prefilter
+            graphs += 1
+            (p, edge_test, m), = captured
+            assert (p.n, p.k) == (n, 4) and m.cur_tracked_words == 0
+            oracle = _aug_edge_oracle(p, whole(g), u, v)
+            runs = [[(c, w) for w in iter_candidates(p, c)]
+                    for c in [u] + gridline_vertices(p)]
+
+            def check(c, w):
+                got = edge_test(c, w)
+                assert got == oracle(c, w), (n, u, v, c, w)
+                if got:
+                    assert m.cur_tracked_words == 0, (c, w)
+
+            base = m.base_case_calls
+            for run in runs:
+                for c, w in run:
+                    check(c, w)
+            in_order = m.base_case_calls - base
+            for run in runs:
+                for c, w in reversed(run):  # rows fall: each sweeps afresh
+                    check(c, w)
+            for r1, r2 in zip(runs, runs[1:]):
+                for group in itertools.zip_longest(r1, r2):
+                    for cw in group:
+                        if cw is not None:
+                            check(*cw)
+            base = m.base_case_calls
+            for run in runs:
+                for c, w in run:
+                    m.pushes += 1
+                    check(c, w)
+            assert 0 < in_order < m.base_case_calls - base
+
+
+def test_frame_sweep_released_when_the_search_ends(monkeypatch):
+    """A search that ends while its frame sweep is held releases its words."""
+
+    def stop_while_held(p, g, u, v, edge_test, metrics=None, depth=0):
+        for c in gridline_vertices(p):
+            for w in iter_candidates(p, c):
+                edge_test(c, w)
+                if metrics.cur_tracked_words:
+                    return False
+        raise AssertionError("no sweep was held")
+
+    monkeypatch.setattr(engine, "marker_dfs", stop_while_held)
+    a = reach(gen_random(16, 0.6, 0.6, 5), (1, 1), (15, 15), EngineConfig(k=4))
+    assert a.metrics.base_case_calls >= 1
+    assert a.metrics.cur_tracked_words == 0
+
+
+# (graph seed, s, t) of dense SW->NE NO queries at n=16, epsilon=1.0, with
+# their pushes, pops, edge tests and peak words, which the frame sweep
+# keeps, and base calls, which it cuts (112, 154 and 76 before it).
+PINNED = [
+    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 217, 35, 53),
+    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 308, 33, 59),
+    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 156, 31, 27),
+]
+
+
+@pytest.mark.parametrize("seed, s, t, pushes, pops, edges, words, base", PINNED)
+def test_pinned_dense_no_queries(seed, s, t, pushes, pops, edges, words, base):
+    g = gen_random(16, 0.7, 0.7, seed)
+    a = reach(g, s, t, EngineConfig(epsilon=1.0))
+    m = a.metrics
+    assert not a.reachable and not oracle_reach(whole(g), s, t)
+    assert (m.pushes, m.pops, m.edge_queries, m.peak_tracked_words) == (
+        pushes, pops, edges, words)
+    assert m.base_case_calls == base
+    assert m.cur_tracked_words == 0
+    assert_no_violations(m)
 
 
 def test_marker_arrays_only_advance():
