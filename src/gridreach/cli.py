@@ -75,6 +75,10 @@ def _metrics_fields(answer, n):
         "peak_tracked_words": m.peak_tracked_words,
         "recursive_calls_by_depth": m.recursive_calls_by_depth,
         "base_case_calls": m.base_case_calls,
+        "peak_stack_by_depth": m.peak_stack_by_depth,
+        "stack_bound_violations": m.stack_bound_violations,
+        "visit_once_violations": m.visit_once_violations,
+        "push_bound_violations": m.push_bound_violations,
     }
 
 
@@ -102,16 +106,16 @@ def cmd_query(args) -> int:
     answer = reach(g, s, t, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print("YES" if answer.reachable else "NO")
+    if args.metrics:
+        fields = _metrics_fields(answer, g.n)
+        fields["wall_ms"] = round(wall_ms, 3)
+        print(json.dumps(fields))
     m = answer.metrics
     if _violations(m):
         print(f"invariant violation: {m.stack_bound_violations} stack bound, "
               f"{m.visit_once_violations} visit-once, "
               f"{m.push_bound_violations} push bound", file=sys.stderr)
         return 1
-    if args.metrics:
-        fields = _metrics_fields(answer, g.n)
-        fields["wall_ms"] = round(wall_ms, 3)
-        print(json.dumps(fields))
     return 0
 
 
@@ -123,14 +127,26 @@ def cmd_verify(args) -> int:
     comparisons = 0
     violations = 0
     for n in args.n_list:
+        half = n // 2
         for cfg in cfgs:
             eps = cfg.epsilon
             for trial in range(args.trials):
-                p_n = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
-                p_e = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
-                g = gen_random(n, p_n, p_e, rng.next_u64())
-                s = (rng.next_below(n + 1), rng.next_below(n + 1))
-                t = (rng.next_below(n + 1), rng.next_below(n + 1))
+                family = FAMILIES[trial % len(FAMILIES)]
+                if family == "random":
+                    p_n = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
+                    p_e = _VERIFY_PROBS[rng.next_below(len(_VERIFY_PROBS))]
+                    g = gen_random(n, p_n, p_e, rng.next_u64())
+                else:
+                    g = gen_family(family, n)
+                if trial % 2 and half:
+                    # source in the south-west quadrant, target in the
+                    # north-east one: the pairs that run the searches
+                    s = (rng.next_below(half), rng.next_below(half))
+                    t = (half + 1 + rng.next_below(n - half),
+                         half + 1 + rng.next_below(n - half))
+                else:
+                    s = (rng.next_below(n + 1), rng.next_below(n + 1))
+                    t = (rng.next_below(n + 1), rng.next_below(n + 1))
                 expected = oracle_reach(SubgridView.whole(g), s, t)
                 answer = reach(g, s, t, cfg)
                 comparisons += 1

@@ -11,14 +11,15 @@ instead read off one row sweep of its block, resumed from test to test
 and charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
-so far, and per horizontal gridline the leftmost; a candidate is pushed
-only when one of its lines still admits it.  Each frame tests the edge
-into the target once, on entry, before it enumerates anything else.
-Neighbors are cycled in counter-clockwise order starting due east, so
-lower and righter targets are explored first and the skip rule never
-hides a reachable vertex.  The stack then never holds more than 2k+1
-frames (2k+3 when an endpoint is block-interior and enters through
-augmented edges).
+so far, and per horizontal gridline the leftmost; a candidate's edge is
+tested, and the candidate pushed, only when one of its lines still admits
+it, so a candidate the markers reject costs no recursion.  Each frame
+tests the edge into the target once, on entry, before it enumerates
+anything else.  Neighbors are cycled in counter-clockwise order starting
+due east, so lower and righter targets are explored first and the skip
+rule never hides a reachable vertex.  The stack then never holds more
+than 2k+1 frames (2k+3 when an endpoint is block-interior and enters
+through augmented edges).
 
 Two details extend the block-boundary edge rule at the query endpoints:
 an endpoint lying strictly inside a block is joined to every boundary
@@ -120,8 +121,13 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     marker must still be recognized.  Candidates are then enumerated lazily
     in counter-clockwise order, skipping v, and each frame keeps its
     enumeration cursor, so returning to a frame resumes strictly past the
-    child it just popped.  Returns True iff v is reached.  g is unused:
-    edge_test reads the view.
+    child it just popped.  The markers gate the edge test: a candidate that
+    neither of its lines admits is skipped untested, and an admitting
+    marker advances only once the test answers yes.  edge_test touches no
+    marker, stack or pushed set, so this level's pushes and the verdict are
+    those of a search that tests every candidate; only the skipped tests'
+    work is saved.  Returns True iff v is reached.  g is unused: edge_test
+    reads the view.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -162,24 +168,25 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                 frame[1] = gen
             advanced = False
             for w in gen:
-                if w == v or not edge_test(curr, w):
+                if w == v:
                     continue
                 wx, wy = w
-                admit = False
+                admit_v = admit_h = False
                 if wx % b == 0:
                     i = wx // b + 1
                     mv = av[i]
-                    if mv is None or mv[1] < wy:
-                        av[i] = w
-                        admit = True
+                    admit_v = mv is None or mv[1] < wy
                 if wy % b == 0:
                     j = wy // b + 1
                     mh = ah[j]
-                    if mh is None or mh[0] > wx:
-                        ah[j] = w
-                        admit = True
-                if not admit:
-                    continue  # skip; the cursor is already past w
+                    admit_h = mh is None or mh[0] > wx
+                # Skip before the edge test; the cursor is already past w.
+                if not (admit_v or admit_h) or not edge_test(curr, w):
+                    continue
+                if admit_v:
+                    av[i] = w
+                if admit_h:
+                    ah[j] = w
                 if w in pushed:
                     m.visit_once_violations += 1
                 pushed.add(w)

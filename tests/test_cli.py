@@ -7,7 +7,9 @@ from gridreach.cli import main
 
 QUERY_FIELDS = ["reachable", "n", "k_top", "pushes", "pops", "edge_queries",
                 "peak_stack", "peak_tracked_words", "recursive_calls_by_depth",
-                "base_case_calls", "wall_ms"]
+                "base_case_calls", "peak_stack_by_depth",
+                "stack_bound_violations", "visit_once_violations",
+                "push_bound_violations", "wall_ms"]
 
 
 def run(capsys, *argv):
@@ -157,6 +159,17 @@ def test_query_push_bound_violation_exits_1(full9, capsys, monkeypatch):
     assert "0 stack bound, 0 visit-once, 1 push bound" in err
 
 
+def test_query_metrics_print_the_invariant_counters(full9, capsys, monkeypatch):
+    _with_push_bound_violation(monkeypatch)
+    code, out, _ = run(capsys, "query", "--graph", full9, "--s", "0,0",
+                       "--t", "9,9", "--epsilon", "1.0", "--metrics")
+    assert code == 1
+    fields = json.loads(out.splitlines()[1])
+    assert (fields["stack_bound_violations"], fields["visit_once_violations"],
+            fields["push_bound_violations"]) == (0, 0, 1)
+    assert fields["peak_stack_by_depth"][0] >= 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -166,6 +179,33 @@ def test_verify_clean_build_passes(capsys, tmp_path, monkeypatch):
                        "--seed", "1", "--epsilon-list", "1.0")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_verify_cycles_families_and_quadrant_pairs(capsys, monkeypatch):
+    """verify compares every family, and every other trial is a
+    south-west to north-east quadrant pair."""
+    real_family = CLI["gen_family"]
+    real_reach = CLI["reach"]
+    families = []
+    pairs = []
+
+    def family(name, n):
+        families.append(name)
+        return real_family(name, n)
+
+    def spy(g, s, t, cfg):
+        pairs.append((s, t))
+        return real_reach(g, s, t, cfg)
+
+    monkeypatch.setitem(CLI, "gen_family", family)
+    monkeypatch.setitem(CLI, "reach", spy)
+    code, out, _ = run(capsys, "verify", "--n-list", "8", "--trials", "10",
+                       "--seed", "5", "--epsilon-list", "1.0")
+    assert code == 0
+    assert "verified 10 comparisons, 0 mismatches" in out
+    assert families == ["full", "empty", "staircase", "single_path"] * 2
+    for s, t in pairs[1::2]:
+        assert max(s) < 4 and min(t) > 4, (s, t)
 
 
 def test_verify_zero_trials(capsys):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridreach import (
     AuxParams,
@@ -280,6 +282,58 @@ def test_differential_random_sweep():
                 assert_no_violations(a.metrics)
 
 
+@st.composite
+def view_queries(draw):
+    """A small graph, a chain of sub and padded views of it, the box of
+    base coordinates the chain shows, two endpoints anywhere in the last
+    view (half the time the target north-east of the source), and either
+    an epsilon or a fixed k."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    density = draw(st.floats(min_value=0.3, max_value=1.0))
+    g = gen_random(n, density, density, draw(st.integers(0, 2**64 - 1)))
+    view = whole(g)
+    ox = oy = 0
+    box = (0, 0, n, n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            view = view.padded(draw(st.integers(view.side, 2 * view.side)))
+            continue
+        dx = draw(st.integers(0, view.side - 1))
+        dy = draw(st.integers(0, view.side - 1))
+        room = view.side - max(dx, dy)
+        side = room - draw(st.integers(0, room - 1))  # shrinks to the widest
+        view = view.sub(dx, dy, side)
+        ox += dx
+        oy += dy
+        box = (max(box[0], ox), max(box[1], oy),
+               min(box[2], ox + side), min(box[3], oy + side))
+    coord = st.integers(0, view.side)
+    s = (draw(coord), draw(coord))
+    if draw(st.booleans()):
+        t = (draw(coord), draw(coord))
+    else:  # strictly north-east of s where it fits: the searches run there
+        t = (draw(st.integers(min(s[0] + 1, view.side), view.side)),
+             draw(st.integers(min(s[1] + 1, view.side), view.side)))
+    cfg = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(
+            lambda eps: EngineConfig(epsilon=eps)),
+        st.integers(2, n).map(lambda k: EngineConfig(k=k))))
+    return g, view, (ox, oy), box, s, t, cfg
+
+
+@given(view_queries())
+@settings(max_examples=400, deadline=None)
+def test_differential_view_chains(query):
+    """reach_recursive on any view chain agrees with a DFS over the base
+    graph clipped to the box the chain shows, and trips no invariant."""
+    g, view, (ox, oy), box, s, t, cfg = query
+    m = Metrics()
+    got = reach_recursive(view, s, t, cfg, m)
+    assert got == lattice_reach(g, box, (ox + s[0], oy + s[1]),
+                                (ox + t[0], oy + t[1]))
+    assert_no_violations(m)
+
+
 def test_fixed_k_schedule():
     rng = SplitMix64(202)
     for trial in range(30):
@@ -515,12 +569,14 @@ def test_frame_sweep_released_when_the_search_ends(monkeypatch):
 
 
 # (graph seed, s, t) of dense SW->NE NO queries at n=16, epsilon=1.0, with
-# their pushes, pops, edge tests and peak words, which the frame sweep
-# keeps, and base calls, which it cuts (112, 154 and 76 before it).
+# their pushes, pops, edge tests, peak words and base calls.  Testing only
+# the candidates the markers admit kept the pushes, pops and peak words and
+# cut the edge tests from 217, 308 and 156 and the base calls from 53, 59
+# and 27 (112, 154 and 76 before the frame sweep).
 PINNED = [
-    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 217, 35, 53),
-    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 308, 33, 59),
-    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 156, 31, 27),
+    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 135, 35, 43),
+    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 176, 33, 47),
+    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 105, 31, 24),
 ]
 
 
@@ -537,30 +593,82 @@ def test_pinned_dense_no_queries(seed, s, t, pushes, pops, edges, words, base):
     assert_no_violations(m)
 
 
+class _Markers:
+    """The marker arrays replayed from a push log: per vertical gridline
+    the topmost vertex pushed, per horizontal gridline the leftmost."""
+
+    def __init__(self, b):
+        self.b = b
+        self.av = {}
+        self.ah = {}
+
+    def admits(self, w):
+        """(vertical admits, horizontal admits) for candidate w."""
+        x, y = w
+        b, av, ah = self.b, self.av, self.ah
+        return (x % b == 0 and (x // b not in av or av[x // b][1] < y),
+                y % b == 0 and (y // b not in ah or ah[y // b][0] > x))
+
+    def push(self, w):
+        admits_v, admits_h = self.admits(w)
+        if admits_v:
+            self.av[w[0] // self.b] = w
+        if admits_h:
+            self.ah[w[1] // self.b] = w
+
+
 def test_marker_arrays_only_advance():
     """Every push is admitted by a marker that still points strictly below
     (vertical lines) or strictly right (horizontal lines) of the vertex,
     and updates only ever advance the markers."""
     rng = SplitMix64(99)
     p = AuxParams(12, 3)
-    b = p.b
 
     for trial in range(10):
         g = whole(gen_random(12, 0.55, 0.55, rng.next_u64()))
         m = Metrics()
         m.push_log = []
         marker_dfs(p, g, (0, 0), (12, 12), _edge_oracle_from(g, p), m)
-        av = {}
-        ah = {}
+        markers = _Markers(p.b)
         for _, w in m.push_log[1:]:  # the source is pushed unconditionally
-            x, y = w
-            admits_v = x % b == 0 and (x // b not in av or av[x // b][1] < y)
-            admits_h = y % b == 0 and (y // b not in ah or ah[y // b][0] > x)
-            assert admits_v or admits_h, w
-            if x % b == 0 and (x // b not in av or av[x // b][1] < y):
-                av[x // b] = w
-            if y % b == 0 and (y // b not in ah or ah[y // b][0] > x):
-                ah[y // b] = w
+            assert any(markers.admits(w)), w
+            markers.push(w)
+
+
+def test_edge_test_asked_only_for_admitted_candidates():
+    """The markers gate the edge test: apart from the entry tests into the
+    target, every edge the search asks about leads to a candidate that a
+    marker, as it stood at that moment, still admits."""
+    rng = SplitMix64(313)
+    checked = 0
+    for p in (AuxParams(12, 3), AuxParams(16, 4)):
+        low = [w for w in gridline_vertices(p) if max(w) < p.n // 2]
+        high = [w for w in gridline_vertices(p) if min(w) > p.n // 2]
+        for trial in range(12):
+            q = (0.5, 0.6, 0.7)[trial % 3]
+            g = whole(gen_random(p.n, q, q, rng.next_u64()))
+            u = low[rng.next_below(len(low))]
+            v = high[rng.next_below(len(high))]
+            m = Metrics()
+            m.push_log = []
+            oracle = _edge_oracle_from(g, p)
+            asked = []
+
+            def edge_test(curr, w):
+                asked.append((len(m.push_log), curr, w))
+                return oracle(curr, w)
+
+            marker_dfs(p, g, u, v, edge_test, m)
+            markers = _Markers(p.b)
+            replayed = 1  # the source is pushed unconditionally
+            for pushes, curr, w in asked:
+                for _, x in m.push_log[replayed:pushes]:
+                    markers.push(x)
+                replayed = pushes
+                if w != v:
+                    assert any(markers.admits(w)), (p, u, v, curr, w)
+                    checked += 1
+    assert checked > 200
 
 
 def test_determinism_of_answers_and_metrics():
