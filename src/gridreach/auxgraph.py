@@ -62,6 +62,13 @@ def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
 # ---------------------------------------------------------------------------
 # Counter-clockwise neighbor enumeration
 
+def ne_corner(p: AuxParams, v: Vertex) -> Vertex:
+    """The north-east corner (x1, y1) of the north-eastmost block holding v."""
+    b = p.b
+    k = p.k
+    return min(v[0] // b, k - 1) * b + b, min(v[1] // b, k - 1) * b + b
+
+
 def iter_candidates(p: AuxParams, curr: Vertex):
     """Yield the boundary vertices north-east of curr that can pass the
     edge rule, in counter-clockwise order, lazily and without materializing
@@ -75,11 +82,8 @@ def iter_candidates(p: AuxParams, curr: Vertex):
     other blocks holding curr (curr on their east or north side) add only
     vertices of that run.
     """
-    b = p.b
-    k = p.k
     cx, cy = curr
-    x1 = min(cx // b, k - 1) * b + b
-    y1 = min(cy // b, k - 1) * b + b
+    x1, y1 = ne_corner(p, curr)
     if x1 > cx:
         for y in range(cy, y1 + 1):      # east column, going north
             yield x1, y

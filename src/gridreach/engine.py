@@ -6,9 +6,9 @@ endpoints; impossible (west/south) displacement; shared row or column
 divides the view into k^2 blocks and runs a marker-array DFS over the
 implicit boundary graph, deciding each edge by recursing into the
 corresponding block.  At the last divided level, where that recursion
-would end in one base-case row sweep per edge, a frame's candidates are
-instead read off one row sweep of its block, resumed from test to test
-and charged as one base case.
+would end in one base-case row sweep per edge, a frame instead reads its
+candidates as the set bits of one row sweep of its block per visit,
+charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate's edge is
@@ -38,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates
+from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates, ne_corner
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge
 
@@ -111,23 +111,142 @@ def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = 
     return oracle_reach(view, u, v)
 
 
+def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[bool, bool]:
+    """The marker rule for candidate w: (its vertical line admits it, its
+    horizontal line admits it).
+
+    av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
+    while there is none), ah[j] the x of the leftmost on horizontal
+    gridline j (past the lattice while there is none).  A line admits w
+    while its marker lies strictly below (left of) w.
+    """
+    return (wx % b == 0 and av[wx // b] < wy,
+            wy % b == 0 and ah[wy // b] > wx)
+
+
+def _tested_run(p: AuxParams, curr: Vertex, v: Vertex, av: list[int], ah: list[int],
+                edge_test):
+    """Yield the candidates of curr's run that the markers admit and that
+    edge_test joins to curr, in run order, skipping v."""
+    b = p.b
+    for w in iter_candidates(p, curr):
+        if w != v and any(_admits(b, av, ah, w[0], w[1])) and edge_test(curr, w):
+            yield w
+
+
+def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
+               ah: list[int], edge_test, m: Metrics, depth: int):
+    """The run of _tested_run at the last divided level, where an edge
+    inside a block is one base-case row sweep: the candidates strictly
+    north-east of curr are read off one sweep per visit of the frame.
+
+    The run is the east column of curr's north-eastmost block going north,
+    then its north row going west.  Its two candidates on curr's own row
+    and column, (x1, cy) and (cx, y1), keep edge_test.  For the others each
+    visit (the entry, and each return after a pop) opens the row sweep of
+    the block from curr, charged as one base case, once it meets a
+    candidate the markers admit.  In the east column it skips the rows at
+    or below the vertical marker in one stretch and then reads bit b of
+    each row; the corner is admitted by either marker; in the north row the
+    admitted reachable candidates are the top row's mask cut to the columns
+    left of the cursor and of the horizontal marker, and the next one is its
+    highest bit.  The sweep is released before the candidate is yielded (a
+    push follows) and before the visit ends without one.  The markers move
+    only between visits, so a visit that finds nothing ends the sweeps.
+    """
+    b = p.b
+    cx, cy = curr
+    x1, y1 = ne_corner(p, curr)
+    if x1 > cx:
+        w = (x1, cy)
+        if w != v and any(_admits(b, av, ah, x1, cy)) and edge_test(curr, w):
+            yield w
+    if x1 > cx and y1 > cy:
+        x0 = x1 - b
+        y0 = y1 - b
+        view = g.sub(x0, y0, b)
+        words = base_charge(b, g.base.n)
+        i = x1 // b
+        j = y1 // b
+        lx = cx - x0
+        ly = cy - y0
+        vx = v[0] - x0
+        vy = v[1] - y0
+        y = ly + 1  # cursor: the next east-column row (local; b is the corner)
+        x = b - 1   # and the next north-row column
+        while True:  # one pass per visit; the markers hold still during it
+            ty = max(y, av[i] - y0 + 1)  # the rows above the vertical marker
+            corner = (y <= b and (av[i] < y1 or ah[j] > x1)
+                      and not (vx == b and vy == b))
+            hi = min(x, ah[j] - x0 - 1)  # west of the cursor and the marker
+            top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
+            if vy == b and lx < vx <= hi:
+                top ^= 1 << vx
+            # With ty < b the vertical marker admits the corner too, so a
+            # sweep opens only for a candidate other than v.
+            if ty >= b and not corner and not top:
+                break
+            m.note_call(depth + 1)
+            m.base_case_calls += 1
+            m.charge(words)
+            reach = 1 << lx
+            sy = ly
+            hit = None
+            while ty < b:  # the east column below the corner
+                if ty != vy or vx != b:
+                    reach = row_sweep(view, reach, sy, ty)
+                    sy = ty
+                    if (reach >> b) & 1:
+                        hit = x1, y0 + ty
+                        y = ty + 1
+                        break
+                    if not reach:
+                        break
+                ty += 1
+            if hit is None and reach and (corner or top):
+                reach = row_sweep(view, reach, sy, b)
+                y = b + 1
+                if corner and (reach >> b) & 1:
+                    hit = x1, y1
+                else:
+                    top &= reach
+                    if top:
+                        x = top.bit_length() - 1
+                        hit = x0 + x, y1
+                        x -= 1
+            m.release(words)
+            if hit is None:
+                break
+            yield hit
+    if y1 > cy:
+        w = (cx, y1)
+        if w != v and any(_admits(b, av, ah, cx, y1)) and edge_test(curr, w):
+            yield w
+
+
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
-               metrics: Metrics | None = None, depth: int = 0) -> bool:
+               metrics: Metrics | None = None, depth: int = 0, *,
+               swept: bool = False) -> bool:
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
     sees fit).  A frame tests the target v once, on entry, before it opens
-    its enumeration, and no marker is consulted: a target sitting below a
-    marker must still be recognized.  Candidates are then enumerated lazily
-    in counter-clockwise order, skipping v, and each frame keeps its
-    enumeration cursor, so returning to a frame resumes strictly past the
-    child it just popped.  The markers gate the edge test: a candidate that
-    neither of its lines admits is skipped untested, and an admitting
-    marker advances only once the test answers yes.  edge_test touches no
-    marker, stack or pushed set, so this level's pushes and the verdict are
-    those of a search that tests every candidate; only the skipped tests'
-    work is saved.  Returns True iff v is reached.  g is unused: edge_test
-    reads the view.
+    its run, and no marker is consulted: a target sitting below a marker
+    must still be recognized.  The run is then stepped lazily in
+    counter-clockwise order, skipping v, and each frame keeps its cursor,
+    so returning to a frame resumes strictly past the child it just popped.
+    The markers gate the edges: a candidate that neither of its lines
+    admits (_admits) is skipped untested, and an admitting marker advances
+    only when the candidate is pushed.  The run only reads the markers, so
+    this level's pushes and the verdict are those of a search that tests
+    every candidate.  Returns True iff v is reached.
+
+    A frame's run has two sources.  The tested run (_tested_run, the
+    default) asks edge_test about each admitted candidate.  With swept set,
+    which is right only where every block of g is a base case, the swept run
+    (_swept_run) reads the candidates strictly north-east of the frame's
+    vertex off one row sweep of g per visit, and asks edge_test only about
+    the target and the two candidates on the vertex's own row and column.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -140,12 +259,12 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
-    av: list[Vertex | None] = [None] * (k + 2)
-    ah: list[Vertex | None] = [None] * (k + 2)
+    av = [-1] * (k + 1)
+    ah = [p.n + 1] * (k + 1)
     level_words = level_charge(k)
     m.charge(level_words)
 
-    # Frame = [vertex, candidate cursor]; the cursor is created on first use.
+    # Frame = [vertex, run]; the run is created on the frame's first visit.
     stack: list[list] = [[u, None]]
     pushed = {u}
     m.pushes += 1
@@ -158,52 +277,40 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     try:
         while stack:
             frame = stack[-1]
-            curr = frame[0]
-            gen = frame[1]
-            if gen is None:
+            run = frame[1]
+            if run is None:
+                curr = frame[0]
                 if (curr != v and vx >= curr[0] and vy >= curr[1]
                         and edge_test(curr, v)):
                     return True
-                gen = iter_candidates(p, curr)
-                frame[1] = gen
-            advanced = False
-            for w in gen:
-                if w == v:
-                    continue
-                wx, wy = w
-                admit_v = admit_h = False
-                if wx % b == 0:
-                    i = wx // b + 1
-                    mv = av[i]
-                    admit_v = mv is None or mv[1] < wy
-                if wy % b == 0:
-                    j = wy // b + 1
-                    mh = ah[j]
-                    admit_h = mh is None or mh[0] > wx
-                # Skip before the edge test; the cursor is already past w.
-                if not (admit_v or admit_h) or not edge_test(curr, w):
-                    continue
-                if admit_v:
-                    av[i] = w
-                if admit_h:
-                    ah[j] = w
-                if w in pushed:
-                    m.visit_once_violations += 1
-                pushed.add(w)
-                stack.append([w, None])
-                m.pushes += 1
-                m.charge(Metrics.FRAME_WORDS)
-                m.note_stack(depth, len(stack))
-                if log is not None:
-                    log.append((depth, w))
-                if len(stack) > limit:
-                    m.stack_bound_violations += 1
-                advanced = True
-                break
-            if not advanced:
+                if swept:
+                    run = _swept_run(p, g, curr, v, av, ah, edge_test, m, depth)
+                else:
+                    run = _tested_run(p, curr, v, av, ah, edge_test)
+                frame[1] = run
+            w = next(run, None)
+            if w is None:
                 stack.pop()
                 m.pops += 1
                 m.release(Metrics.FRAME_WORDS)
+                continue
+            wx, wy = w
+            admit_v, admit_h = _admits(b, av, ah, wx, wy)
+            if admit_v:
+                av[wx // b] = wy
+            if admit_h:
+                ah[wy // b] = wx
+            if w in pushed:
+                m.visit_once_violations += 1
+            pushed.add(w)
+            stack.append([w, None])
+            m.pushes += 1
+            m.charge(Metrics.FRAME_WORDS)
+            m.note_stack(depth, len(stack))
+            if log is not None:
+                log.append((depth, w))
+            if len(stack) > limit:
+                m.stack_bound_violations += 1
         return False
     finally:
         m.release(level_words + Metrics.FRAME_WORDS * len(stack))
@@ -283,10 +390,12 @@ def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
 
 
 def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int) -> bool:
-    """The prefilter, for ux < vx and uy < vy: necessary conditions for a
-    path.  A path crosses every row of the span inside the column range,
-    and every column inside the row range; two cheap mask sweeps prune most
-    dead queries before any subdivision or row sweep.
+    """The prefilter of _reach, for ux < vx and uy < vy: necessary
+    conditions for a path.  A path crosses every row of the span inside the
+    column range, and every column inside the row range; two cheap mask
+    sweeps prune most dead queries before any subdivision or base case.
+    A frame sweep runs none: it answers a whole run at once, and a
+    prefilter pass in front of it cost more time than the sweeps it saved.
 
     Its masks (acc, the OR of the span's east rows, and row_span and
     col_need) hold up to `side` bits each and are not charged as tracked
@@ -342,23 +451,14 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
 def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over pview's boundary graph, with
-    its edge test.  Kept out of _reach, whose dispatch-only queries would
-    otherwise pay for creating the edge test's closure cells."""
+    its edge test.  Where the next level is the base case, the DFS reads
+    its runs off row sweeps (the swept run).  Kept out of _reach, whose
+    dispatch-only queries would otherwise pay for creating the edge test's
+    closure cells."""
     b = p.b
     depth1 = depth + 1
-    last = levels[depth1] is None
-    # The frame sweep, at the last divided level: the row sweep of one
-    # frame's block from the frame's vertex (s_curr while s_pushes pushes
-    # had been made), advanced to local row s_y with reach mask s_mask
-    # (closed in that row once a test has read it).  It holds the base
-    # case's words while `held`.
-    words = base_charge(b, pview.base.n)
-    s_curr = s_view = None
-    s_pushes = s_y = s_mask = 0
-    held = False
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:
-        nonlocal s_curr, s_view, s_pushes, s_y, s_mask, held
         m.edge_queries += 1
         cx, cy = curr
         wx, wy = w
@@ -371,48 +471,11 @@ def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
         if o is None:
             return False
         x0, y0 = o
-        if last and cx < wx and cy < wy and w != v:
-            # w is strictly north-east of curr, so the block they share is
-            # curr's north-eastmost one, whose east column and north row
-            # are the run iter_candidates yields: the frame sweep answers.
-            ty = wy - y0
-            if curr != s_curr or m.pushes != s_pushes or ty < s_y:
-                if held:
-                    m.release(words)
-                    held = False
-                s_curr = None
-                s_view = pview.sub(x0, y0, b)
-                if not _may_reach(s_view, cx - x0, cy - y0, wx - x0, ty):
-                    return False
-                m.note_call(depth1)
-                m.base_case_calls += 1
-                s_curr = curr
-                s_pushes = m.pushes
-                s_y = cy - y0  # below ty, so the sweep runs at once
-                s_mask = 1 << (cx - x0)
-            if not held:
-                m.charge(words)
-                held = True
-            if ty > s_y:
-                s_mask = row_sweep(s_view, s_mask, s_y, ty)
-                s_y = ty
-            if (s_mask >> (wx - x0)) & 1:
-                m.release(words)  # a push may follow
-                held = False
-                return True
-            return False
-        if held:
-            m.release(words)
-            held = False
         return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
                       (wx - x0, wy - y0), m, levels, depth1)
 
-    try:
-        return marker_dfs(p, pview, u, v, edge_test, m, depth)
-    finally:
-        if held:
-            m.release(words)
-            held = False
+    return marker_dfs(p, pview, u, v, edge_test, m, depth,
+                      swept=levels[depth1] is None)
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:

@@ -6,12 +6,17 @@ live marker entries (2(k+1) per decomposition level), live stack frames
 locals per live level, the straight-walk cursor, and the base case's one
 reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
 locals.  The last divided level's frame sweep is such a base case: it
-holds the same one mask and locals, charged when it opens or resumes and
-released before any recursive test and before an edge test answers yes,
-so it is never held across a push and adds nothing to the bound.  The
-read-only input graph, the output and instrumentation are never counted.
-Space is measured by this explicit instrumentation rather than process
-RSS, which is noisy and dominated by the input itself.
+holds the same one mask and locals, charged when a visit of a DFS frame
+opens it and released before that visit pushes or pops, so it is never
+held across a push and adds nothing to the bound.  The read-only input
+graph, the output and instrumentation are never counted.  Space is
+measured by this explicit instrumentation rather than process RSS, which
+is noisy and dominated by the input itself.
+
+edge_queries counts the calls of a divided level's edge test: each
+decides one pair by the gridline rule and a recursive block query.  The
+candidates a frame sweep reads off its mask are not edge tests; each
+sweep counts one base_case_calls and one call at the next depth.
 
 The word bound is the worst case of those same charges over the levels
 of the schedule; the engine charges through level_charge and base_charge.

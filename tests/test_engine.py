@@ -23,6 +23,7 @@ from gridreach import (
 from gridreach import engine
 from gridreach.auxgraph import iter_candidates
 from gridreach.engine import _schedule, shared_block
+from gridreach.metrics import level_charge
 
 from support import common_blocks, gridline_vertices, is_edge, lattice_reach
 
@@ -457,10 +458,10 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
     real = engine.marker_dfs
     captured = []
 
-    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0, **kw):
         if depth == 0:
             captured.append(edge_test)
-        return real(p, g, u, v, edge_test, metrics, depth)
+        return real(p, g, u, v, edge_test, metrics, depth, **kw)
 
     monkeypatch.setattr(engine, "marker_dfs", spy)
     rng = SplitMix64(515)
@@ -490,26 +491,38 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
 
 
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
-    """The last divided level's edge_test answers every gridline vertex's
-    run (and the source's) like the literal edge rule plus the endpoint
-    augmentation: in enumeration order, where one sweep serves a whole run;
-    in reverse; interleaved between two vertices' runs; and with a push
-    counted before every test, which forces a fresh sweep each time.  A
-    True answer leaves no sweep words charged, since a push may follow
-    it."""
+    """Where the next level is the base case, the engine's marker DFS reads
+    its runs off frame sweeps, and above it the DFS tests them.  With no
+    marker set, the swept run of every gridline vertex (and of the source)
+    on the engine's own view and edge test yields exactly the candidates
+    that the edge rule plus the endpoint augmentation joins to it, in run
+    order; it asks the edge test only about the two candidates on the
+    vertex's row and column, opens at most one sweep per visit, and holds
+    no sweep words at a yield."""
     real = engine.marker_dfs
     captured = []
 
-    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
-        captured.append((p, edge_test, metrics))
-        return real(p, g, u, v, edge_test, metrics, depth)
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0, **kw):
+        captured.append((p, g, u, v, edge_test, metrics, depth, kw))
+        return real(p, g, u, v, edge_test, metrics, depth, **kw)
 
     monkeypatch.setattr(engine, "marker_dfs", spy)
     rng = SplitMix64(606)
+    sources = set()
+    for n in (16, 24):  # several divided levels
+        levels = _schedule(n, EngineConfig(k=2))[1]
+        for _ in range(6):
+            g = gen_random(n, 0.6, 0.6, rng.next_u64())
+            reach(g, (1, 1), (n - 1, n - 1), EngineConfig(k=2))
+        for c in captured:
+            assert c[7] == {"swept": levels[c[6] + 1] is None}, c[6]
+            sources.add(c[7]["swept"])
+        captured.clear()
+    assert sources == {False, True}
     for n in (12, 16):
         cfg = EngineConfig(k=4)  # one divided level: depth 0 is the last
         graphs = 0
-        while graphs < 3:
+        for _ in range(20):
             g = gen_random(n, 0.6, 0.6, rng.next_u64())
             u = (1 + rng.next_below(3), 1 + rng.next_below(3))
             v = (n - 1 - rng.next_below(3), n - 1 - rng.next_below(3))
@@ -518,65 +531,157 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             if not captured:
                 continue  # decided by the prefilter
             graphs += 1
-            (p, edge_test, m), = captured
-            assert (p.n, p.k) == (n, 4) and m.cur_tracked_words == 0
+            (p, view, _, _, edge_test, m, _, kw), = captured
+            assert (p.n, p.k) == (n, 4) and kw == {"swept": True}
+            assert m.cur_tracked_words == 0
             oracle = _aug_edge_oracle(p, whole(g), u, v)
-            runs = [[(c, w) for w in iter_candidates(p, c)]
-                    for c in [u] + gridline_vertices(p)]
-
-            def check(c, w):
-                got = edge_test(c, w)
-                assert got == oracle(c, w), (n, u, v, c, w)
-                if got:
+            for c in [u] + gridline_vertices(p):
+                want = [w for w in iter_candidates(p, c) if w != v and oracle(c, w)]
+                inside = sum(w[0] > c[0] and w[1] > c[1] for w in want)
+                edges, base = m.edge_queries, m.base_case_calls
+                run = engine._swept_run(p, view, c, v, [-1] * (p.k + 1),
+                                        [p.n + 1] * (p.k + 1), edge_test, m, 0)
+                got = []
+                for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
-
-            base = m.base_case_calls
-            for run in runs:
-                for c, w in run:
-                    check(c, w)
-            in_order = m.base_case_calls - base
-            for run in runs:
-                for c, w in reversed(run):  # rows fall: each sweeps afresh
-                    check(c, w)
-            for r1, r2 in zip(runs, runs[1:]):
-                for group in itertools.zip_longest(r1, r2):
-                    for cw in group:
-                        if cw is not None:
-                            check(*cw)
-            base = m.base_case_calls
-            for run in runs:
-                for c, w in run:
-                    m.pushes += 1
-                    check(c, w)
-            assert 0 < in_order < m.base_case_calls - base
+                    got.append(w)
+                assert got == want, (n, u, v, c)
+                assert m.edge_queries - edges <= 2, (n, u, v, c)
+                assert m.base_case_calls - base <= inside + 1, (n, u, v, c)
+            if graphs == 3:
+                break
+        assert graphs == 3
 
 
-def test_frame_sweep_released_when_the_search_ends(monkeypatch):
-    """A search that ends while its frame sweep is held releases its words."""
+class _FrameWordsMetrics(Metrics):
+    """Metrics that check, whenever a search of one divided level pushes or
+    pops, that it holds exactly its level's words and its frames'."""
 
-    def stop_while_held(p, g, u, v, edge_test, metrics=None, depth=0):
-        for c in gridline_vertices(p):
-            for w in iter_candidates(p, c):
-                edge_test(c, w)
-                if metrics.cur_tracked_words:
-                    return False
-        raise AssertionError("no sweep was held")
+    __slots__ = ("_pushes", "_pops", "level_words")
 
-    monkeypatch.setattr(engine, "marker_dfs", stop_while_held)
-    a = reach(gen_random(16, 0.6, 0.6, 5), (1, 1), (15, 15), EngineConfig(k=4))
-    assert a.metrics.base_case_calls >= 1
-    assert a.metrics.cur_tracked_words == 0
+    def __init__(self, k):
+        self.level_words = None  # Metrics.__init__ sets the counters
+        super().__init__()
+        self.level_words = level_charge(k)
+
+    def _check(self):
+        if self.level_words is not None:
+            frames = self._pushes - self._pops
+            assert self.cur_tracked_words == (
+                self.level_words + Metrics.FRAME_WORDS * frames), frames
+
+    @property
+    def pushes(self):
+        return self._pushes
+
+    @pushes.setter
+    def pushes(self, value):
+        self._check()
+        self._pushes = value
+
+    @property
+    def pops(self):
+        return self._pops
+
+    @pops.setter
+    def pops(self, value):
+        self._check()
+        self._pops = value
+
+
+def test_frame_sweep_released_when_the_search_ends():
+    """No frame sweep is held across a push or a pop, nor once the search
+    ends, whether it finds the target or exhausts the stack."""
+    rng = SplitMix64(707)
+    cfg = EngineConfig(k=4)  # one divided level: every frame sweeps
+    answers = set()
+    for n in (12, 16):
+        half = n // 2
+        for _ in range(20):
+            g = gen_random(n, 0.7, 0.7, rng.next_u64())
+            s = (rng.next_below(half), rng.next_below(half))
+            t = (half + 1 + rng.next_below(n - half), half + 1 + rng.next_below(n - half))
+            m = _FrameWordsMetrics(4)
+            got = reach_recursive(whole(g), s, t, cfg, m)
+            assert got == oracle_reach(whole(g), s, t)
+            assert m.cur_tracked_words == 0
+            if m.pushes:
+                answers.add(got)
+                assert m.base_case_calls > 0
+    assert answers == {False, True}
+
+
+@pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
+def test_swept_run_matches_the_tested_run(n, k):
+    """The swept run yields what the tested run yields on the reference edge
+    rule (_aug_edge_oracle), visit by visit, with random markers that move
+    between visits: from an interior source and from every gridline vertex
+    (those with cx = n or cy = n included), with the target on the frame's
+    run and off it.  A visit opens one sweep exactly when the tested run
+    would test a candidate strictly north-east of the frame's vertex, and
+    no sweep words are held at a yield."""
+    p = AuxParams(n, k)
+    b = p.b
+    rng = SplitMix64(808 + n)
+    sites = gridline_vertices(p)
+    hits = on_run = 0
+
+    def marker(none):
+        return none if rng.next_below(3) == 0 else rng.next_below(n + 1)
+
+    for q in (0.5, 0.7, 0.9):
+        g = whole(gen_random(n, q, q, rng.next_u64()))
+        u = (1 + rng.next_below(b - 1), 1 + rng.next_below(b - 1))
+        for curr in [u] + sites:
+            run = list(iter_candidates(p, curr))
+            if run and rng.next_below(2):
+                v = run[rng.next_below(len(run))]
+                on_run += 1
+            else:
+                v = (rng.next_below(n + 1), rng.next_below(n + 1))
+            edge = _aug_edge_oracle(p, g, u, v)
+            inside = []  # per test of the tested run: is w strictly north-east?
+
+            def tested_edge(c, w):
+                inside.append(w[0] > c[0] and w[1] > c[1])
+                return edge(c, w)
+
+            av = [marker(-1) for _ in range(k + 1)]
+            ah = [marker(n + 1) for _ in range(k + 1)]
+            m = Metrics()
+            swept = engine._swept_run(p, g, curr, v, av, ah, edge, m, 0)
+            tested = engine._tested_run(p, curr, v, av, ah, tested_edge)
+            sweeps = 0  # visits that test a candidate a sweep answers
+            for _ in range(len(run) + 1):  # a visit yields one candidate or ends
+                inside.clear()
+                got = next(swept, None)
+                assert got == next(tested, None), (n, k, u, v, curr, av, ah)
+                assert m.cur_tracked_words == 0, (curr, got)
+                sweeps += any(inside)
+                assert m.base_case_calls == sweeps, (n, k, u, v, curr, av, ah)
+                if got is None:
+                    break
+                hits += 1
+                for a, none in ((av, -1), (ah, n + 1)):
+                    if rng.next_below(2):
+                        a[rng.next_below(k + 1)] = marker(none)
+            else:
+                raise AssertionError(f"the run of {curr} did not end")
+    assert hits > 100 and on_run > 20
 
 
 # (graph seed, s, t) of dense SW->NE NO queries at n=16, epsilon=1.0, with
-# their pushes, pops, edge tests, peak words and base calls.  Testing only
-# the candidates the markers admit kept the pushes, pops and peak words and
-# cut the edge tests from 217, 308 and 156 and the base calls from 53, 59
-# and 27 (112, 154 and 76 before the frame sweep).
+# their pushes, pops, edge tests, peak words and base calls.  Reading each
+# frame's run off one sweep per visit kept the pushes and pops and cut the
+# edge tests from 135, 176 and 105 (217, 308 and 156 before the markers
+# gated them).  Base calls went from 43, 47 and 24 to 49, 53 and 26, one
+# per visit that meets an admitted candidate, and the third query's peak
+# from 31 to 33 words: the prefilter used to stop sweeps before they were
+# charged.
 PINNED = [
-    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 135, 35, 43),
-    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 176, 33, 47),
-    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 105, 31, 24),
+    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 54, 35, 49),
+    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 83, 33, 53),
+    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 51, 33, 26),
 ]
 
 
