@@ -670,25 +670,29 @@ def test_swept_run_matches_the_tested_run(n, k):
     assert hits > 100 and on_run > 20
 
 
-# (graph seed, s, t) of dense SW->NE NO queries at n=16, epsilon=1.0, with
-# their pushes, pops, edge tests, peak words and base calls.  Reading each
-# frame's run off one sweep per visit kept the pushes and pops and cut the
-# edge tests from 135, 176 and 105 (217, 308 and 156 before the markers
-# gated them).  Base calls went from 43, 47 and 24 to 49, 53 and 26, one
-# per visit that meets an admitted candidate, and the third query's peak
-# from 31 to 33 words: the prefilter used to stop sweeps before they were
-# charged.
+# (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
+# pushes, pops, edge tests, peak words and base calls.  At epsilon=1.0 (k=4,
+# one divided level) reading each frame's run off one sweep per visit kept
+# the pushes and pops and cut the edge tests from 135, 176 and 105 (217, 308
+# and 156 before the markers gated them).  Base calls went from 43, 47 and
+# 24 to 49, 53 and 26, one per visit that meets an admitted candidate, and
+# the third query's peak from 31 to 33 words: the prefilter used to stop
+# sweeps before they were charged.  At epsilon=0.5 (k=2, three divided
+# levels) the upper levels test their candidates one edge at a time.
 PINNED = [
-    (0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 54, 35, 49),
-    (0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 83, 33, 53),
-    (0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 51, 33, 26),
+    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 54, 35, 49),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 83, 33, 53),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 51, 33, 26),
+    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 1110, 815, 2028, 65, 701),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 161, 161, 652, 59, 192),
+    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 51, 51, 205, 55, 60),
 ]
 
 
-@pytest.mark.parametrize("seed, s, t, pushes, pops, edges, words, base", PINNED)
-def test_pinned_dense_no_queries(seed, s, t, pushes, pops, edges, words, base):
+@pytest.mark.parametrize("eps, seed, s, t, pushes, pops, edges, words, base", PINNED)
+def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, base):
     g = gen_random(16, 0.7, 0.7, seed)
-    a = reach(g, s, t, EngineConfig(epsilon=1.0))
+    a = reach(g, s, t, EngineConfig(epsilon=eps))
     m = a.metrics
     assert not a.reachable and not oracle_reach(whole(g), s, t)
     assert (m.pushes, m.pops, m.edge_queries, m.peak_tracked_words) == (
