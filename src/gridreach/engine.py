@@ -5,10 +5,11 @@ endpoints; impossible (west/south) displacement; shared row or column
 (straight walk); small side (the oracle's row sweep); otherwise it
 divides the view into k^2 blocks and runs a marker-array DFS over the
 implicit boundary graph, deciding each edge by recursing into the
-corresponding block.  At the last divided level, where that recursion
-would end in one base-case row sweep per edge, a frame instead reads its
-candidates as the set bits of one row sweep of its block per visit,
-charged as one base case.
+corresponding block.  One generator, _run, walks a frame's run at every
+level, and skips the candidates the markers rule out in whole stretches.
+At the last divided level, where that recursion would end in one
+base-case row sweep per edge, it reads the candidates as the set bits of
+one row sweep of the frame's block per visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate's edge is
@@ -38,7 +39,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import AuxParams, decompose, is_gridline_vertex, iter_candidates, ne_corner
+from .auxgraph import AuxParams, decompose, is_gridline_vertex, ne_corner
+from .auxgraph import iter_candidates  # not called here; perfbench's Tracer patches it
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge
 
@@ -124,35 +126,31 @@ def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[boo
             wy % b == 0 and ah[wy // b] > wx)
 
 
-def _tested_run(p: AuxParams, curr: Vertex, v: Vertex, av: list[int], ah: list[int],
-                edge_test):
+def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
+         ah: list[int], edge_test, m: Metrics, depth: int, swept: bool):
     """Yield the candidates of curr's run that the markers admit and that
-    edge_test joins to curr, in run order, skipping v."""
-    b = p.b
-    for w in iter_candidates(p, curr):
-        if w != v and any(_admits(b, av, ah, w[0], w[1])) and edge_test(curr, w):
-            yield w
-
-
-def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-               ah: list[int], edge_test, m: Metrics, depth: int):
-    """The run of _tested_run at the last divided level, where an edge
-    inside a block is one base-case row sweep: the candidates strictly
-    north-east of curr are read off one sweep per visit of the frame.
+    are joined to curr, in run order, skipping v.
 
     The run is the east column of curr's north-eastmost block going north,
     then its north row going west.  Its two candidates on curr's own row
-    and column, (x1, cy) and (cx, y1), keep edge_test.  For the others each
-    visit (the entry, and each return after a pop) opens the row sweep of
-    the block from curr, charged as one base case, once it meets a
-    candidate the markers admit.  In the east column it skips the rows at
-    or below the vertical marker in one stretch and then reads bit b of
-    each row; the corner is admitted by either marker; in the north row the
-    admitted reachable candidates are the top row's mask cut to the columns
-    left of the cursor and of the horizontal marker, and the next one is its
-    highest bit.  The sweep is released before the candidate is yielded (a
-    push follows) and before the visit ends without one.  The markers move
-    only between visits, so a visit that finds nothing ends the sweeps.
+    and column, (x1, cy) and (cx, y1), are decided by edge_test.  For the
+    others, each visit (the entry, and each return after a pop) cuts the
+    stretch the markers admit: the east-column rows above the cursor and
+    the vertical marker, the corner (admitted by either marker), and the
+    north-row columns left of the cursor and of the horizontal marker, v
+    excluded.  The markers move only between visits, so the stretch holds
+    for the whole visit; a probe finds its first candidate joined to curr,
+    the cursor moves past it, and a visit that finds none ends the stretch.
+
+    Above the last divided level the probe asks edge_test about each
+    candidate of the stretch in run order.  With swept set, where an edge
+    inside a block is one base-case row sweep, the probe is one row sweep
+    of the block from curr, charged as one base case and opened only for a
+    stretch that is not empty: it jumps over the rows below the stretch in
+    one step, reads bit b of each east-column row, and takes the north
+    row's admitted reachable candidates as the set bits of the top row's
+    mask, the highest first.  The sweep is released before the candidate
+    is yielded (a push follows) and before the visit ends without one.
     """
     b = p.b
     cx, cy = curr
@@ -172,51 +170,62 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
         ly = cy - y0
         vx = v[0] - x0
         vy = v[1] - y0
-        y = ly + 1  # cursor: the next east-column row (local; b is the corner)
-        x = b - 1   # and the next north-row column
+        y = cy + 1  # cursor: the next east-column row (y1 is the corner)
+        x = x1 - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
-            ty = max(y, av[i] - y0 + 1)  # the rows above the vertical marker
-            corner = (y <= b and (av[i] < y1 or ah[j] > x1)
+            ty = max(y, av[i] + 1) - y0  # local rows above the vertical marker
+            corner = (y <= y1 and (av[i] < y1 or ah[j] > x1)
                       and not (vx == b and vy == b))
-            hi = min(x, ah[j] - x0 - 1)  # west of the cursor and the marker
+            hi = min(x, ah[j] - 1) - x0  # west of the cursor and the marker
             top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
             if vy == b and lx < vx <= hi:
                 top ^= 1 << vx
-            # With ty < b the vertical marker admits the corner too, so a
-            # sweep opens only for a candidate other than v.
+            # With ty < b the vertical marker admits the corner too, so the
+            # stretch holds a candidate other than v.
             if ty >= b and not corner and not top:
                 break
-            m.note_call(depth + 1)
-            m.base_case_calls += 1
-            m.charge(words)
-            reach = 1 << lx
-            sy = ly
             hit = None
-            while ty < b:  # the east column below the corner
-                if ty != vy or vx != b:
-                    reach = row_sweep(view, reach, sy, ty)
-                    sy = ty
-                    if (reach >> b) & 1:
-                        hit = x1, y0 + ty
-                        y = ty + 1
+            if swept:
+                m.note_call(depth + 1)
+                m.base_case_calls += 1
+                m.charge(words)
+                reach = 1 << lx
+                sy = ly
+                while ty < b:  # the east column below the corner
+                    if ty != vy or vx != b:
+                        reach = row_sweep(view, reach, sy, ty)
+                        sy = ty
+                        if (reach >> b) & 1:
+                            hit = x1, y0 + ty
+                            break
+                        if not reach:
+                            break
+                    ty += 1
+                if hit is None and reach and (corner or top):
+                    reach = row_sweep(view, reach, sy, b)
+                    if corner and (reach >> b) & 1:
+                        hit = x1, y1
+                    else:
+                        top &= reach
+                        if top:
+                            hit = x0 + top.bit_length() - 1, y1
+                m.release(words)
+            else:  # one edge test per candidate of the stretch, in run order
+                # The corner ends the east column; the horizontal marker may
+                # admit it when the vertical one rules out every row.
+                for r in range(min(ty, b), b + 1) if corner else range(ty, b):
+                    if (r != vy or vx != b) and edge_test(curr, (x1, y0 + r)):
+                        hit = x1, y0 + r
                         break
-                    if not reach:
-                        break
-                ty += 1
-            if hit is None and reach and (corner or top):
-                reach = row_sweep(view, reach, sy, b)
-                y = b + 1
-                if corner and (reach >> b) & 1:
-                    hit = x1, y1
                 else:
-                    top &= reach
-                    if top:
-                        x = top.bit_length() - 1
-                        hit = x0 + x, y1
-                        x -= 1
-            m.release(words)
+                    for c in range(hi, lx, -1):
+                        if (top >> c) & 1 and edge_test(curr, (x0 + c, y1)):
+                            hit = x0 + c, y1
+                            break
             if hit is None:
                 break
+            y = hit[1] + 1  # past the hit: y1 + 1 once the corner is done
+            x = hit[0] - 1  # x1 - 1 until a north-row hit
             yield hit
     if y1 > cy:
         w = (cx, y1)
@@ -225,8 +234,7 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
-               metrics: Metrics | None = None, depth: int = 0, *,
-               swept: bool = False) -> bool:
+               metrics: Metrics | None = None, depth: int = 0) -> bool:
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
@@ -241,12 +249,12 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     this level's pushes and the verdict are those of a search that tests
     every candidate.  Returns True iff v is reached.
 
-    A frame's run has two sources.  The tested run (_tested_run, the
-    default) asks edge_test about each admitted candidate.  With swept set,
-    which is right only where every block of g is a base case, the swept run
-    (_swept_run) reads the candidates strictly north-east of the frame's
-    vertex off one row sweep of g per visit, and asks edge_test only about
-    the target and the two candidates on the vertex's own row and column.
+    A frame's run is _run.  Where p.b <= p.k, every block of g is a base
+    case, and the run reads the candidates strictly north-east of the
+    frame's vertex off one row sweep of g per visit: edge_test is asked
+    only about the target and the two candidates on the vertex's own row
+    and column.  Above that, edge_test is asked about every admitted
+    candidate.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -255,6 +263,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     m = metrics if metrics is not None else Metrics()
     b = p.b
     k = p.k
+    swept = b <= k  # every block of g is a base case
     vx, vy = v
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
@@ -283,10 +292,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                 if (curr != v and vx >= curr[0] and vy >= curr[1]
                         and edge_test(curr, v)):
                     return True
-                if swept:
-                    run = _swept_run(p, g, curr, v, av, ah, edge_test, m, depth)
-                else:
-                    run = _tested_run(p, curr, v, av, ah, edge_test)
+                run = _run(p, g, curr, v, av, ah, edge_test, m, depth, swept)
                 frame[1] = run
             w = next(run, None)
             if w is None:
@@ -400,7 +406,7 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int) -> bool:
     Its masks (acc, the OR of the span's east rows, and row_span and
     col_need) hold up to `side` bits each and are not charged as tracked
     words: at the top level they are as wide as the oracle's row mask
-    (ROADMAP item 5).
+    (ROADMAP item 3).
     """
     nr = view.north_row
     er = view.east_row
@@ -452,7 +458,7 @@ def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over pview's boundary graph, with
     its edge test.  Where the next level is the base case, the DFS reads
-    its runs off row sweeps (the swept run).  Kept out of _reach, whose
+    its runs off row sweeps of pview (see _run).  Kept out of _reach, whose
     dispatch-only queries would otherwise pay for creating the edge test's
     closure cells."""
     b = p.b
@@ -474,8 +480,7 @@ def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
         return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
                       (wx - x0, wy - y0), m, levels, depth1)
 
-    return marker_dfs(p, pview, u, v, edge_test, m, depth,
-                      swept=levels[depth1] is None)
+    return marker_dfs(p, pview, u, v, edge_test, m, depth)
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:

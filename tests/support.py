@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 from gridreach import AuxParams, LayeredGridGraph, SubgridView
+from gridreach.auxgraph import iter_candidates
 
 
 def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
@@ -108,6 +109,27 @@ def is_edge(p: AuxParams, g: SubgridView, u, v) -> bool:
         return False
     return admissible(p, u, v) and any(
         block_reach(p, g, blk, u, v) for blk in common_blocks(p, u, v))
+
+
+def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=iter_candidates):
+    """The reference run of a marker-DFS frame: the vertices of
+    candidates(p, curr) (the east column of curr's north-eastmost block
+    going north, then its north row going west), other than v, that one of
+    their gridlines still admits and that edge_test joins to curr, in that
+    order.
+
+    av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
+    while there is none), ah[j] the x of the leftmost on horizontal
+    gridline j (past the lattice while there is none).  A line admits w
+    while its marker lies strictly below (left of) w.  The markers are read
+    afresh for every candidate, and each admitted one costs an edge test.
+    """
+    b = p.b
+    for w in candidates(p, curr):
+        x, y = w
+        if w != v and ((x % b == 0 and av[x // b] < y)
+                       or (y % b == 0 and ah[y // b] > x)) and edge_test(curr, w):
+            yield w
 
 
 def _block_boundary(p: AuxParams, bx: int, by: int):

@@ -25,7 +25,7 @@ from gridreach.auxgraph import iter_candidates
 from gridreach.engine import _schedule, shared_block
 from gridreach.metrics import level_charge
 
-from support import common_blocks, gridline_vertices, is_edge, lattice_reach
+from support import common_blocks, gridline_vertices, is_edge, lattice_reach, reference_run
 
 
 def whole(g):
@@ -492,19 +492,21 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
 
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     """Where the next level is the base case, the engine's marker DFS reads
-    its runs off frame sweeps, and above it the DFS tests them.  With no
-    marker set, the swept run of every gridline vertex (and of the source)
-    on the engine's own view and edge test yields exactly the candidates
-    that the edge rule plus the endpoint augmentation joins to it, in run
-    order; it asks the edge test only about the two candidates on the
-    vertex's row and column, opens at most one sweep per visit, and holds
-    no sweep words at a yield."""
+    its runs off frame sweeps, and above it the DFS tests them: marker_dfs
+    tells the two apart by p.b <= p.k, which holds exactly where the
+    schedule's next level is the base case.  With no marker set, the swept
+    probe of _run from every gridline vertex (and from the source) on the
+    engine's own view and edge test yields exactly the candidates that the
+    edge rule plus the endpoint augmentation joins to it, in run order; it
+    asks the edge test only about the two candidates on the vertex's row
+    and column, opens at most one sweep per visit, and holds no sweep words
+    at a yield."""
     real = engine.marker_dfs
     captured = []
 
-    def spy(p, g, u, v, edge_test, metrics=None, depth=0, **kw):
-        captured.append((p, g, u, v, edge_test, metrics, depth, kw))
-        return real(p, g, u, v, edge_test, metrics, depth, **kw)
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
+        captured.append((p, g, u, v, edge_test, metrics, depth))
+        return real(p, g, u, v, edge_test, metrics, depth)
 
     monkeypatch.setattr(engine, "marker_dfs", spy)
     rng = SplitMix64(606)
@@ -514,9 +516,9 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
         for _ in range(6):
             g = gen_random(n, 0.6, 0.6, rng.next_u64())
             reach(g, (1, 1), (n - 1, n - 1), EngineConfig(k=2))
-        for c in captured:
-            assert c[7] == {"swept": levels[c[6] + 1] is None}, c[6]
-            sources.add(c[7]["swept"])
+        for p, *_, depth in captured:
+            assert (p.b <= p.k) == (levels[depth + 1] is None), depth
+            sources.add(p.b <= p.k)
         captured.clear()
     assert sources == {False, True}
     for n in (12, 16):
@@ -531,16 +533,16 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             if not captured:
                 continue  # decided by the prefilter
             graphs += 1
-            (p, view, _, _, edge_test, m, _, kw), = captured
-            assert (p.n, p.k) == (n, 4) and kw == {"swept": True}
+            (p, view, _, _, edge_test, m, _), = captured
+            assert (p.n, p.k) == (n, 4) and p.b <= p.k
             assert m.cur_tracked_words == 0
             oracle = _aug_edge_oracle(p, whole(g), u, v)
             for c in [u] + gridline_vertices(p):
                 want = [w for w in iter_candidates(p, c) if w != v and oracle(c, w)]
                 inside = sum(w[0] > c[0] and w[1] > c[1] for w in want)
                 edges, base = m.edge_queries, m.base_case_calls
-                run = engine._swept_run(p, view, c, v, [-1] * (p.k + 1),
-                                        [p.n + 1] * (p.k + 1), edge_test, m, 0)
+                run = engine._run(p, view, c, v, [-1] * (p.k + 1),
+                                  [p.n + 1] * (p.k + 1), edge_test, m, 0, True)
                 got = []
                 for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
@@ -613,13 +615,15 @@ def test_frame_sweep_released_when_the_search_ends():
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
 def test_swept_run_matches_the_tested_run(n, k):
-    """The swept run yields what the tested run yields on the reference edge
-    rule (_aug_edge_oracle), visit by visit, with random markers that move
-    between visits: from an interior source and from every gridline vertex
-    (those with cx = n or cy = n included), with the target on the frame's
-    run and off it.  A visit opens one sweep exactly when the tested run
-    would test a candidate strictly north-east of the frame's vertex, and
-    no sweep words are held at a yield."""
+    """Both probes of _run yield what the reference run (support.reference_run)
+    yields on the reference edge rule (_aug_edge_oracle), visit by visit,
+    with random markers that move between visits: from an interior source
+    and from every gridline vertex (those with cx = n or cy = n included),
+    with the target on the frame's run and off it.  The tested probe asks
+    the edge test about exactly the candidates the reference asks about, in
+    the same order, and opens no sweep.  The swept probe opens one sweep
+    exactly when the reference tests a candidate strictly north-east of the
+    frame's vertex, and holds no sweep words at a yield."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(808 + n)
@@ -640,26 +644,36 @@ def test_swept_run_matches_the_tested_run(n, k):
             else:
                 v = (rng.next_below(n + 1), rng.next_below(n + 1))
             edge = _aug_edge_oracle(p, g, u, v)
-            inside = []  # per test of the tested run: is w strictly north-east?
+            asked = []  # per visit: the candidates the reference tests
+            probed = []  # and those the tested probe tests
 
-            def tested_edge(c, w):
-                inside.append(w[0] > c[0] and w[1] > c[1])
-                return edge(c, w)
+            def edge_to(log):
+                def fn(c, w):
+                    log.append(w)
+                    return edge(c, w)
+                return fn
 
             av = [marker(-1) for _ in range(k + 1)]
             ah = [marker(n + 1) for _ in range(k + 1)]
             m = Metrics()
-            swept = engine._swept_run(p, g, curr, v, av, ah, edge, m, 0)
-            tested = engine._tested_run(p, curr, v, av, ah, tested_edge)
+            mt = Metrics()
+            ref = reference_run(p, curr, v, av, ah, edge_to(asked))
+            swept = engine._run(p, g, curr, v, av, ah, edge, m, 0, True)
+            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, False)
             sweeps = 0  # visits that test a candidate a sweep answers
             for _ in range(len(run) + 1):  # a visit yields one candidate or ends
-                inside.clear()
-                got = next(swept, None)
-                assert got == next(tested, None), (n, k, u, v, curr, av, ah)
-                assert m.cur_tracked_words == 0, (curr, got)
-                sweeps += any(inside)
-                assert m.base_case_calls == sweeps, (n, k, u, v, curr, av, ah)
-                if got is None:
+                asked.clear()
+                probed.clear()
+                want = next(ref, None)
+                where = (n, k, u, v, curr, av, ah)
+                assert next(swept, None) == want, where
+                assert next(tested, None) == want, where
+                assert probed == asked, where
+                assert m.cur_tracked_words == 0, (curr, want)
+                sweeps += any(w[0] > curr[0] and w[1] > curr[1] for w in asked)
+                assert m.base_case_calls == sweeps, where
+                assert (mt.base_case_calls, mt.peak_tracked_words) == (0, 0), where
+                if want is None:
                     break
                 hits += 1
                 for a, none in ((av, -1), (ah, n + 1)):
@@ -800,11 +814,12 @@ def test_injected_faults_trip_the_counters(monkeypatch):
 
     p = AuxParams(12, 3)
     full = whole(gen_family("full", 12))
-    real = engine.iter_candidates
     u, v = (0, 0), (12, 12)
 
     def run(fault, edge_test=lambda c, w: w != v):
-        monkeypatch.setattr(engine, "iter_candidates", fault)
+        # A frame's run is the reference run over the faulty enumeration.
+        monkeypatch.setattr(engine, "_run", lambda p, g, curr, v, av, ah, test, *_:
+                            reference_run(p, curr, v, av, ah, test, fault))
         m = Metrics()
         got = marker_dfs(p, full, u, v, edge_test, m)
         return got, (m.stack_bound_violations, m.visit_once_violations,
@@ -837,7 +852,7 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     # second frame reaches v.
     def self_first(p, curr):
         yield curr
-        yield from real(p, curr)
+        yield from iter_candidates(p, curr)
 
     assert run(self_first, lambda c, w: (c, w) != (u, v)) == (True, (0, 1, 0))
 
