@@ -2,14 +2,15 @@
 
 The driver answers a query on a view by dispatching, in order: equal
 endpoints; impossible (west/south) displacement; shared row or column
-(straight walk); small side (the oracle's row sweep); otherwise it
-divides the view into k^2 blocks and runs a marker-array DFS over the
-implicit boundary graph, deciding each edge by recursing into the
-corresponding block.  One generator, _run, walks a frame's run at every
-level, and skips the candidates the markers rule out in whole stretches.
-At the last divided level, where that recursion would end in one
-base-case row sweep per edge, it reads the candidates as the set bits of
-one row sweep of the frame's block per visit, charged as one base case.
+(straight walk); below the top level, a two-pass prefilter (_may_reach);
+small side (the oracle's row sweep); otherwise it divides the view into
+k^2 blocks and runs a marker-array DFS over the implicit boundary graph,
+deciding each edge by recursing into the corresponding block.  One
+generator, _run, walks a frame's run at every level, and skips the
+candidates the markers rule out in whole stretches.  At the last divided
+level, where that recursion would end in one base-case row sweep per
+edge, it reads the candidates as the set bits of one row sweep of the
+frame's block per visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate's edge is
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from .auxgraph import AuxParams, decompose, is_gridline_vertex, ne_corner
 from .auxgraph import iter_candidates  # not called here; perfbench's Tracer patches it
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
-from .metrics import Metrics, base_charge, level_charge
+from .metrics import Metrics, base_charge, level_charge, mask_words
 
 
 @dataclass(frozen=True)
@@ -395,19 +396,25 @@ def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
     return qx * b, qy * b
 
 
-def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int) -> bool:
-    """The prefilter of _reach, for ux < vx and uy < vy: necessary
-    conditions for a path.  A path crosses every row of the span inside the
-    column range, and every column inside the row range; two cheap mask
-    sweeps prune most dead queries before any subdivision or base case.
-    A frame sweep runs none: it answers a whole run at once, and a
-    prefilter pass in front of it cost more time than the sweeps it saved.
+def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
+               m: Metrics) -> bool:
+    """The prefilter of _reach below the top level, for ux < vx and uy < vy:
+    necessary conditions for a path.  A path crosses every row of the span
+    inside the column range, and every column inside the row range; two
+    cheap mask sweeps prune most dead block queries before any subdivision
+    or base case.  A frame sweep runs none: it answers a whole run at once,
+    and a prefilter pass in front of it cost more time than the sweeps it
+    saved.
 
-    Its masks (acc, the OR of the span's east rows, and row_span and
-    col_need) hold up to `side` bits each and are not charged as tracked
-    words: at the top level they are as wide as the oracle's row mask
-    (ROADMAP item 3).
+    acc, the OR of the span's east rows, holds up to `side` bits, so it is
+    charged as one (side+1)-bit mask, metrics.mask_words, while the scan
+    holds it, and released on either return.  row_span and col_need are
+    not charged: each is a range fixed by two coordinates, as _straight's
+    need is.  _reach skips the prefilter on the top-level view, where acc
+    would be as wide as the oracle's own row mask.
     """
+    words = mask_words(view.side, view.base.n)
+    m.charge(words)
     nr = view.north_row
     er = view.east_row
     row_span = ((2 << (vx - ux)) - 1) << ux
@@ -415,8 +422,10 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int) -> bool:
     acc = er(vy)
     for y in range(uy, vy):
         if not nr(y) & row_span:
+            m.release(words)
             return False
         acc |= er(y)
+    m.release(words)
     return acc & col_need == col_need
 
 
@@ -435,7 +444,7 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         return False
     if ux == vx or uy == vy:
         return _straight(view, ux, uy, vx, vy, m)
-    if not _may_reach(view, ux, uy, vx, vy):
+    if depth and not _may_reach(view, ux, uy, vx, vy, m):
         return False
     p = levels[depth]
     if p is None:

@@ -8,10 +8,13 @@ reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
 locals.  The last divided level's frame sweep is such a base case: it
 holds the same one mask and locals, charged when a visit of a DFS frame
 opens it and released before that visit pushes or pops, so it is never
-held across a push and adds nothing to the bound.  The read-only input
-graph, the output and instrumentation are never counted.  Space is
-measured by this explicit instrumentation rather than process RSS, which
-is noisy and dominated by the input itself.
+held across a push and adds nothing to the bound.  Below the top level,
+the prefilter of a block query holds one mask of the block's side+1 bits
+while it scans; its two span masks are ranges fixed by two coordinates
+and are not counted, and on the top-level view it does not run.  The
+read-only input graph, the output and instrumentation are never counted.
+Space is measured by this explicit instrumentation rather than process
+RSS, which is noisy and dominated by the input itself.
 
 edge_queries counts the calls of a divided level's edge test: each
 decides one pair by the gridline rule and a recursive block query.  The
@@ -99,11 +102,16 @@ def level_charge(k: int) -> int:
     return 2 * (k + 1) + Metrics.LEVEL_WORDS
 
 
+def mask_words(side: int, n: int) -> int:
+    """Words of one (side+1)-bit mask on a side-n graph, in words of
+    n.bit_length() = ceil(log2(n+1)) bits."""
+    return -(-(side + 1) // n.bit_length())
+
+
 def base_charge(side: int, n: int) -> int:
     """Words the base case holds on a side-`side` block of a side-n graph:
-    one (side+1)-bit reach mask, in words of n.bit_length() =
-    ceil(log2(n+1)) bits, plus its locals."""
-    return -(-(side + 1) // n.bit_length()) + Metrics.BASE_WORDS
+    one reach mask (mask_words) plus its locals."""
+    return mask_words(side, n) + Metrics.BASE_WORDS
 
 
 @dataclass
@@ -140,13 +148,17 @@ def predicted_words(n: int, k: int) -> int:
     charge, unrolled over decompose(n, k): each divided level holds its
     level_charge plus at most 2k+3 frames, and the bottom holds the larger
     of a straight walk and a base case on the last block side (n when no
-    level divides)."""
+    level divides).  Below the top level the prefilter holds one mask of
+    its view's side under the levels above it; where that is more than the
+    levels below would hold, it sets the bound."""
     words = 0
+    prefilter = 0
     b = n
     for p in decompose(n, k)[:-1]:
         words += level_charge(p.k) + Metrics.FRAME_WORDS * (2 * p.k + 3)
         b = p.b
-    return words + max(Metrics.WALK_WORDS, base_charge(b, n))
+        prefilter = max(prefilter, words + mask_words(b, n))
+    return max(prefilter, words + max(Metrics.WALK_WORDS, base_charge(b, n)))
 
 
 # Multipliers for callers that still pass them to Bounds; the bounds are

@@ -23,7 +23,7 @@ from gridreach import (
 from gridreach import engine
 from gridreach.auxgraph import iter_candidates
 from gridreach.engine import _schedule, shared_block
-from gridreach.metrics import level_charge
+from gridreach.metrics import level_charge, mask_words
 
 from support import common_blocks, gridline_vertices, is_edge, lattice_reach, reference_run
 
@@ -246,6 +246,46 @@ def test_reach_recursive_on_views():
         assert reach_recursive(whole(g), s, t, cfg, m) == a.reachable
         for slot in Metrics.__slots__:
             assert getattr(m, slot) == getattr(a.metrics, slot), (slot, s, t)
+
+
+def test_prefilter_charges_its_mask_below_the_top_level(monkeypatch):
+    """The prefilter never scans the top-level view.  Below it, it raises
+    the tracked words by exactly one mask of its view's side while it scans,
+    and returns them to their entry value whichever way it answers."""
+    real = engine._may_reach
+    calls = []
+
+    def spy(view, ux, uy, vx, vy, m):
+        entry, peak = m.cur_tracked_words, m.peak_tracked_words
+        m.peak_tracked_words = entry  # the scan's own charge sets the peak
+        got = real(view, ux, uy, vx, vy, m)
+        calls.append((view.side, view.base.n, m.peak_tracked_words - entry,
+                      m.cur_tracked_words - entry, got))
+        m.peak_tracked_words = max(peak, m.peak_tracked_words)
+        return got
+
+    monkeypatch.setattr(engine, "_may_reach", spy)
+    rng = SplitMix64(1212)
+    # At n=12, k=3 (12 -> 4 -> 2) a side-4 block's 5 bits take two 4-bit
+    # words.
+    for cfg, n in ((EngineConfig(epsilon=1.0), 16), (EngineConfig(k=3), 12),
+                   (EngineConfig(epsilon=0.5), 16)):
+        for _ in range(4):
+            g = gen_random(n, 0.6, 0.6, rng.next_u64())
+            h = n // 2
+            s = (rng.next_below(h), rng.next_below(h))
+            t = (h + rng.next_below(h + 1), h + rng.next_below(h + 1))
+            a = reach(g, s, t, cfg)
+            assert a.reachable == oracle_reach(whole(g), s, t)
+            assert a.metrics.cur_tracked_words == 0
+    assert {got for *_, got in calls} == {False, True}
+    sides = set()
+    for side, n, raised, left, _ in calls:
+        assert side < n, "the prefilter scanned the top-level view"
+        assert raised == mask_words(side, n), (side, n)
+        assert left == 0, (side, n)
+        sides.add(side)
+    assert {8, 4, 2} <= sides  # blocks of several depths and sizes
 
 
 def test_gridline_crawl_instances():
@@ -523,16 +563,14 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     assert sources == {False, True}
     for n in (12, 16):
         cfg = EngineConfig(k=4)  # one divided level: depth 0 is the last
-        graphs = 0
-        for _ in range(20):
+        for _ in range(3):
             g = gen_random(n, 0.6, 0.6, rng.next_u64())
             u = (1 + rng.next_below(3), 1 + rng.next_below(3))
             v = (n - 1 - rng.next_below(3), n - 1 - rng.next_below(3))
             captured.clear()
             reach(g, u, v, cfg)
-            if not captured:
-                continue  # decided by the prefilter
-            graphs += 1
+            # u and v share no block and no line, so the DFS always runs.
+            assert captured, (n, u, v)
             (p, view, _, _, edge_test, m, _), = captured
             assert (p.n, p.k) == (n, 4) and p.b <= p.k
             assert m.cur_tracked_words == 0
@@ -550,9 +588,6 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
                 assert got == want, (n, u, v, c)
                 assert m.edge_queries - edges <= 2, (n, u, v, c)
                 assert m.base_case_calls - base <= inside + 1, (n, u, v, c)
-            if graphs == 3:
-                break
-        assert graphs == 3
 
 
 class _FrameWordsMetrics(Metrics):

@@ -6,12 +6,15 @@ from gridreach import (
     Metrics,
     SplitMix64,
     check_bounds,
+    choose_k,
     gen_family,
     gen_random,
     predicted_calls,
     predicted_words,
     reach,
 )
+from gridreach.auxgraph import decompose
+from gridreach.metrics import base_charge, level_charge, mask_words
 
 
 def test_predicted_calls_base_and_one_level():
@@ -34,6 +37,40 @@ def test_predicted_words_base_and_one_level():
     # Three levels (81 -> 27 -> 9 -> 3) of 2*4 + 8 + 2*9 = 34; base on
     # side 3 with 7-bit words: 1 + 4.
     assert predicted_words(81, 3) == 107
+
+
+def _levels_and_bottom(n, k):
+    """The word bound without the prefilter term: every divided level's
+    charge and frames, plus the larger of a straight walk and the base
+    case."""
+    words = 0
+    b = n
+    for p in decompose(n, k)[:-1]:
+        words += level_charge(p.k) + Metrics.FRAME_WORDS * (2 * p.k + 3)
+        b = p.b
+    return words + max(Metrics.WALK_WORDS, base_charge(b, n))
+
+
+def test_prefilter_term_of_the_word_bound():
+    # Criterion 7's bounds at epsilon=1.0.
+    assert [predicted_words(n, k) for n, k in ((16, 4), (64, 8), (256, 16))] == [
+        45, 70, 118]
+    # The prefilter's mask never binds on the schedules the repository runs.
+    moved = checked = 0
+    for n in range(2, 2049):
+        for k in {choose_k(n, 1.0), choose_k(n, 0.5), 2, 3, 4}:
+            if k <= n:
+                checked += 1
+                moved += predicted_words(n, k) != _levels_and_bottom(n, k)
+    assert (checked, moved) == (9804, 0)
+    # It binds at epsilon=0.5, n=65536 (k=16; 65536 -> 4096 -> 256 -> 16):
+    # three levels of 2*17 + 8 + 2*35 = 112 words and a base of 1 + 4 make
+    # 341, while the depth-1 prefilter on a side-4096 block holds 4097 bits
+    # in 17-bit words under one level.
+    assert choose_k(65536, 0.5) == 16
+    assert _levels_and_bottom(65536, 16) == 341
+    assert mask_words(4096, 65536) == 241
+    assert predicted_words(65536, 16) == 112 + 241 == 353
 
 
 def test_predicted_bounds_monotone_in_n():
