@@ -255,10 +255,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, LggFormatError) as exc:
+    except (UsageError, ValueError) as exc:  # LggFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

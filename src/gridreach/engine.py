@@ -277,12 +277,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     # Frame = [vertex, run]; the run is created on the frame's first visit.
     stack: list[list] = [[u, None]]
     pushed = {u}
-    m.pushes += 1
-    m.charge(Metrics.FRAME_WORDS)
-    m.note_stack(depth, 1)
-    log = m.push_log
-    if log is not None:
-        log.append((depth, u))
+    m.note_push(depth, u, 1)
 
     try:
         while stack:
@@ -298,8 +293,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             w = next(run, None)
             if w is None:
                 stack.pop()
-                m.pops += 1
-                m.release(Metrics.FRAME_WORDS)
+                m.note_pop()
                 continue
             wx, wy = w
             admit_v, admit_h = _admits(b, av, ah, wx, wy)
@@ -311,11 +305,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                 m.visit_once_violations += 1
             pushed.add(w)
             stack.append([w, None])
-            m.pushes += 1
-            m.charge(Metrics.FRAME_WORDS)
-            m.note_stack(depth, len(stack))
-            if log is not None:
-                log.append((depth, w))
+            m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
         return False
@@ -431,6 +421,9 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
 
 def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
            levels: tuple[AuxParams | None, ...], depth: int) -> bool:
+    """The dispatch of the module docstring, at depth.  A divided level pads
+    view to p.n only in the blocks it cuts: view.sub clips each one to the
+    content window, and nothing reads the padded side."""
     rd = m.recursive_calls_by_depth
     if depth < len(rd):
         rd[depth] += 1
@@ -450,7 +443,6 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
     if p is None:
         return base_dfs(view, u, v, m)
 
-    pview = view if p.n == view.side else view.padded(p.n)
     b = p.b
     o = shared_block(b, ux, uy, vx, vy)
     if o is not None:
@@ -458,18 +450,18 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         # (paths never leave a block north-east-ward and return), so a
         # shared block answers the query outright.
         x0, y0 = o
-        return _reach(pview.sub(x0, y0, b), (ux - x0, uy - y0),
+        return _reach(view.sub(x0, y0, b), (ux - x0, uy - y0),
                       (vx - x0, vy - y0), m, levels, depth + 1)
-    return _divided(pview, p, u, v, m, levels, depth)
+    return _divided(view, p, u, v, m, levels, depth)
 
 
-def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
+def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
-    """A divided level: the marker DFS over pview's boundary graph, with
-    its edge test.  Where the next level is the base case, the DFS reads
-    its runs off row sweeps of pview (see _run).  Kept out of _reach, whose
-    dispatch-only queries would otherwise pay for creating the edge test's
-    closure cells."""
+    """A divided level: the marker DFS over view's boundary graph, with its
+    edge test.  Where the next level is the base case, the DFS reads its
+    runs off row sweeps of view's blocks (see _run).  Kept out of _reach,
+    whose dispatch-only queries would otherwise pay for creating the edge
+    test's closure cells."""
     b = p.b
     depth1 = depth + 1
 
@@ -486,10 +478,10 @@ def _divided(pview: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
         if o is None:
             return False
         x0, y0 = o
-        return _reach(pview.sub(x0, y0, b), (cx - x0, cy - y0),
+        return _reach(view.sub(x0, y0, b), (cx - x0, cy - y0),
                       (wx - x0, wy - y0), m, levels, depth1)
 
-    return marker_dfs(p, pview, u, v, edge_test, m, depth)
+    return marker_dfs(p, view, u, v, edge_test, m, depth)
 
 
 def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:

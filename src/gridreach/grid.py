@@ -1,6 +1,7 @@
 """Layered grid graphs: bit-plane storage, the LGG v1 text format,
-instance generators, rectangular views, and a full-memory reachability
-oracle used as ground truth by the differential test harness.
+instance generators, rectangular views (padding is a view cut past its
+content window), and a full-memory reachability oracle used as ground
+truth by the differential test harness.
 
 Vertices live on the (n+1) x (n+1) lattice {0..n}^2, written (x, y) with x
 growing east and y growing north.  Every edge goes exactly one unit north,
@@ -147,25 +148,26 @@ class SubgridView:
 
     Local coordinates run over {0..side}^2 and map to base coordinates by
     translating with ``(ox, oy)``.  Edges whose endpoints fall outside the
-    content window ``(wx, wy)`` are invisible: that is how logical padding
-    works (a padded view is addressable up to ``side`` but carries no edges
-    beyond the window it was padded from).
+    content window ``(wx, wy)`` are invisible.  ``whole`` and ``sub`` are
+    the only ways to make a view, and padding is a ``sub`` that runs past
+    the content window: ``sub(0, 0, s)`` with ``s >= side`` is addressable
+    up to ``s`` but carries no edges beyond the window it was cut from.
+
+    Every view keeps ``-1 <= wx <= side`` and, where ``wx >= 0``,
+    ``ox + wx <= base.n`` (likewise for y), so a row read inside the
+    window never leaves the base graph.
     """
 
     __slots__ = ("base", "ox", "oy", "side", "wx", "wy")
 
-    def __init__(self, base: LayeredGridGraph, ox: int, oy: int, side: int,
-                 wx: int | None = None, wy: int | None = None):
+    def __init__(self, base: LayeredGridGraph):
         self.base = base
-        self.ox = ox
-        self.oy = oy
-        self.side = side
-        self.wx = side if wx is None else wx
-        self.wy = side if wy is None else wy
+        self.ox = self.oy = 0
+        self.side = self.wx = self.wy = base.n
 
     @classmethod
     def whole(cls, g: LayeredGridGraph) -> "SubgridView":
-        return cls(g, 0, 0, g.n)
+        return cls(g)
 
     def contains(self, v: Vertex) -> bool:
         return 0 <= v[0] <= self.side and 0 <= v[1] <= self.side
@@ -174,20 +176,14 @@ class SubgridView:
         """Bit x set iff the local edge (x, y) -> (x, y+1) is visible."""
         if y < 0 or y >= self.wy:
             return 0
-        ay = self.oy + y
-        if ay >= self.base.n:
-            return 0
-        m = self.base.north_row(ay) >> self.ox
+        m = self.base.north_row(self.oy + y) >> self.ox
         return m & ((1 << (self.wx + 1)) - 1)
 
     def east_row(self, y: int) -> int:
         """Bit x set iff the local edge (x, y) -> (x+1, y) is visible."""
         if y < 0 or y > self.wy:
             return 0
-        ay = self.oy + y
-        if ay > self.base.n:
-            return 0
-        m = self.base.east_row(ay) >> self.ox
+        m = self.base.east_row(self.oy + y) >> self.ox
         return m & ((1 << self.wx) - 1) if self.wx > 0 else 0
 
     def north(self, x: int, y: int) -> bool:
@@ -197,7 +193,8 @@ class SubgridView:
         return 0 <= x and (self.east_row(y) >> x) & 1 == 1
 
     def sub(self, ox: int, oy: int, side: int) -> "SubgridView":
-        """Window of this view; the content clip propagates."""
+        """Window of this view; the content clip propagates.  With
+        ox = oy = 0 and side >= self.side this pads the view."""
         v = SubgridView.__new__(SubgridView)
         v.base = self.base
         v.ox = self.ox + ox
@@ -218,12 +215,6 @@ class SubgridView:
         v.wx = wx
         v.wy = wy
         return v
-
-    def padded(self, new_side: int) -> "SubgridView":
-        """Same window, addressable out to new_side with no added edges."""
-        if new_side < self.side:
-            raise ValueError("padding may only grow a view")
-        return SubgridView(self.base, self.ox, self.oy, new_side, self.wx, self.wy)
 
     def __repr__(self) -> str:
         return (f"SubgridView(origin=({self.ox},{self.oy}), side={self.side}, "

@@ -16,6 +16,10 @@ read-only input graph, the output and instrumentation are never counted.
 Space is measured by this explicit instrumentation rather than process
 RSS, which is noisy and dominated by the input itself.
 
+A marker DFS reports each push and pop to note_push and note_pop, which
+count it and charge or release its frame; a subclass may override them to
+observe the search.
+
 edge_queries counts the calls of a divided level's edge test: each
 decides one pair by the gridline rule and a recursive block query.  The
 candidates a frame sweep reads off its mask are not edge tests; each
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .auxgraph import decompose
+from .grid import Vertex
 
 
 class Metrics:
@@ -46,7 +51,7 @@ class Metrics:
         "recursive_calls_by_depth", "peak_stack_by_depth",
         "peak_tracked_words", "cur_tracked_words",
         "stack_bound_violations", "visit_once_violations",
-        "push_bound_violations", "k_top", "push_log",
+        "push_bound_violations", "k_top",
     )
 
     def __init__(self):
@@ -62,7 +67,6 @@ class Metrics:
         self.visit_once_violations = 0
         self.push_bound_violations = 0
         self.k_top: int | None = None
-        self.push_log: list | None = None  # tests may set to record pushes
 
     # -- space -------------------------------------------------------------
     def charge(self, words: int) -> None:
@@ -80,12 +84,20 @@ class Metrics:
             by_depth.append(0)
         by_depth[depth] += 1
 
-    def note_stack(self, depth: int, frames: int) -> None:
+    def note_push(self, depth: int, w: Vertex, frames: int) -> None:
+        """A marker DFS at depth pushed w as its frames-th live frame."""
+        self.pushes += 1
+        self.charge(self.FRAME_WORDS)
         peaks = self.peak_stack_by_depth
         while len(peaks) <= depth:
             peaks.append(0)
         if frames > peaks[depth]:
             peaks[depth] = frames
+
+    def note_pop(self) -> None:
+        """A marker DFS popped its top frame."""
+        self.pops += 1
+        self.release(self.FRAME_WORDS)
 
     @property
     def recursive_calls(self) -> int:

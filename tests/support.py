@@ -1,13 +1,14 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and test seams shared by the test modules.
 
-Everything here recomputes structure from first principles (full closures,
+The oracles recompute structure from first principles (full closures,
 explicit edge rules) so the engine under test is never used to check
-itself.
+itself.  The seams build view chains, watch the views sub makes and record
+the marker DFS's pushes.
 """
 
 from __future__ import annotations
 
-from gridreach import AuxParams, LayeredGridGraph, SubgridView
+from gridreach import AuxParams, LayeredGridGraph, Metrics, SubgridView
 from gridreach.auxgraph import iter_candidates
 
 
@@ -38,6 +39,77 @@ def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def view_chain(g: LayeredGridGraph, steps: int, pick):
+    """A chain of `steps` views of g, cut from the whole view by sub.
+
+    pick(lo, hi) draws an integer in [lo, hi], so a seeded generator or a
+    hypothesis draw can drive the chain.  Each step either pads, sub(0, 0,
+    s) with s from side to 2*side, or cuts a sub of side at least 1 that
+    starts inside the view and ends within its side.  Returns the last
+    view, its base-coordinate origin and the inclusive base-coordinate box
+    (x0, y0, x1, y1) of the content the chain shows, all three tracked
+    here without reading the views.
+    """
+    view = SubgridView.whole(g)
+    ox = oy = 0
+    box = (0, 0, g.n, g.n)
+    for _ in range(steps):
+        if pick(0, 1):
+            dx = dy = 0
+            side = pick(view.side, 2 * view.side)
+        else:
+            dx = pick(0, view.side - 1)
+            dy = pick(0, view.side - 1)
+            room = view.side - max(dx, dy)
+            side = room - pick(0, room - 1)  # shrinks to the widest
+        view = view.sub(dx, dy, side)
+        ox += dx
+        oy += dy
+        box = (max(box[0], ox), max(box[1], oy),
+               min(box[2], ox + side), min(box[3], oy + side))
+    return view, (ox, oy), box
+
+
+def window_holds(view: SubgridView) -> bool:
+    """SubgridView's window invariant: -1 <= wx <= side and, where wx >= 0,
+    ox + wx <= base.n; likewise for y."""
+    n = view.base.n
+    return (-1 <= view.wx <= view.side and -1 <= view.wy <= view.side
+            and (view.wx < 0 or view.ox + view.wx <= n)
+            and (view.wy < 0 or view.oy + view.wy <= n))
+
+
+def watch_windows(monkeypatch) -> list[SubgridView]:
+    """Wrap SubgridView.sub so that every view it makes is checked against
+    window_holds; returns the list the checked views are appended to."""
+    real = SubgridView.sub
+    seen = []
+
+    def sub(self, ox, oy, side):
+        view = real(self, ox, oy, side)
+        assert window_holds(view), (self, ox, oy, side, view)
+        seen.append(view)
+        return view
+
+    monkeypatch.setattr(SubgridView, "sub", sub)
+    return seen
+
+
+class PushLog(Metrics):
+    """Metrics that record every marker-DFS push as (depth, vertex) in
+    ``log``, in push order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def note_push(self, depth, w, frames):
+        self.log.append((depth, w))
+        super().note_push(depth, w, frames)
 
 
 def closure_bits(view: SubgridView):

@@ -25,7 +25,8 @@ from gridreach.auxgraph import iter_candidates
 from gridreach.engine import _schedule, shared_block
 from gridreach.metrics import level_charge, mask_words
 
-from support import common_blocks, gridline_vertices, is_edge, lattice_reach, reference_run
+from support import (PushLog, common_blocks, gridline_vertices, is_edge, lattice_reach,
+                     reference_run, view_chain, watch_windows)
 
 
 def whole(g):
@@ -325,29 +326,18 @@ def test_differential_random_sweep():
 
 @st.composite
 def view_queries(draw):
-    """A small graph, a chain of sub and padded views of it, the box of
-    base coordinates the chain shows, two endpoints anywhere in the last
-    view (half the time the target north-east of the source), and either
-    an epsilon or a fixed k."""
+    """A small graph, a chain of sub views of it (support.view_chain,
+    padding ones among them), the box of base coordinates the chain shows,
+    two endpoints anywhere in the last view (half the time the target
+    north-east of the source), and either an epsilon or a fixed k."""
     n = draw(st.integers(min_value=2, max_value=12))
     density = draw(st.floats(min_value=0.3, max_value=1.0))
     g = gen_random(n, density, density, draw(st.integers(0, 2**64 - 1)))
-    view = whole(g)
-    ox = oy = 0
-    box = (0, 0, n, n)
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        if draw(st.booleans()):
-            view = view.padded(draw(st.integers(view.side, 2 * view.side)))
-            continue
-        dx = draw(st.integers(0, view.side - 1))
-        dy = draw(st.integers(0, view.side - 1))
-        room = view.side - max(dx, dy)
-        side = room - draw(st.integers(0, room - 1))  # shrinks to the widest
-        view = view.sub(dx, dy, side)
-        ox += dx
-        oy += dy
-        box = (max(box[0], ox), max(box[1], oy),
-               min(box[2], ox + side), min(box[3], oy + side))
+
+    def pick(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    view, (ox, oy), box = view_chain(g, pick(0, 3), pick)
     coord = st.integers(0, view.side)
     s = (draw(coord), draw(coord))
     if draw(st.booleans()):
@@ -373,6 +363,27 @@ def test_differential_view_chains(query):
     assert got == lattice_reach(g, box, (ox + s[0], oy + s[1]),
                                 (ox + t[0], oy + t[1]))
     assert_no_violations(m)
+
+
+@pytest.mark.parametrize("n, cfg", [(24, EngineConfig(epsilon=1.0)), (10, EngineConfig(k=4)),
+                                    (13, EngineConfig(k=3)), (512, EngineConfig(epsilon=1.0))])
+def test_cut_views_keep_the_window_invariant(monkeypatch, n, cfg):
+    """On schedules that pad (the top level divides a side of p.n > n),
+    every view the engine cuts keeps SubgridView's window invariant
+    (support.window_holds), on which its row reads rely to stay inside the
+    base graph; blocks that run past the content window are among them."""
+    assert _schedule(n, cfg)[1][0].n > n
+    seen = watch_windows(monkeypatch)
+    rng = SplitMix64(1300 + n)
+    half = n // 2
+    for _ in range(3 if n < 100 else 1):  # a side-512 graph takes 0.5 s to draw
+        g = gen_random(n, 0.7, 0.7, rng.next_u64())
+        for _ in range(8):
+            s = (rng.next_below(half), rng.next_below(half))
+            t = (n - rng.next_below(3), n - rng.next_below(3))
+            a = reach(g, s, t, cfg)
+            assert a.reachable == oracle_reach(whole(g), s, t), (s, t)
+    assert any(v.oy + v.side > n for v in seen)
 
 
 def test_fixed_k_schedule():
@@ -481,10 +492,9 @@ def test_every_pushed_vertex_is_reachable_from_source():
         g = gen_random(12, 0.5, 0.5, rng.next_u64())
         s = (rng.next_below(13), rng.next_below(13))
         t = (rng.next_below(13), rng.next_below(13))
-        m = Metrics()
-        m.push_log = []
+        m = PushLog()
         reach_recursive(whole(g), s, t, EngineConfig(epsilon=1.0), m)
-        for depth, w in m.push_log:
+        for depth, w in m.log:
             if depth == 0:
                 assert oracle_reach(whole(g), s, w), (s, w)
 
@@ -514,15 +524,14 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
                 s = (rng.next_below(half), rng.next_below(half))
                 t = (half + 1 + rng.next_below(n - half),
                      half + 1 + rng.next_below(n - half))
-                m = Metrics()
-                m.push_log = []
+                m = PushLog()
                 captured.clear()
                 if not reach_recursive(whole(g), s, t, EngineConfig(epsilon=eps), m):
                     continue
                 if not captured:
                     continue  # decided before the depth-0 traversal
                 edge_test, = captured
-                pushes = [w for depth, w in m.push_log if depth == 0]
+                pushes = [w for depth, w in m.log if depth == 0]
                 hits = [w[0] <= t[0] and w[1] <= t[1] and edge_test(w, t)
                         for w in pushes]
                 assert hits == [False] * (len(pushes) - 1) + [True], (eps, n, s, t)
@@ -594,36 +603,24 @@ class _FrameWordsMetrics(Metrics):
     """Metrics that check, whenever a search of one divided level pushes or
     pops, that it holds exactly its level's words and its frames'."""
 
-    __slots__ = ("_pushes", "_pops", "level_words")
+    __slots__ = ("level_words",)
 
     def __init__(self, k):
-        self.level_words = None  # Metrics.__init__ sets the counters
         super().__init__()
         self.level_words = level_charge(k)
 
     def _check(self):
-        if self.level_words is not None:
-            frames = self._pushes - self._pops
-            assert self.cur_tracked_words == (
-                self.level_words + Metrics.FRAME_WORDS * frames), frames
+        frames = self.pushes - self.pops
+        assert self.cur_tracked_words == (
+            self.level_words + Metrics.FRAME_WORDS * frames), frames
 
-    @property
-    def pushes(self):
-        return self._pushes
-
-    @pushes.setter
-    def pushes(self, value):
+    def note_push(self, depth, w, frames):
         self._check()
-        self._pushes = value
+        super().note_push(depth, w, frames)
 
-    @property
-    def pops(self):
-        return self._pops
-
-    @pops.setter
-    def pops(self, value):
+    def note_pop(self):
         self._check()
-        self._pops = value
+        super().note_pop()
 
 
 def test_frame_sweep_released_when_the_search_ends():
@@ -784,11 +781,10 @@ def test_marker_arrays_only_advance():
 
     for trial in range(10):
         g = whole(gen_random(12, 0.55, 0.55, rng.next_u64()))
-        m = Metrics()
-        m.push_log = []
+        m = PushLog()
         marker_dfs(p, g, (0, 0), (12, 12), _edge_oracle_from(g, p), m)
         markers = _Markers(p.b)
-        for _, w in m.push_log[1:]:  # the source is pushed unconditionally
+        for _, w in m.log[1:]:  # the source is pushed unconditionally
             assert any(markers.admits(w)), w
             markers.push(w)
 
@@ -807,20 +803,19 @@ def test_edge_test_asked_only_for_admitted_candidates():
             g = whole(gen_random(p.n, q, q, rng.next_u64()))
             u = low[rng.next_below(len(low))]
             v = high[rng.next_below(len(high))]
-            m = Metrics()
-            m.push_log = []
+            m = PushLog()
             oracle = _edge_oracle_from(g, p)
             asked = []
 
             def edge_test(curr, w):
-                asked.append((len(m.push_log), curr, w))
+                asked.append((len(m.log), curr, w))
                 return oracle(curr, w)
 
             marker_dfs(p, g, u, v, edge_test, m)
             markers = _Markers(p.b)
             replayed = 1  # the source is pushed unconditionally
             for pushes, curr, w in asked:
-                for _, x in m.push_log[replayed:pushes]:
+                for _, x in m.log[replayed:pushes]:
                     markers.push(x)
                 replayed = pushes
                 if w != v:

@@ -14,7 +14,7 @@ from gridreach import (
     parse_lgg,
 )
 
-from support import lattice_reach
+from support import lattice_reach, view_chain, watch_windows
 
 
 @st.composite
@@ -143,7 +143,7 @@ def test_splitmix_is_stable():
 def _padded(g, k):
     """The engine's padding: the whole view, addressable out to the next
     multiple of k."""
-    return SubgridView.whole(g).padded(-(-g.n // k) * k)
+    return SubgridView.whole(g).sub(0, 0, -(-g.n // k) * k)
 
 
 def _view_rows(view):
@@ -156,8 +156,6 @@ def test_pad_noop_when_divisible():
     padded = _padded(g, 3)
     assert (padded.side, padded.wx, padded.wy) == (9, 9, 9)
     assert _view_rows(padded) == _view_rows(SubgridView.whole(g))
-    with pytest.raises(ValueError):
-        SubgridView.whole(g).padded(8)
 
 
 def test_pad_grows_and_keeps_content():
@@ -248,7 +246,7 @@ def test_view_clips_edges_at_window():
     assert v.north(0, 0) and v.east(3, 4)
     assert not v.east(4, 0)   # would leave the window
     assert not v.north(0, 4)
-    padded = v.padded(6)
+    padded = v.sub(0, 0, 6)
     assert padded.side == 6
     assert not padded.east(4, 0)  # beyond the content window
     assert padded.north(3, 3)
@@ -258,30 +256,22 @@ def test_view_clips_edges_at_window():
     assert not beyond.north(0, 0)
 
 
-def test_oracle_matches_lattice_reach_on_view_chains():
-    """oracle_reach on chains of sub and padded views agrees with a DFS
-    over the base graph clipped to the box the subs cut out; padding adds
-    no content."""
+def test_oracle_matches_lattice_reach_on_view_chains(monkeypatch):
+    """oracle_reach on chains of sub views, padding ones among them, agrees
+    with a DFS over the base graph clipped to the box the subs cut out;
+    padding adds no content.  Every view of the chains keeps the window
+    invariant."""
+    seen = watch_windows(monkeypatch)
     rng = SplitMix64(31)
+
+    def pick(lo, hi):
+        return lo + rng.next_below(hi - lo + 1)
+
     for _ in range(400):
         n = 4 + rng.next_below(13)
         density = (0.3, 0.6, 0.9)[rng.next_below(3)]
         g = gen_random(n, density, density, rng.next_u64())
-        view = SubgridView.whole(g)
-        ox = oy = 0
-        box = (0, 0, n, n)
-        for _ in range(1 + rng.next_below(4)):
-            if rng.next_below(3) == 0:
-                view = view.padded(view.side + rng.next_below(view.side + 1))
-                continue
-            dx = rng.next_below(view.side)
-            dy = rng.next_below(view.side)
-            side = 1 + rng.next_below(view.side - max(dx, dy))
-            view = view.sub(dx, dy, side)
-            ox += dx
-            oy += dy
-            box = (max(box[0], ox), max(box[1], oy),
-                   min(box[2], ox + side), min(box[3], oy + side))
+        view, (ox, oy), box = view_chain(g, pick(1, 4), pick)
         side = view.side
         for _ in range(30):
             s = (rng.next_below(side + 1), rng.next_below(side + 1))
@@ -290,6 +280,7 @@ def test_oracle_matches_lattice_reach_on_view_chains():
             expect = lattice_reach(g, box, (ox + s[0], oy + s[1]),
                                    (ox + t[0], oy + t[1]))
             assert oracle_reach(view, s, t) == expect, (view, box, s, t)
+    assert sum(v.ox + v.side > v.base.n for v in seen) > 100  # past the graph
 
 
 def test_view_oracle_matches_manual_subgrid():
