@@ -10,8 +10,6 @@ from .engine import (
     base_dfs,
     choose_k,
     reach,
-    reach_recursive,
-    straight_walk,
 )
 from .grid import (
     LayeredGridGraph,
@@ -41,5 +39,5 @@ __all__ = [
     "SubgridView", "Vertex", "marker_dfs", "base_dfs", "check_bounds",
     "choose_k", "emit_lgg", "gen_family", "gen_random",
     "is_gridline_vertex", "oracle_reach", "parse_lgg", "predicted_calls",
-    "predicted_words", "reach", "reach_recursive", "straight_walk",
+    "predicted_words", "reach",
 ]

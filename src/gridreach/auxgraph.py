@@ -37,17 +37,22 @@ class AuxParams:
         object.__setattr__(self, "b", self.n // self.k)
 
 
+def is_base_side(side: int, k: int) -> bool:
+    """The recursion's cutoff: a side of at most k is the base case."""
+    return side <= k
+
+
 def decompose(side: int, k: int) -> tuple[AuxParams | None, ...]:
     """The decomposition of a side-`side` problem at every depth.
 
-    While a side exceeds k it is padded to a multiple of k and divided k
-    ways, and the next side is the block side; the last entry, None, is the
-    base case.
+    Until a side is a base side (is_base_side) it is padded to a multiple
+    of k and divided k ways, and the next side is the block side; the last
+    entry, None, is the base case.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     levels: list[AuxParams | None] = []
-    while side > k:
+    while not is_base_side(side, k):
         p = AuxParams(-(-side // k) * k, k)
         levels.append(p)
         side = p.b

@@ -43,18 +43,21 @@ def _vertex(text: str):
         raise UsageError(f"expected integers in 'x,y', got {text!r}") from None
 
 
+# argparse types: argparse reports an ArgumentTypeError as a usage error.
 def _int_list(text: str):
     try:
         return [int(s) for s in text.split(",") if s]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _float_list(text: str):
     try:
         return [float(s) for s in text.split(",") if s]
     except ValueError:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}") from None
 
 
 def _violations(m) -> int:
@@ -181,10 +184,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # --epsilon is required, so it is checked even when --fixed-k overrides it.
-    cfg = EngineConfig(epsilon=args.epsilon)
-    if args.fixed_k is not None:
-        cfg = EngineConfig(k=args.fixed_k)
+    cfg = EngineConfig(epsilon=args.epsilon, k=args.k)
     bounds = Bounds()
     for n in args.n_list:
         if args.family == "random":
@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="measure and compare against the bounds")
     bench.add_argument("--n-list", type=_int_list, required=True)
-    bench.add_argument("--epsilon", type=float, required=True)
+    bench.add_argument("--epsilon", type=float)
+    bench.add_argument("--k", type=int)
     bench.add_argument("--family", default="full", choices=FAMILIES)
-    bench.add_argument("--fixed-k", type=int, default=None)
     bench.set_defaults(func=cmd_bench)
     return ap
 

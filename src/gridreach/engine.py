@@ -1,27 +1,28 @@
 """Space-bounded reachability engine.
 
-The driver answers a query on a view by dispatching, in order: equal
-endpoints; impossible (west/south) displacement; shared row or column
-(straight walk); below the top level, a two-pass prefilter (_may_reach);
-small side (the oracle's row sweep); otherwise it divides the view into
-k^2 blocks and runs a marker-array DFS over the implicit boundary graph,
-deciding each edge by recursing into the corresponding block.  One
-generator, _run, walks a frame's run at every level, and skips the
-candidates the markers rule out in whole stretches.  At the last divided
-level, where that recursion would end in one base-case row sweep per
-edge, it reads the candidates as the set bits of one row sweep of the
-frame's block per visit, charged as one base case.
+reach is the one query entry point.  It answers a query on a view by
+dispatching, in order: equal endpoints; impossible (west/south)
+displacement; shared row or column (straight walk); below the top level,
+a two-pass prefilter (_may_reach); small side (the oracle's row sweep);
+otherwise it divides the view into k^2 blocks and runs a marker-array DFS
+over the implicit boundary graph, deciding each edge by recursing into the
+corresponding block.  A DFS frame is its run: one generator, _run, at
+every level, which first tests the edge into the target and then walks
+the frame's candidates, skipping those the markers rule out in whole
+stretches.  At the last divided level, where that recursion would end in
+one base-case row sweep per edge, it reads the candidates as the set bits
+of one row sweep of the frame's block per visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate's edge is
 tested, and the candidate pushed, only when one of its lines still admits
-it, so a candidate the markers reject costs no recursion.  Each frame
-tests the edge into the target once, on entry, before it enumerates
-anything else.  Neighbors are cycled in counter-clockwise order starting
-due east, so lower and righter targets are explored first and the skip
-rule never hides a reachable vertex.  The stack then never holds more
-than 2k+1 frames (2k+3 when an endpoint is block-interior and enters
-through augmented edges).
+it, so a candidate the markers reject costs no recursion.  Each run tests
+the edge into the target once, first, before it enumerates anything else.
+Neighbors are cycled in counter-clockwise order starting due east, so
+lower and righter targets are explored first and the skip rule never
+hides a reachable vertex.  The stack then never holds more than 2k+1
+frames (2k+3 when an endpoint is block-interior and enters through
+augmented edges).
 
 Two details extend the block-boundary edge rule at the query endpoints:
 an endpoint lying strictly inside a block is joined to every boundary
@@ -40,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import AuxParams, decompose, is_gridline_vertex, ne_corner
+from .auxgraph import AuxParams, decompose, is_base_side, is_gridline_vertex, ne_corner
 from .auxgraph import iter_candidates  # not called here; perfbench's Tracer patches it
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge, mask_words
@@ -100,17 +101,16 @@ def _schedule(side: int, cfg: EngineConfig) -> tuple[int, tuple[AuxParams | None
     return k, decompose(side, k)
 
 
-def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics | None = None) -> bool:
+def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics) -> bool:
     """The recursion's base case: the oracle's row sweep on a small block.
 
     The sweep holds one (side+1)-bit reach mask plus its locals; see
     metrics.base_charge.
     """
-    m = metrics if metrics is not None else Metrics()
-    m.base_case_calls += 1
+    metrics.base_case_calls += 1
     words = base_charge(view.side, view.base.n)
-    m.charge(words)
-    m.release(words)
+    metrics.charge(words)
+    metrics.release(words)
     return oracle_reach(view, u, v)
 
 
@@ -129,19 +129,24 @@ def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[boo
 
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
          ah: list[int], edge_test, m: Metrics, depth: int, swept: bool):
-    """Yield the candidates of curr's run that the markers admit and that
-    are joined to curr, in run order, skipping v.
+    """A marker-DFS frame at curr: yield v if curr is joined to it, then the
+    candidates of curr's run that the markers admit and that are joined to
+    curr, in run order, skipping v.  The generator is the frame: it holds
+    the frame's vertex and its cursor, the resume slot, between visits.
 
-    The run is the east column of curr's north-eastmost block going north,
-    then its north row going west.  Its two candidates on curr's own row
-    and column, (x1, cy) and (cx, y1), are decided by edge_test.  For the
-    others, each visit (the entry, and each return after a pop) cuts the
-    stretch the markers admit: the east-column rows above the cursor and
-    the vertical marker, the corner (admitted by either marker), and the
-    north-row columns left of the cursor and of the horizontal marker, v
-    excluded.  The markers move only between visits, so the stretch holds
-    for the whole visit; a probe finds its first candidate joined to curr,
-    the cursor moves past it, and a visit that finds none ends the stretch.
+    The target comes first, asked of edge_test once where it lies
+    north-east of curr, and no marker is consulted for it: a target
+    sitting below a marker must still be recognized.  The run is the east
+    column of curr's north-eastmost block going north, then its north row
+    going west.  Its two candidates on curr's own row and column, (x1, cy)
+    and (cx, y1), are decided by edge_test.  For the others, each visit
+    (the entry, and each return after a pop) cuts the stretch the markers
+    admit: the east-column rows above the cursor and the vertical marker,
+    the corner (admitted by either marker), and the north-row columns left
+    of the cursor and of the horizontal marker, v excluded.  The markers
+    move only between visits, so the stretch holds for the whole visit; a
+    probe finds its first candidate joined to curr, the cursor moves past
+    it, and a visit that finds none ends the stretch.
 
     Above the last divided level the probe asks edge_test about each
     candidate of the stretch in run order.  With swept set, where an edge
@@ -155,6 +160,8 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     """
     b = p.b
     cx, cy = curr
+    if curr != v and v[0] >= cx and v[1] >= cy and edge_test(curr, v):
+        yield v
     x1, y1 = ne_corner(p, curr)
     if x1 > cx:
         w = (x1, cy)
@@ -163,8 +170,9 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     if x1 > cx and y1 > cy:
         x0 = x1 - b
         y0 = y1 - b
-        view = g.sub(x0, y0, b)
-        words = base_charge(b, g.base.n)
+        if swept:  # the probe's block and the words its sweep holds
+            view = g.sub(x0, y0, b)
+            words = base_charge(b, g.base.n)
         i = x1 // b
         j = y1 // b
         lx = cx - x0
@@ -235,37 +243,36 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
-               metrics: Metrics | None = None, depth: int = 0) -> bool:
+               metrics: Metrics, depth: int = 0) -> bool:
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
-    sees fit).  A frame tests the target v once, on entry, before it opens
-    its run, and no marker is consulted: a target sitting below a marker
-    must still be recognized.  The run is then stepped lazily in
-    counter-clockwise order, skipping v, and each frame keeps its cursor,
-    so returning to a frame resumes strictly past the child it just popped.
-    The markers gate the edges: a candidate that neither of its lines
-    admits (_admits) is skipped untested, and an admitting marker advances
-    only when the candidate is pushed.  The run only reads the markers, so
-    this level's pushes and the verdict are those of a search that tests
-    every candidate.  Returns True iff v is reached.
+    sees fit).  The stack holds the frames, and a frame is its run: the
+    _run generator of its vertex, which yields the target first if the
+    vertex is joined to it, then its candidates lazily in counter-clockwise
+    order, skipping v.  Each generator keeps its cursor, so returning to a
+    frame resumes strictly past the child it just popped.  The markers gate
+    the edges: a candidate that neither of its lines admits (_admits) is
+    skipped untested, and an admitting marker advances only when the
+    candidate is pushed.  The run only reads the markers, so this level's
+    pushes and the verdict are those of a search that tests every
+    candidate.  Returns True as soon as a run yields v, False once the
+    stack is empty.
 
-    A frame's run is _run.  Where p.b <= p.k, every block of g is a base
-    case, and the run reads the candidates strictly north-east of the
-    frame's vertex off one row sweep of g per visit: edge_test is asked
-    only about the target and the two candidates on the vertex's own row
-    and column.  Above that, edge_test is asked about every admitted
-    candidate.
+    Where the blocks of g are base sides (auxgraph.is_base_side), the run
+    reads the candidates strictly north-east of the frame's vertex off one
+    row sweep of g per visit: edge_test is asked only about the target and
+    the two candidates on the vertex's own row and column.  Above that,
+    edge_test is asked about every admitted candidate.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
     metrics' violation counters.
     """
-    m = metrics if metrics is not None else Metrics()
+    m = metrics
     b = p.b
     k = p.k
-    swept = b <= k  # every block of g is a base case
-    vx, vy = v
+    swept = is_base_side(b, k)
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
@@ -274,27 +281,19 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     level_words = level_charge(k)
     m.charge(level_words)
 
-    # Frame = [vertex, run]; the run is created on the frame's first visit.
-    stack: list[list] = [[u, None]]
+    stack = [_run(p, g, u, v, av, ah, edge_test, m, depth, swept)]
     pushed = {u}
     m.note_push(depth, u, 1)
 
     try:
         while stack:
-            frame = stack[-1]
-            run = frame[1]
-            if run is None:
-                curr = frame[0]
-                if (curr != v and vx >= curr[0] and vy >= curr[1]
-                        and edge_test(curr, v)):
-                    return True
-                run = _run(p, g, curr, v, av, ah, edge_test, m, depth, swept)
-                frame[1] = run
-            w = next(run, None)
+            w = next(stack[-1], None)
             if w is None:
                 stack.pop()
                 m.note_pop()
                 continue
+            if w == v:
+                return True
             wx, wy = w
             admit_v, admit_h = _admits(b, av, ah, wx, wy)
             if admit_v:
@@ -304,7 +303,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             if w in pushed:
                 m.visit_once_violations += 1
             pushed.add(w)
-            stack.append([w, None])
+            stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, swept))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
@@ -315,21 +314,15 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             m.push_bound_violations += 1
 
 
-def reach_recursive(view: SubgridView, u: Vertex, v: Vertex, cfg: EngineConfig,
-                    metrics: Metrics | None = None) -> bool:
-    """Decide reachability on a view; endpoints may sit anywhere in it."""
-    if not view.contains(u):
-        raise ValueError(f"source {u} outside view")
-    if not view.contains(v):
-        raise ValueError(f"target {v} outside view")
-    m = metrics if metrics is not None else Metrics()
-    m.k_top, levels = _schedule(view.side, cfg)
-    return _reach(view, u, v, m, levels, 0)
-
-
 def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
               m: Metrics) -> bool:
-    """Row/column walk on a view given collinear endpoints, mask-based."""
+    """Reachability along one row or one column, given collinear endpoints.
+
+    Any path between two vertices of a common row (column) must run
+    straight along it, because the other coordinate can never dip and
+    recover; so it exists iff every edge in between does.  Tracked state is
+    O(1) words beyond the endpoints.
+    """
     m.charge(Metrics.WALK_WORDS)
     m.release(Metrics.WALK_WORDS)
     if uy == vy:
@@ -344,25 +337,6 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
         if not (view.north_row(y) >> x) & 1:
             return False
     return True
-
-
-def straight_walk(g: SubgridView, u: Vertex, v: Vertex,
-                  metrics: Metrics | None = None) -> bool:
-    """Reachability along one row or one column.
-
-    Any path between two vertices of a common row (column) must run
-    straight along it, because the other coordinate can never dip and
-    recover; so it exists iff every edge in between does.  Tracked state is
-    O(1) words beyond the endpoints.
-    """
-    if not g.contains(u):
-        raise ValueError(f"{u} outside view")
-    if not g.contains(v):
-        raise ValueError(f"{v} outside view")
-    if u[0] != v[0] and u[1] != v[1]:
-        raise ValueError(f"{u} and {v} share no row or column")
-    m = metrics if metrics is not None else Metrics()
-    return _straight(g, u[0], u[1], v[0], v[1], m)
 
 
 def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
@@ -484,12 +458,18 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
     return marker_dfs(p, view, u, v, edge_test, m, depth)
 
 
-def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig) -> Answer:
-    """Top-level query on a whole graph; returns the verdict plus metrics."""
+def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig,
+          metrics: Metrics | None = None) -> Answer:
+    """The query entry point: decide whether s reaches t in g.
+
+    Returns the verdict with the metrics the query filled in: a fresh
+    Metrics, or the given one, which may be a subclass that observes the
+    search through note_push and note_pop.
+    """
     if not (0 <= s[0] <= g.n and 0 <= s[1] <= g.n):
         raise ValueError(f"source {s} outside lattice of side {g.n}")
     if not (0 <= t[0] <= g.n and 0 <= t[1] <= g.n):
         raise ValueError(f"target {t} outside lattice of side {g.n}")
-    m = Metrics()
+    m = Metrics() if metrics is None else metrics
     m.k_top, levels = _schedule(g.n, cfg)
     return Answer(_reach(SubgridView.whole(g), s, t, m, levels, 0), m)

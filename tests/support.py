@@ -184,11 +184,12 @@ def is_edge(p: AuxParams, g: SubgridView, u, v) -> bool:
 
 
 def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=iter_candidates):
-    """The reference run of a marker-DFS frame: the vertices of
-    candidates(p, curr) (the east column of curr's north-eastmost block
-    going north, then its north row going west), other than v, that one of
-    their gridlines still admits and that edge_test joins to curr, in that
-    order.
+    """The reference run of a marker-DFS frame: first the target v, if it
+    lies north-east of curr (curr excluded) and edge_test joins it to curr,
+    whatever the markers say; then the vertices of candidates(p, curr)
+    (the east column of curr's north-eastmost block going north, then its
+    north row going west), other than v, that one of their gridlines still
+    admits and that edge_test joins to curr, in that order.
 
     av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
     while there is none), ah[j] the x of the leftmost on horizontal
@@ -196,6 +197,8 @@ def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=iter_cand
     while its marker lies strictly below (left of) w.  The markers are read
     afresh for every candidate, and each admitted one costs an edge test.
     """
+    if curr != v and v[0] >= curr[0] and v[1] >= curr[1] and edge_test(curr, v):
+        yield v
     b = p.b
     for w in candidates(p, curr):
         x, y = w

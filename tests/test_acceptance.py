@@ -21,7 +21,6 @@ from gridreach import (
     gen_random,
     oracle_reach,
     reach,
-    straight_walk,
 )
 from gridreach.metrics import predicted_calls, predicted_words
 
@@ -208,18 +207,19 @@ def test_criterion_5_crossing_property():
 def _straight_chunk(task):
     seed, graphs, n = task
     rng = SplitMix64(seed)
+    cfg = EngineConfig(epsilon=1.0)  # collinear pairs go to the straight walk
     pairs = 0
     disagreements = []
     for i in range(graphs):
         pr = P_VALUES[i % 3]
-        g = SubgridView.whole(gen_random(n, pr, pr, rng.next_u64()))
-        index, rows = closure_bits(g)
+        g = gen_random(n, pr, pr, rng.next_u64())
+        index, rows = closure_bits(SubgridView.whole(g))
         for x in range(n + 1):
             for y0 in range(n + 1):
                 bits = rows[index[(x, y0)]]
                 for y1 in range(n + 1):
                     truth = (bits >> index[(x, y1)]) & 1 == 1
-                    if straight_walk(g, (x, y0), (x, y1)) != truth:
+                    if reach(g, (x, y0), (x, y1), cfg).reachable != truth:
                         disagreements.append(((x, y0), (x, y1)))
                     pairs += 1
         for y in range(n + 1):
@@ -227,7 +227,7 @@ def _straight_chunk(task):
                 bits = rows[index[(x0, y)]]
                 for x1 in range(n + 1):
                     truth = (bits >> index[(x1, y)]) & 1 == 1
-                    if straight_walk(g, (x0, y), (x1, y)) != truth:
+                    if reach(g, (x0, y), (x1, y), cfg).reachable != truth:
                         disagreements.append(((x0, y), (x1, y)))
                     pairs += 1
     return pairs, disagreements
@@ -241,10 +241,11 @@ def test_criterion_6_straight_walk():
     # O(1) tracked accounting: the walk charges the same constant at any side
     peaks = set()
     for n in (8, 64):
-        g = SubgridView.whole(gen_family("full", n))
+        g = gen_family("full", n)
         m = Metrics()
-        straight_walk(g, (0, 0), (0, n), m)
-        straight_walk(g, (0, 0), (n, 0), m)
+        reach(g, (0, 0), (0, n), EngineConfig(epsilon=1.0), m)
+        reach(g, (0, 0), (n, 0), EngineConfig(epsilon=1.0), m)
+        assert m.recursive_calls_by_depth == [2]  # both answered at depth 0
         peaks.add(m.peak_tracked_words)
         assert m.cur_tracked_words == 0
     constant = peaks == {Metrics.WALK_WORDS}

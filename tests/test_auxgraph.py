@@ -9,6 +9,7 @@ from gridreach import (
     AuxParams,
     EngineConfig,
     LayeredGridGraph,
+    Metrics,
     SplitMix64,
     SubgridView,
     gen_family,
@@ -16,7 +17,6 @@ from gridreach import (
     is_gridline_vertex,
     oracle_reach,
     reach,
-    straight_walk,
 )
 from gridreach import engine
 from gridreach.auxgraph import iter_candidates
@@ -203,39 +203,49 @@ def test_candidates_are_every_holding_blocks_runs(n, k):
 # ---------------------------------------------------------------------------
 # straight walk
 
+def straight(g, s, t):
+    """reach on a collinear pair: one call at depth 0 and no search, so a
+    pair in order is answered by the straight walk."""
+    assert s[0] == t[0] or s[1] == t[1]
+    a = reach(g, s, t, EngineConfig(epsilon=1.0))
+    m = a.metrics
+    assert m.recursive_calls_by_depth == [1] and m.pushes == 0, (s, t)
+    assert m.peak_tracked_words <= Metrics.WALK_WORDS, (s, t)
+    return a.reachable
+
+
 def test_straight_walk_examples():
-    g = SubgridView.whole(gen_family("full", 9))
-    assert straight_walk(g, (2, 0), (2, 7))
-    assert not straight_walk(g, (2, 7), (2, 0))
-    assert straight_walk(g, (0, 4), (8, 4))
-    assert straight_walk(g, (5, 5), (5, 5))
-    with pytest.raises(ValueError):
-        straight_walk(g, (0, 0), (1, 2))
+    g = gen_family("full", 9)
+    assert straight(g, (2, 0), (2, 7))
+    assert not straight(g, (2, 7), (2, 0))
+    assert straight(g, (0, 4), (8, 4))
+    assert straight(g, (5, 5), (5, 5))
 
 
 def test_straight_walk_broken_column():
     g = gen_family("full", 9)
     north = [g.north_row(y) for y in range(10)]
     north[4] &= ~(1 << 2)  # remove (2,4) -> (2,5)
-    broken = SubgridView.whole(type(g)(9, north, [g.east_row(y) for y in range(10)]))
-    assert not straight_walk(broken, (2, 0), (2, 7))
-    assert straight_walk(broken, (2, 0), (2, 4))
+    broken = type(g)(9, north, [g.east_row(y) for y in range(10)])
+    assert not straight(broken, (2, 0), (2, 7))
+    assert straight(broken, (2, 0), (2, 4))
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.floats(0.2, 0.9))
 @settings(max_examples=30, deadline=None)
 def test_straight_walk_agrees_with_oracle(seed, p):
-    g = SubgridView.whole(gen_random(8, p, p, seed))
+    g = gen_random(8, p, p, seed)
+    view = SubgridView.whole(g)
     for x in range(9):
         for y0 in range(9):
             for y1 in range(9):
-                assert straight_walk(g, (x, y0), (x, y1)) == oracle_reach(
-                    g, (x, y0), (x, y1))
+                assert straight(g, (x, y0), (x, y1)) == oracle_reach(
+                    view, (x, y0), (x, y1))
     for y in range(9):
         for x0 in range(9):
             for x1 in range(9):
-                assert straight_walk(g, (x0, y), (x1, y)) == oracle_reach(
-                    g, (x0, y), (x1, y))
+                assert straight(g, (x0, y), (x1, y)) == oracle_reach(
+                    view, (x0, y), (x1, y))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridreach import parse_lgg
+from gridreach import SubgridView, gen_random, oracle_reach, parse_lgg
 from gridreach.cli import main
 
 QUERY_FIELDS = ["reachable", "n", "k_top", "pushes", "pops", "edge_queries",
@@ -44,6 +44,13 @@ def test_gen_unknown_family_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--family", "nosuch", "--n", "4",
                      "-o", str(tmp_path / "x.lgg"))
     assert code == 2
+
+
+def test_gen_into_a_missing_directory_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "--family", "full", "--n", "4",
+                         "-o", str(tmp_path / "nosuch" / "x.lgg"))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +113,10 @@ def test_query_usage_errors(full9, capsys):
     code, _, _ = run(capsys, "query", "--graph", full9, "--s", "0", "--t", "9,9",
                      "--epsilon", "1.0")
     assert code == 2
+    # non-integer vertex
+    code, _, err = run(capsys, "query", "--graph", full9, "--s", "a,0", "--t", "9,9",
+                       "--epsilon", "1.0")
+    assert code == 2 and "expected integers" in err
     # missing file
     code, _, _ = run(capsys, "query", "--graph", "/nonexistent.lgg", "--s", "0,0",
                      "--t", "9,9", "--epsilon", "1.0")
@@ -255,6 +266,23 @@ def test_verify_epsilon_out_of_range(capsys):
     assert code == 2
 
 
+def test_verify_negative_trials_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--n-list", "8", "--trials", "-1",
+                         "--seed", "1", "--epsilon-list", "1.0")
+    assert code == 2
+    assert out == "" and "--trials" in err
+
+
+@pytest.mark.parametrize("flag, value, words", [
+    ("--n-list", "8,x", "integers"), ("--epsilon-list", "1.0,y", "floats")])
+def test_verify_malformed_lists_exit_2(capsys, flag, value, words):
+    args = {"--n-list": "8", "--trials": "1", "--seed": "1", "--epsilon-list": "1.0"}
+    args[flag] = value
+    code, out, err = run(capsys, "verify", *[a for kv in args.items() for a in kv])
+    assert code == 2
+    assert out == "" and f"expected comma-separated {words}" in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -275,10 +303,29 @@ def test_bench_emits_one_json_line_per_n(capsys):
 
 
 def test_bench_fixed_k_echo(capsys):
-    code, out, _ = run(capsys, "bench", "--n-list", "16", "--epsilon", "1.0",
-                       "--fixed-k", "4", "--family", "full")
+    code, out, _ = run(capsys, "bench", "--n-list", "16", "--k", "4",
+                       "--family", "full")
     assert code == 0
     assert json.loads(out.splitlines()[0])["k_top"] == 4
+
+
+@pytest.mark.parametrize("divisors", [(), ("--epsilon", "1.0", "--k", "4")])
+def test_bench_takes_exactly_one_divisor(capsys, divisors):
+    code, out, err = run(capsys, "bench", "--n-list", "16", *divisors)
+    assert code == 2
+    assert out == "" and "exactly one of epsilon and k" in err
+
+
+def test_bench_random_family(capsys):
+    """bench draws its random graph with p = 0.5 and seed 1 and asks
+    (0, 0) -> (n, n)."""
+    code, out, _ = run(capsys, "bench", "--n-list", "16", "--epsilon", "1.0",
+                       "--family", "random")
+    assert code == 0
+    fields = json.loads(out)
+    g = gen_random(16, 0.5, 0.5, 1)
+    assert fields["reachable"] == oracle_reach(SubgridView.whole(g), (0, 0), (16, 16))
+    assert fields["bounds_pass"] is True
 
 
 def test_bench_epsilon_zero_exits_2(capsys):

@@ -18,10 +18,9 @@ from gridreach import (
     gen_random,
     oracle_reach,
     reach,
-    reach_recursive,
 )
 from gridreach import engine
-from gridreach.auxgraph import iter_candidates
+from gridreach.auxgraph import is_base_side, iter_candidates
 from gridreach.engine import _schedule, shared_block
 from gridreach.metrics import level_charge, mask_words
 
@@ -69,9 +68,9 @@ def test_engine_config_validation():
 
 def test_base_dfs_trivia():
     g = whole(gen_family("full", 2))
-    assert base_dfs(g, (0, 0), (2, 2))
-    assert not base_dfs(whole(gen_family("empty", 2)), (0, 0), (1, 1))
-    assert base_dfs(whole(gen_family("empty", 2)), (1, 1), (1, 1))
+    assert base_dfs(g, (0, 0), (2, 2), Metrics())
+    assert not base_dfs(whole(gen_family("empty", 2)), (0, 0), (1, 1), Metrics())
+    assert base_dfs(whole(gen_family("empty", 2)), (1, 1), (1, 1), Metrics())
 
 
 def test_base_dfs_matches_oracle():
@@ -82,9 +81,9 @@ def test_base_dfs_matches_oracle():
         for _ in range(8):
             s = (rng.next_below(5), rng.next_below(5))
             t = (rng.next_below(5), rng.next_below(5))
-            assert base_dfs(whole(g), s, t) == lattice_reach(g, box, s, t)
+            assert base_dfs(whole(g), s, t, Metrics()) == lattice_reach(g, box, s, t)
     stair = gen_family("staircase", 4)
-    assert base_dfs(whole(stair), (0, 0), (4, 4)) == lattice_reach(
+    assert base_dfs(whole(stair), (0, 0), (4, 4), Metrics()) == lattice_reach(
         stair, box, (0, 0), (4, 4))
 
 
@@ -128,11 +127,23 @@ def _edge_oracle_from(g, p):
 
 
 def test_algo_lggr_full_and_empty():
-    p = AuxParams(9, 3)
-    full = whole(gen_family("full", 9))
-    assert marker_dfs(p, full, (0, 0), (9, 9), _edge_oracle_from(full, p))
-    empty = whole(gen_family("empty", 9))
-    assert not marker_dfs(p, empty, (0, 0), (9, 9), _edge_oracle_from(empty, p))
+    """At b = k the DFS reads the candidates strictly north-east of a
+    frame's vertex off row sweeps, so the supplied oracle is never asked
+    about them; at b > k it decides every edge."""
+    for p in (AuxParams(9, 3), AuxParams(12, 3)):
+        n = p.n
+        asked = []
+        for family, want in (("full", True), ("empty", False)):
+            g = whole(gen_family(family, n))
+            oracle = _edge_oracle_from(g, p)
+
+            def edge_test(curr, w):
+                asked.append((curr, w))
+                return oracle(curr, w)
+
+            assert marker_dfs(p, g, (0, 0), (n, n), edge_test, Metrics()) == want
+        inside = [w for c, w in asked if w != (n, n) and w[0] > c[0] and w[1] > c[1]]
+        assert bool(inside) == (p.b > p.k), p
 
 
 def _aug_edge_oracle(p, g, u, v):
@@ -191,8 +202,8 @@ def test_algo_lggr_differential_boundary_pairs():
 
 def test_target_found_even_when_markers_point_past_it():
     """A target sitting below an already-advanced marker must still be
-    recognized: each frame tests the edge into it on entry, and no marker
-    is consulted for that test."""
+    recognized: each frame's run asks for the edge into it first, and no
+    marker is consulted for that test."""
     north = [0] * 10
     east = [0] * 10
     for x in range(3):
@@ -225,11 +236,32 @@ def test_reach_full_and_empty():
 
 def test_reach_rejects_out_of_range():
     g = gen_family("full", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target"):
         reach(g, (0, 0), (5, 5), EngineConfig(epsilon=1.0))
+    with pytest.raises(ValueError, match="source"):
+        reach(g, (0, 5), (4, 4), EngineConfig(epsilon=1.0))
 
 
-def test_reach_recursive_on_views():
+def test_reach_fills_the_given_metrics():
+    """reach fills in the Metrics it is given, a subclass included, exactly
+    as it fills a fresh one."""
+    g = gen_random(16, 0.7, 0.7, 5)
+    cfg = EngineConfig(epsilon=1.0)
+    a = reach(g, (1, 2), (13, 14), cfg)
+    m = PushLog()
+    b = reach(g, (1, 2), (13, 14), cfg, m)
+    assert b.metrics is m and b.reachable == a.reachable
+    assert len(m.log) == m.pushes > 0
+    for slot in Metrics.__slots__:
+        assert getattr(m, slot) == getattr(a.metrics, slot), slot
+
+
+def _reach_view(view, s, t, cfg, m):
+    """The recursion on a view, as reach runs it on the whole one."""
+    return engine._reach(view, s, t, m, engine._schedule(view.side, cfg)[1], 0)
+
+
+def test_recursion_on_views():
     g = gen_random(16, 0.6, 0.6, 9)
     v = SubgridView.whole(g).sub(4, 4, 8)
     cfg = EngineConfig(epsilon=1.0)
@@ -237,16 +269,7 @@ def test_reach_recursive_on_views():
     for _ in range(40):
         s = (rng.next_below(9), rng.next_below(9))
         t = (rng.next_below(9), rng.next_below(9))
-        assert reach_recursive(v, s, t, cfg) == oracle_reach(v, s, t)
-    # On a whole view, reach_recursive is reach: same verdict, same metrics.
-    for _ in range(40):
-        s = (rng.next_below(17), rng.next_below(17))
-        t = (rng.next_below(17), rng.next_below(17))
-        m = Metrics()
-        a = reach(g, s, t, cfg)
-        assert reach_recursive(whole(g), s, t, cfg, m) == a.reachable
-        for slot in Metrics.__slots__:
-            assert getattr(m, slot) == getattr(a.metrics, slot), (slot, s, t)
+        assert _reach_view(v, s, t, cfg, Metrics()) == oracle_reach(v, s, t)
 
 
 def test_prefilter_charges_its_mask_below_the_top_level(monkeypatch):
@@ -355,11 +378,11 @@ def view_queries(draw):
 @given(view_queries())
 @settings(max_examples=400, deadline=None)
 def test_differential_view_chains(query):
-    """reach_recursive on any view chain agrees with a DFS over the base
+    """The recursion on any view chain agrees with a DFS over the base
     graph clipped to the box the chain shows, and trips no invariant."""
     g, view, (ox, oy), box, s, t, cfg = query
     m = Metrics()
-    got = reach_recursive(view, s, t, cfg, m)
+    got = _reach_view(view, s, t, cfg, m)
     assert got == lattice_reach(g, box, (ox + s[0], oy + s[1]),
                                 (ox + t[0], oy + t[1]))
     assert_no_violations(m)
@@ -493,14 +516,14 @@ def test_every_pushed_vertex_is_reachable_from_source():
         s = (rng.next_below(13), rng.next_below(13))
         t = (rng.next_below(13), rng.next_below(13))
         m = PushLog()
-        reach_recursive(whole(g), s, t, EngineConfig(epsilon=1.0), m)
+        reach(g, s, t, EngineConfig(epsilon=1.0), m)
         for depth, w in m.log:
             if depth == 0:
                 assert oracle_reach(whole(g), s, w), (s, w)
 
 
 def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
-    """Each frame tests the edge into the target on entry, so a YES query
+    """Each frame's run asks for the edge into the target first, so a YES query
     decided by the depth-0 traversal stops at the first pushed vertex with
     an edge into the target: that edge is true from the last depth-0 push
     and false from every earlier one (checked with the engine's own edge
@@ -526,7 +549,7 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
                      half + 1 + rng.next_below(n - half))
                 m = PushLog()
                 captured.clear()
-                if not reach_recursive(whole(g), s, t, EngineConfig(epsilon=eps), m):
+                if not reach(g, s, t, EngineConfig(epsilon=eps), m).reachable:
                     continue
                 if not captured:
                     continue  # decided before the depth-0 traversal
@@ -542,14 +565,15 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     """Where the next level is the base case, the engine's marker DFS reads
     its runs off frame sweeps, and above it the DFS tests them: marker_dfs
-    tells the two apart by p.b <= p.k, which holds exactly where the
-    schedule's next level is the base case.  With no marker set, the swept
-    probe of _run from every gridline vertex (and from the source) on the
-    engine's own view and edge test yields exactly the candidates that the
-    edge rule plus the endpoint augmentation joins to it, in run order; it
-    asks the edge test only about the two candidates on the vertex's row
-    and column, opens at most one sweep per visit, and holds no sweep words
-    at a yield."""
+    tells the two apart by auxgraph.is_base_side(p.b, p.k), which holds
+    exactly where the schedule's next level is the base case.  With no
+    marker set, the swept probe of _run from every gridline vertex (and
+    from the source) on the engine's own view and edge test yields exactly
+    the target, if the edge rule plus the endpoint augmentation joins it to
+    the vertex, then the candidates that rule joins to it, in run order.
+    Besides the target, it asks the edge test only about the two candidates
+    on the vertex's row and column, opens at most one sweep per visit, and
+    holds no sweep words at a yield."""
     real = engine.marker_dfs
     captured = []
 
@@ -566,8 +590,8 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             g = gen_random(n, 0.6, 0.6, rng.next_u64())
             reach(g, (1, 1), (n - 1, n - 1), EngineConfig(k=2))
         for p, *_, depth in captured:
-            assert (p.b <= p.k) == (levels[depth + 1] is None), depth
-            sources.add(p.b <= p.k)
+            assert is_base_side(p.b, p.k) == (levels[depth + 1] is None), depth
+            sources.add(is_base_side(p.b, p.k))
         captured.clear()
     assert sources == {False, True}
     for n in (12, 16):
@@ -580,13 +604,23 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             reach(g, u, v, cfg)
             # u and v share no block and no line, so the DFS always runs.
             assert captured, (n, u, v)
-            (p, view, _, _, edge_test, m, _), = captured
-            assert (p.n, p.k) == (n, 4) and p.b <= p.k
+            (p, view, _, _, engine_test, m, _), = captured
+            assert (p.n, p.k) == (n, 4) and is_base_side(p.b, p.k)
             assert m.cur_tracked_words == 0
+
+            def edge_test(curr, w):  # the target's asks stay off the budgets
+                if w != v:
+                    return engine_test(curr, w)
+                spent = m.edge_queries, m.base_case_calls
+                got = engine_test(curr, w)
+                m.edge_queries, m.base_case_calls = spent
+                return got
+
             oracle = _aug_edge_oracle(p, whole(g), u, v)
             for c in [u] + gridline_vertices(p):
-                want = [w for w in iter_candidates(p, c) if w != v and oracle(c, w)]
-                inside = sum(w[0] > c[0] and w[1] > c[1] for w in want)
+                want = [v] if oracle(c, v) else []
+                want += [w for w in iter_candidates(p, c) if w != v and oracle(c, w)]
+                inside = sum(w != v and w[0] > c[0] and w[1] > c[1] for w in want)
                 edges, base = m.edge_queries, m.base_case_calls
                 run = engine._run(p, view, c, v, [-1] * (p.k + 1),
                                   [p.n + 1] * (p.k + 1), edge_test, m, 0, True)
@@ -636,7 +670,7 @@ def test_frame_sweep_released_when_the_search_ends():
             s = (rng.next_below(half), rng.next_below(half))
             t = (half + 1 + rng.next_below(n - half), half + 1 + rng.next_below(n - half))
             m = _FrameWordsMetrics(4)
-            got = reach_recursive(whole(g), s, t, cfg, m)
+            got = reach(g, s, t, cfg, m).reachable
             assert got == oracle_reach(whole(g), s, t)
             assert m.cur_tracked_words == 0
             if m.pushes:
@@ -651,11 +685,13 @@ def test_swept_run_matches_the_tested_run(n, k):
     yields on the reference edge rule (_aug_edge_oracle), visit by visit,
     with random markers that move between visits: from an interior source
     and from every gridline vertex (those with cx = n or cy = n included),
-    with the target on the frame's run and off it.  The tested probe asks
-    the edge test about exactly the candidates the reference asks about, in
-    the same order, and opens no sweep.  The swept probe opens one sweep
-    exactly when the reference tests a candidate strictly north-east of the
-    frame's vertex, and holds no sweep words at a yield."""
+    with the target on the frame's run and off it.  Both yield the target
+    first where the edge rule joins it.  The tested probe asks the edge test
+    about exactly the candidates the reference asks about, in the same
+    order, and opens no sweep.  The swept probe opens one sweep exactly
+    when the reference tests a candidate other than the target strictly
+    north-east of the frame's vertex, and holds no sweep words at a
+    yield."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(808 + n)
@@ -702,7 +738,8 @@ def test_swept_run_matches_the_tested_run(n, k):
                 assert next(tested, None) == want, where
                 assert probed == asked, where
                 assert m.cur_tracked_words == 0, (curr, want)
-                sweeps += any(w[0] > curr[0] and w[1] > curr[1] for w in asked)
+                sweeps += any(w != v and w[0] > curr[0] and w[1] > curr[1]
+                              for w in asked)
                 assert m.base_case_calls == sweeps, where
                 assert (mt.base_case_calls, mt.peak_tracked_words) == (0, 0), where
                 if want is None:
