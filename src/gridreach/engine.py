@@ -24,6 +24,17 @@ hides a reachable vertex.  The stack then never holds more than 2k+1
 frames (2k+3 when an endpoint is block-interior and enters through
 augmented edges).
 
+Every run is cut to the target's box: a DFS whose target is v never asks
+about a vertex w with w.x > v.x or w.y > v.y, because no monotone path
+leads from such a vertex back to v.  The pruned search is the unchanged
+search on G_B, the graph G with every edge that leaves [0..v.x]x[0..v.y]
+deleted: in G_B every edge test into a vertex outside the box is False,
+and every edge test between two vertices inside it equals the one in G,
+since a monotone path between them stays in the box.  G_B is itself a
+layered grid graph, so the marker argument, the stack bound, visit-once
+and the push bound hold as they are, and the word and call bounds do not
+move.  Each level's DFS has its own v, so each level has its own box.
+
 Two details extend the block-boundary edge rule at the query endpoints:
 an endpoint lying strictly inside a block is joined to every boundary
 vertex of that block it can reach (leave, for the target); and an endpoint
@@ -148,6 +159,14 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     probe finds its first candidate joined to curr, the cursor moves past
     it, and a visit that finds none ends the stretch.
 
+    The run is cut to v's box (see the module docstring): a curr outside
+    it has an empty run.  Where x1 > v.x the frame has no (x1, cy)
+    candidate, no east column and no corner; where y1 > v.y it has no
+    north row and no (cx, y1) candidate.  The east column ends at row v.y
+    (below v where v sits on it) and the north row at column v.x (left of
+    v where v sits on it), so v is never in a stretch, and a block with
+    no part in the box opens nothing.
+
     Above the last divided level the probe asks edge_test about each
     candidate of the stretch in run order.  With swept set, where an edge
     inside a block is one base-case row sweep, the probe is one row sweep
@@ -155,19 +174,24 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     stretch that is not empty: it jumps over the rows below the stretch in
     one step, reads bit b of each east-column row, and takes the north
     row's admitted reachable candidates as the set bits of the top row's
-    mask, the highest first.  The sweep is released before the candidate
-    is yielded (a push follows) and before the visit ends without one.
+    mask, the highest first; it never sweeps a row above v.  The sweep is
+    released before the candidate is yielded (a push follows) and before
+    the visit ends without one.
     """
     b = p.b
     cx, cy = curr
-    if curr != v and v[0] >= cx and v[1] >= cy and edge_test(curr, v):
+    if cx > v[0] or cy > v[1]:
+        return  # curr lies outside the box, and so does all north-east of it
+    if curr != v and edge_test(curr, v):
         yield v
     x1, y1 = ne_corner(p, curr)
-    if x1 > cx:
+    east = x1 <= v[0]  # the east column lies in the box
+    north = y1 <= v[1]  # the north row lies in the box
+    if cx < x1 and east:
         w = (x1, cy)
         if w != v and any(_admits(b, av, ah, x1, cy)) and edge_test(curr, w):
             yield w
-    if x1 > cx and y1 > cy:
+    if x1 > cx and y1 > cy and (east or north):
         x0 = x1 - b
         y0 = y1 - b
         if swept:  # the probe's block and the words its sweep holds
@@ -179,19 +203,24 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
         ly = cy - y0
         vx = v[0] - x0
         vy = v[1] - y0
+        # The box: the east-column rows below ey, the corner where
+        # in_corner, the north-row columns up to ex.  Where v lies beyond
+        # the block on both axes, that is the whole run.
+        if vx > b and vy > b:
+            ey = ex = b
+            in_corner = True
+        else:  # up to v's row and column, v excluded
+            ey = min(vy + (vx > b), b) if east else 0
+            in_corner = east and north and vx + vy > 2 * b
+            ex = vx - (vy == b) if north else lx
         y = cy + 1  # cursor: the next east-column row (y1 is the corner)
         x = x1 - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
             ty = max(y, av[i] + 1) - y0  # local rows above the vertical marker
-            corner = (y <= y1 and (av[i] < y1 or ah[j] > x1)
-                      and not (vx == b and vy == b))
-            hi = min(x, ah[j] - 1) - x0  # west of the cursor and the marker
+            corner = in_corner and y <= y1 and (av[i] < y1 or ah[j] > x1)
+            hi = min(x - x0, ah[j] - 1 - x0, ex)  # cursor, marker and box
             top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
-            if vy == b and lx < vx <= hi:
-                top ^= 1 << vx
-            # With ty < b the vertical marker admits the corner too, so the
-            # stretch holds a candidate other than v.
-            if ty >= b and not corner and not top:
+            if ty >= ey and not corner and not top:
                 break
             hit = None
             if swept:
@@ -200,15 +229,14 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
                 m.charge(words)
                 reach = 1 << lx
                 sy = ly
-                while ty < b:  # the east column below the corner
-                    if ty != vy or vx != b:
-                        reach = row_sweep(view, reach, sy, ty)
-                        sy = ty
-                        if (reach >> b) & 1:
-                            hit = x1, y0 + ty
-                            break
-                        if not reach:
-                            break
+                while ty < ey:  # the east column below the corner
+                    reach = row_sweep(view, reach, sy, ty)
+                    sy = ty
+                    if (reach >> b) & 1:
+                        hit = x1, y0 + ty
+                        break
+                    if not reach:
+                        break
                     ty += 1
                 if hit is None and reach and (corner or top):
                     reach = row_sweep(view, reach, sy, b)
@@ -220,10 +248,11 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
                             hit = x0 + top.bit_length() - 1, y1
                 m.release(words)
             else:  # one edge test per candidate of the stretch, in run order
-                # The corner ends the east column; the horizontal marker may
-                # admit it when the vertical one rules out every row.
-                for r in range(min(ty, b), b + 1) if corner else range(ty, b):
-                    if (r != vy or vx != b) and edge_test(curr, (x1, y0 + r)):
+                # The corner ends the east column (ey is b where it is in the
+                # box); the horizontal marker may admit it when the vertical
+                # one rules out every row.
+                for r in range(min(ty, b), b + 1) if corner else range(ty, ey):
+                    if edge_test(curr, (x1, y0 + r)):
                         hit = x1, y0 + r
                         break
                 else:
@@ -236,7 +265,7 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             y = hit[1] + 1  # past the hit: y1 + 1 once the corner is done
             x = hit[0] - 1  # x1 - 1 until a north-row hit
             yield hit
-    if y1 > cy:
+    if cy < y1 and north:
         w = (cx, y1)
         if w != v and any(_admits(b, av, ah, cx, y1)) and edge_test(curr, w):
             yield w
@@ -258,6 +287,11 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     pushes and the verdict are those of a search that tests every
     candidate.  Returns True as soon as a run yields v, False once the
     stack is empty.
+
+    Every run is cut to v's box, [0..v.x]x[0..v.y]: the search is the
+    unchanged one on G_B, g with every edge that leaves the box deleted
+    (see the module docstring), so every pushed vertex lies in [u, v] and
+    the bounds below hold as they do for g.
 
     Where the blocks of g are base sides (auxgraph.is_base_side), the run
     reads the candidates strictly north-east of the frame's vertex off one

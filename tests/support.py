@@ -183,13 +183,24 @@ def is_edge(p: AuxParams, g: SubgridView, u, v) -> bool:
         block_reach(p, g, blk, u, v) for blk in common_blocks(p, u, v))
 
 
-def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=iter_candidates):
+def box_candidates(p: AuxParams, curr, v):
+    """The vertices of iter_candidates(p, curr) in the target's box: those w
+    with w.x <= v.x and w.y <= v.y, in run order.  No monotone path leads
+    from a vertex outside the box back to v."""
+    for w in iter_candidates(p, curr):
+        if w[0] <= v[0] and w[1] <= v[1]:
+            yield w
+
+
+def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=None):
     """The reference run of a marker-DFS frame: first the target v, if it
     lies north-east of curr (curr excluded) and edge_test joins it to curr,
-    whatever the markers say; then the vertices of candidates(p, curr)
-    (the east column of curr's north-eastmost block going north, then its
-    north row going west), other than v, that one of their gridlines still
-    admits and that edge_test joins to curr, in that order.
+    whatever the markers say; then the vertices of candidates(p, curr),
+    other than v, that one of their gridlines still admits and that
+    edge_test joins to curr, in that order.  By default the candidates are
+    box_candidates(p, curr, v): the east column of curr's north-eastmost
+    block going north, then its north row going west, cut to v's box.  A
+    given enumeration is taken as it is, box or not.
 
     av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
     while there is none), ah[j] the x of the leftmost on horizontal
@@ -200,7 +211,8 @@ def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=iter_cand
     if curr != v and v[0] >= curr[0] and v[1] >= curr[1] and edge_test(curr, v):
         yield v
     b = p.b
-    for w in candidates(p, curr):
+    run = box_candidates(p, curr, v) if candidates is None else candidates(p, curr)
+    for w in run:
         x, y = w
         if w != v and ((x % b == 0 and av[x // b] < y)
                        or (y % b == 0 and ah[y // b] > x)) and edge_test(curr, w):

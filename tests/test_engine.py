@@ -24,8 +24,8 @@ from gridreach.auxgraph import is_base_side, iter_candidates
 from gridreach.engine import _schedule, shared_block
 from gridreach.metrics import level_charge, mask_words
 
-from support import (PushLog, common_blocks, gridline_vertices, is_edge, lattice_reach,
-                     reference_run, view_chain, watch_windows)
+from support import (PushLog, box_candidates, common_blocks, gridline_vertices, is_edge,
+                     lattice_reach, reference_run, view_chain, watch_windows)
 
 
 def whole(g):
@@ -562,6 +562,69 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
     assert checked >= 40
 
 
+class _BoxLog(PushLog):
+    """A PushLog that also notes every push, at any depth, that leaves the
+    box [u, v] of the marker DFS making it; boxes[depth] holds that DFS's
+    (u, v), set by a spy on marker_dfs."""
+
+    __slots__ = ("boxes", "outside")
+
+    def __init__(self):
+        super().__init__()
+        self.boxes = {}
+        self.outside = []
+
+    def note_push(self, depth, w, frames):
+        u, v = self.boxes[depth]
+        if not (u[0] <= w[0] <= v[0] and u[1] <= w[1] <= v[1]):
+            self.outside.append((depth, u, v, w))
+        super().note_push(depth, w, frames)
+
+
+# (n, cfg, targets): with the top level's block side b, a target on a
+# vertical gridline, one on a horizontal gridline, one on a block corner and
+# one inside a block.
+BOX_CASES = [
+    (16, EngineConfig(epsilon=1.0), [(12, 14), (14, 12), (12, 12), (13, 14)]),  # b=4
+    (16, EngineConfig(k=2), [(8, 14), (14, 8), (8, 8), (13, 14)]),  # b=8, 3 levels
+    (18, EngineConfig(k=3), [(12, 16), (16, 12), (12, 12), (14, 16)]),  # b=6, 2 levels
+]
+
+
+@pytest.mark.parametrize("n, cfg, targets", BOX_CASES)
+def test_search_stays_in_the_targets_box(monkeypatch, n, cfg, targets):
+    """No frame leaves its target's box: every vertex pushed at depth 0 lies
+    in [s, t], every vertex a deeper marker DFS pushes lies in the box of
+    that DFS's own endpoints, and every verdict equals lattice_reach."""
+    real = engine.marker_dfs
+
+    def spy(p, g, u, v, edge_test, metrics=None, depth=0):
+        metrics.boxes[depth] = (u, v)
+        return real(p, g, u, v, edge_test, metrics, depth)
+
+    monkeypatch.setattr(engine, "marker_dfs", spy)
+    rng = SplitMix64(1500 + n)
+    half = n // 2
+    divided = len(_schedule(n, cfg)[1]) - 1
+    searched = deep = 0
+    for t in targets:
+        for trial in range(10):
+            q = (0.5, 0.6, 0.7)[trial % 3]
+            g = gen_random(n, q, q, rng.next_u64())
+            s = (rng.next_below(half), rng.next_below(half))
+            m = _BoxLog()
+            got = reach(g, s, t, cfg, m).reachable
+            assert got == lattice_reach(g, (0, 0, n, n), s, t), (n, cfg, s, t)
+            top = [w for depth, w in m.log if depth == 0]
+            assert all(s[0] <= x <= t[0] and s[1] <= y <= t[1] for x, y in top), (s, t)
+            assert not m.outside, (s, t, m.outside[:3])
+            assert_no_violations(m)
+            searched += bool(top)
+            deep += len(m.log) > len(top)
+    assert searched >= 20
+    assert deep >= 10 or divided == 1
+
+
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     """Where the next level is the base case, the engine's marker DFS reads
     its runs off frame sweeps, and above it the DFS tests them: marker_dfs
@@ -570,10 +633,11 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     marker set, the swept probe of _run from every gridline vertex (and
     from the source) on the engine's own view and edge test yields exactly
     the target, if the edge rule plus the endpoint augmentation joins it to
-    the vertex, then the candidates that rule joins to it, in run order.
-    Besides the target, it asks the edge test only about the two candidates
-    on the vertex's row and column, opens at most one sweep per visit, and
-    holds no sweep words at a yield."""
+    the vertex, then the candidates in the target's box
+    (support.box_candidates) that rule joins to it, in run order.  Besides
+    the target, it asks the edge test only about the two candidates on the
+    vertex's row and column, opens at most one sweep per visit, and holds
+    no sweep words at a yield."""
     real = engine.marker_dfs
     captured = []
 
@@ -619,7 +683,7 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             oracle = _aug_edge_oracle(p, whole(g), u, v)
             for c in [u] + gridline_vertices(p):
                 want = [v] if oracle(c, v) else []
-                want += [w for w in iter_candidates(p, c) if w != v and oracle(c, w)]
+                want += [w for w in box_candidates(p, c, v) if w != v and oracle(c, w)]
                 inside = sum(w != v and w[0] > c[0] and w[1] > c[1] for w in want)
                 edges, base = m.edge_queries, m.base_case_calls
                 run = engine._run(p, view, c, v, [-1] * (p.k + 1),
@@ -681,17 +745,17 @@ def test_frame_sweep_released_when_the_search_ends():
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
 def test_swept_run_matches_the_tested_run(n, k):
-    """Both probes of _run yield what the reference run (support.reference_run)
-    yields on the reference edge rule (_aug_edge_oracle), visit by visit,
-    with random markers that move between visits: from an interior source
-    and from every gridline vertex (those with cx = n or cy = n included),
-    with the target on the frame's run and off it.  Both yield the target
-    first where the edge rule joins it.  The tested probe asks the edge test
-    about exactly the candidates the reference asks about, in the same
-    order, and opens no sweep.  The swept probe opens one sweep exactly
-    when the reference tests a candidate other than the target strictly
-    north-east of the frame's vertex, and holds no sweep words at a
-    yield."""
+    """Both probes of _run yield what the reference run (support.reference_run,
+    cut to the target's box) yields on the reference edge rule
+    (_aug_edge_oracle), visit by visit, with random markers that move
+    between visits: from an interior source and from every gridline vertex
+    (those with cx = n or cy = n included), with the target on the frame's
+    run and off it.  Both yield the target first where the edge rule joins
+    it.  The tested probe asks the edge test about exactly the candidates
+    the reference asks about, in the same order, and opens no sweep.  The
+    swept probe opens one sweep exactly when the reference tests a
+    candidate other than the target strictly north-east of the frame's
+    vertex, and holds no sweep words at a yield."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(808 + n)
@@ -709,8 +773,10 @@ def test_swept_run_matches_the_tested_run(n, k):
             if run and rng.next_below(2):
                 v = run[rng.next_below(len(run))]
                 on_run += 1
-            else:
-                v = (rng.next_below(n + 1), rng.next_below(n + 1))
+            else:  # mostly in curr's box, as in a search, else anywhere
+                lo = curr if rng.next_below(3) else (0, 0)
+                v = (lo[0] + rng.next_below(n + 1 - lo[0]),
+                     lo[1] + rng.next_below(n + 1 - lo[1]))
             edge = _aug_edge_oracle(p, g, u, v)
             asked = []  # per visit: the candidates the reference tests
             probed = []  # and those the tested probe tests
@@ -750,29 +816,35 @@ def test_swept_run_matches_the_tested_run(n, k):
                         a[rng.next_below(k + 1)] = marker(none)
             else:
                 raise AssertionError(f"the run of {curr} did not end")
-    assert hits > 100 and on_run > 20
+    assert hits > 100 and on_run > 20, (hits, on_run)
 
 
 # (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
 # pushes, pops, edge tests, peak words and base calls.  At epsilon=1.0 (k=4,
-# one divided level) reading each frame's run off one sweep per visit kept
-# the pushes and pops and cut the edge tests from 135, 176 and 105 (217, 308
-# and 156 before the markers gated them).  Base calls went from 43, 47 and
-# 24 to 49, 53 and 26, one per visit that meets an admitted candidate, and
-# the third query's peak from 31 to 33 words: the prefilter used to stop
-# sweeps before they were charged.  At epsilon=0.5 (k=2, three divided
-# levels) the upper levels test their candidates one edge at a time.
+# one divided level) each frame reads its run off one sweep per visit; at
+# epsilon=0.5 (k=2, three divided levels) the upper levels test their
+# candidates one edge at a time.  Cutting every run to its target's box
+# (no candidate east or north of the target, at every level) moved them,
+# query by query, from -> to:
+#   pushes      41 -> 17, 42 -> 33, 24 -> 18, 1110 -> 32, 161 -> 78, 51 -> 49
+#   pops        41 -> 17, 42 -> 33, 24 -> 18,  815 -> 30, 161 -> 78, 51 -> 49
+#   edge tests  54 -> 30, 83 -> 68, 51 -> 39, 2028 -> 72, 652 -> 296, 205 -> 186
+#   peak words  35 -> 31, 33 -> 33, 33 -> 31,   65 -> 57,  59 -> 59,  55 -> 55
+#   base calls  49 -> 21, 53 -> 46, 26 -> 18,  701 -> 15, 192 -> 86,  60 -> 47
+# The ids name each query by its epsilon and graph seed only, so that a
+# change of counters keeps them.
 PINNED = [
-    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 41, 41, 54, 35, 49),
-    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 42, 42, 83, 33, 53),
-    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 24, 24, 51, 33, 26),
-    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 1110, 815, 2028, 65, 701),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 161, 161, 652, 59, 192),
-    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 51, 51, 205, 55, 60),
+    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 17, 17, 30, 31, 21),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 68, 33, 46),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 39, 31, 18),
+    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 32, 30, 72, 57, 15),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 78, 78, 296, 59, 86),
+    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 49, 49, 186, 55, 47),
 ]
 
 
-@pytest.mark.parametrize("eps, seed, s, t, pushes, pops, edges, words, base", PINNED)
+@pytest.mark.parametrize("eps, seed, s, t, pushes, pops, edges, words, base", PINNED,
+                         ids=[f"{row[0]}-{row[1]:#x}" for row in PINNED])
 def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, base):
     g = gen_random(16, 0.7, 0.7, seed)
     a = reach(g, s, t, EngineConfig(epsilon=eps))
