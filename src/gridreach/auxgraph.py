@@ -68,10 +68,21 @@ def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
 # Counter-clockwise neighbor enumeration
 
 def ne_corner(p: AuxParams, v: Vertex) -> Vertex:
-    """The north-east corner (x1, y1) of the north-eastmost block holding v."""
+    """The north-east corner (x1, y1) of the north-eastmost block holding v.
+
+    This is the block rule.  A vertex w north-east of v shares a block with
+    v iff w.x <= x1 and w.y <= y1, and then the block [x1-b, x1] x [y1-b, y1]
+    holds both; off a common row and column it is their only block.  A pair
+    on one gridline lies in the two blocks on either side of the line; this
+    picks the east (north) one, and both show the same edges along the line.
+    On the lattice's east (north) edge the block index is clamped to k-1.
+    """
     b = p.b
-    k = p.k
-    return min(v[0] // b, k - 1) * b + b, min(v[1] // b, k - 1) * b + b
+    k = p.k - 1
+    qx = v[0] // b
+    qy = v[1] // b
+    # conditionals, not min(): every edge test asks this
+    return (qx if qx < k else k) * b + b, (qy if qy < k else k) * b + b
 
 
 def iter_candidates(p: AuxParams, curr: Vertex):

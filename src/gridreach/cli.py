@@ -29,18 +29,14 @@ from .metrics import Bounds, check_bounds
 _VERIFY_PROBS = (0.3, 0.5, 0.7)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _vertex(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected 'x,y', got {text!r}")
+        raise ValueError(f"expected 'x,y', got {text!r}")
     try:
         return (int(parts[0]), int(parts[1]))
     except ValueError:
-        raise UsageError(f"expected integers in 'x,y', got {text!r}") from None
+        raise ValueError(f"expected integers in 'x,y', got {text!r}") from None
 
 
 # argparse types: argparse reports an ArgumentTypeError as a usage error.
@@ -102,7 +98,7 @@ def cmd_query(args) -> int:
         with open(args.graph) as fh:
             g = parse_lgg(fh.read())
     except (OSError, LggFormatError) as exc:
-        raise UsageError(f"cannot load graph {args.graph}: {exc}") from exc
+        raise ValueError(f"cannot load graph {args.graph}: {exc}") from exc
     s = _vertex(args.s)
     t = _vertex(args.t)
     t0 = time.perf_counter()
@@ -125,7 +121,7 @@ def cmd_query(args) -> int:
 def cmd_verify(args) -> int:
     cfgs = [EngineConfig(epsilon=eps) for eps in args.epsilon_list]
     if args.trials < 0:
-        raise UsageError("--trials must be >= 0")
+        raise ValueError("--trials must be >= 0")
     rng = SplitMix64(args.seed)
     comparisons = 0
     violations = 0
@@ -255,7 +251,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:  # LggFormatError is a ValueError
+    except ValueError as exc:  # usage errors; LggFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -4,14 +4,16 @@ reach is the one query entry point.  It answers a query on a view by
 dispatching, in order: equal endpoints; impossible (west/south)
 displacement; shared row or column (straight walk); below the top level,
 a two-pass prefilter (_may_reach); small side (the oracle's row sweep);
-otherwise it divides the view into k^2 blocks and runs a marker-array DFS
-over the implicit boundary graph, deciding each edge by recursing into the
-corresponding block.  A DFS frame is its run: one generator, _run, at
-every level, which first tests the edge into the target and then walks
-the frame's candidates, skipping those the markers rule out in whole
-stretches.  At the last divided level, where that recursion would end in
-one base-case row sweep per edge, it reads the candidates as the set bits
-of one row sweep of the frame's block per visit, charged as one base case.
+both endpoints in one block (auxgraph.ne_corner, the block rule), a query
+on that block; otherwise it divides the view into k^2 blocks and runs a
+marker-array DFS over the implicit boundary graph, deciding each edge by
+recursing into the block the rule finds.  A DFS frame is its run: one
+generator, _run, at every level, which first tests the edge into the
+target and then walks the frame's candidates, skipping those the markers
+rule out in whole stretches.  At the last divided level, where that
+recursion would end in one base-case row sweep per edge, it reads the
+candidates as the set bits of one row sweep of the frame's block per
+visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; a candidate's edge is
@@ -159,13 +161,9 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     probe finds its first candidate joined to curr, the cursor moves past
     it, and a visit that finds none ends the stretch.
 
-    The run is cut to v's box (see the module docstring): a curr outside
-    it has an empty run.  Where x1 > v.x the frame has no (x1, cy)
-    candidate, no east column and no corner; where y1 > v.y it has no
-    north row and no (cx, y1) candidate.  The east column ends at row v.y
-    (below v where v sits on it) and the north row at column v.x (left of
-    v where v sits on it), so v is never in a stretch, and a block with
-    no part in the box opens nothing.
+    The run is cut to v's box, which the module docstring shows sound: it
+    asks about no vertex east or north of v, and so never about v itself
+    inside a stretch.
 
     Above the last divided level the probe asks edge_test about each
     candidate of the stretch in run order.  With swept set, where an edge
@@ -288,10 +286,8 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     candidate.  Returns True as soon as a run yields v, False once the
     stack is empty.
 
-    Every run is cut to v's box, [0..v.x]x[0..v.y]: the search is the
-    unchanged one on G_B, g with every edge that leaves the box deleted
-    (see the module docstring), so every pushed vertex lies in [u, v] and
-    the bounds below hold as they do for g.
+    Every run is cut to v's box, so every pushed vertex lies in [u, v];
+    the module docstring shows why the bounds below still hold.
 
     Where the blocks of g are base sides (auxgraph.is_base_side), the run
     reads the candidates strictly north-east of the frame's vertex off one
@@ -350,7 +346,8 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
 
 def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
               m: Metrics) -> bool:
-    """Reachability along one row or one column, given collinear endpoints.
+    """Reachability along one row or one column, given collinear endpoints
+    with v north-east of u (_reach answers every other pair before this).
 
     Any path between two vertices of a common row (column) must run
     straight along it, because the other coordinate can never dip and
@@ -360,38 +357,13 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     m.charge(Metrics.WALK_WORDS)
     m.release(Metrics.WALK_WORDS)
     if uy == vy:
-        if vx < ux:
-            return False
         need = ((1 << (vx - ux)) - 1) << ux
         return view.east_row(uy) & need == need
-    if vy < uy:
-        return False
     x = ux
     for y in range(uy, vy):
         if not (view.north_row(y) >> x) & 1:
             return False
     return True
-
-
-def shared_block(b: int, ax: int, ay: int, cx: int, cy: int) -> Vertex | None:
-    """Origin of a side-b block holding both a and c, or None.
-
-    Requires a <= c coordinate-wise.  Along each axis the lowest block
-    holding c starts at c // b, one lower when c sits on a gridline; it
-    holds a too iff it starts no higher than a's block.  Points off a
-    common row and column share at most one block.
-    """
-    qx = cx // b
-    if qx and cx == qx * b:
-        qx -= 1
-    if qx > ax // b:
-        return None
-    qy = cy // b
-    if qy and cy == qy * b:
-        qy -= 1
-    if qy > ay // b:
-        return None
-    return qx * b, qy * b
 
 
 def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
@@ -451,13 +423,14 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
     if p is None:
         return base_dfs(view, u, v, m)
 
-    b = p.b
-    o = shared_block(b, ux, uy, vx, vy)
-    if o is not None:
+    x1, y1 = ne_corner(p, u)
+    if vx <= x1 and vy <= y1:
         # Two vertices of one closed block can only be joined inside it
         # (paths never leave a block north-east-ward and return), so a
         # shared block answers the query outright.
-        x0, y0 = o
+        b = p.b
+        x0 = x1 - b
+        y0 = y1 - b
         return _reach(view.sub(x0, y0, b), (ux - x0, uy - y0),
                       (vx - x0, vy - y0), m, levels, depth + 1)
     return _divided(view, p, u, v, m, levels, depth)
@@ -482,10 +455,11 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
                     wx % b == 0 and wy % b == 0)))
                     or (curr == u and wx % b == 0 and wy % b == 0)):
                 return False
-        o = shared_block(b, cx, cy, wx, wy)
-        if o is None:
+        x1, y1 = ne_corner(p, curr)
+        if wx > x1 or wy > y1:
             return False
-        x0, y0 = o
+        x0 = x1 - b
+        y0 = y1 - b
         return _reach(view.sub(x0, y0, b), (cx - x0, cy - y0),
                       (wx - x0, wy - y0), m, levels, depth1)
 

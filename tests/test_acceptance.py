@@ -19,7 +19,6 @@ from gridreach import (
     SubgridView,
     gen_family,
     gen_random,
-    oracle_reach,
     reach,
 )
 from gridreach.metrics import predicted_calls, predicted_words
@@ -30,6 +29,7 @@ from support import (
     common_blocks,
     crossing_check,
     gridline_vertices,
+    lattice_reach,
 )
 
 # Trials per (n, p, epsilon) bin; 36 bins, 10,020 trials in all, weighted
@@ -50,17 +50,27 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 # criteria 1-3: differential sweep with traversal invariants
 
 def _differential_bin(task):
+    """Every odd trial draws its source in the south-west quadrant and its
+    target in the north-east one, as `verify` does, so that half the trials
+    run the marker DFS.  The expected verdict comes from lattice_reach on
+    the box [s, t], which shares no view code with the engine."""
     n, p, eps, seed, trials = task
     rng = SplitMix64(seed)
     cfg = EngineConfig(epsilon=eps)
+    half = n // 2
     count = 0
     mismatches = []
-    stack_viol = visit_viol = push_viol = words_over = 0
-    for _ in range(trials):
+    stack_viol = visit_viol = push_viol = words_over = pushing = deep = 0
+    for i in range(trials):
         g = gen_random(n, p, p, rng.next_u64())
-        s = (rng.next_below(n + 1), rng.next_below(n + 1))
-        t = (rng.next_below(n + 1), rng.next_below(n + 1))
-        expected = oracle_reach(SubgridView.whole(g), s, t)
+        if i % 2:
+            s = (rng.next_below(half), rng.next_below(half))
+            t = (half + 1 + rng.next_below(n - half),
+                 half + 1 + rng.next_below(n - half))
+        else:
+            s = (rng.next_below(n + 1), rng.next_below(n + 1))
+            t = (rng.next_below(n + 1), rng.next_below(n + 1))
+        expected = lattice_reach(g, (*s, *t), s, t)
         answer = reach(g, s, t, cfg)
         count += 1
         if answer.reachable != expected:
@@ -70,7 +80,10 @@ def _differential_bin(task):
         visit_viol += m.visit_once_violations
         push_viol += m.push_bound_violations
         words_over += m.peak_tracked_words > predicted_words(n, m.k_top)
-    return count, mismatches, stack_viol, visit_viol, push_viol, words_over
+        pushing += m.pushes > 0
+        deep += len(m.recursive_calls_by_depth) > 2
+    return (count, mismatches, stack_viol, visit_viol, push_viol, words_over,
+            pushing, deep)
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +109,17 @@ def differential_results():
     visit_viol = sum(r[3] for r in results)
     push_viol = sum(r[4] for r in results)
     words_over = sum(r[5] for r in results)
-    return total, mismatches, stack_viol, visit_viol, push_viol, words_over
+    coverage = (sum(r[6] for r in results), sum(r[7] for r in results))
+    return (total, mismatches, stack_viol, visit_viol, push_viol, words_over,
+            coverage)
 
 
 def test_criterion_1_differential_correctness(differential_results):
-    total, mismatches, *_ = differential_results
+    total, mismatches, *_, (pushing, deep) = differential_results
     ok = total >= 10_000 and not mismatches
     _report(1, "differential correctness", ok,
-            f"{total} trials, {len(mismatches)} disagreements"
+            f"{total} trials against lattice_reach, {len(mismatches)} "
+            f"disagreements; {pushing} push a frame, {deep} reach depth 2"
             + (f"; first: {mismatches[0]}" if mismatches else ""))
     assert total >= 10_000
     assert mismatches == []
@@ -118,7 +134,7 @@ def test_criterion_2_stack_bound(differential_results):
 
 
 def test_criterion_3_visit_once(differential_results):
-    total, _, _, visit_viol, push_viol, _ = differential_results
+    total, _, _, visit_viol, push_viol, *_ = differential_results
     ok = visit_viol == 0 and push_viol == 0
     _report(3, "visit-once", ok,
             f"{visit_viol} duplicate pushes, {push_viol} push-bound breaches "
@@ -262,7 +278,7 @@ def test_criterion_6_straight_walk():
 
 def test_criterion_7_recurrence_conformance(differential_results):
     # the bounds are derived from the schedule and the charges: no fitting
-    total, *_, words_over = differential_results
+    total, *_, words_over, _ = differential_results
     rows = []
     for n in (16, 64, 256):
         a = reach(gen_family("full", n), (0, 0), (n, n), EngineConfig(epsilon=1.0))

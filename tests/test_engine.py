@@ -20,8 +20,8 @@ from gridreach import (
     reach,
 )
 from gridreach import engine
-from gridreach.auxgraph import is_base_side, iter_candidates
-from gridreach.engine import _schedule, shared_block
+from gridreach.auxgraph import is_base_side, iter_candidates, ne_corner
+from gridreach.engine import _schedule
 from gridreach.metrics import level_charge, mask_words
 
 from support import (PushLog, box_candidates, common_blocks, gridline_vertices, is_edge,
@@ -102,19 +102,21 @@ def test_base_dfs_charges_one_reach_mask():
 # block geometry
 
 @pytest.mark.parametrize("p", [AuxParams(9, 3), AuxParams(12, 4)])
-def test_shared_block_matches_reference(p):
+def test_block_rule_matches_reference(p):
+    """ne_corner(p, a)'s block holds c exactly when a and c share a block,
+    and then it is one of the blocks they share."""
     pts = [(x, y) for y in range(p.n + 1) for x in range(p.n + 1)]
     for a in pts:
+        x1, y1 = ne_corner(p, a)
+        block = (x1 // p.b - 1, y1 // p.b - 1)
         for c in pts:
             if c[0] < a[0] or c[1] < a[1]:
                 continue
             blocks = common_blocks(p, a, c)
-            origin = shared_block(p.b, a[0], a[1], c[0], c[1])
-            if origin is None:
-                assert blocks == [], (a, c)
-            else:
-                assert origin[0] % p.b == 0 and origin[1] % p.b == 0
-                assert (origin[0] // p.b, origin[1] // p.b) in blocks, (a, c)
+            holds = c[0] <= x1 and c[1] <= y1
+            assert holds == bool(blocks), (a, c)
+            if holds:
+                assert block in blocks, (a, c)
             if a[0] != c[0] and a[1] != c[1]:
                 assert len(blocks) <= 1, (a, c)
 
