@@ -39,21 +39,18 @@ def _vertex(text: str):
         raise ValueError(f"expected integers in 'x,y', got {text!r}") from None
 
 
-# argparse types: argparse reports an ArgumentTypeError as a usage error.
-def _int_list(text: str):
-    try:
-        return [int(s) for s in text.split(",") if s]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-
-
-def _float_list(text: str):
-    try:
-        return [float(s) for s in text.split(",") if s]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated floats, got {text!r}") from None
+def _list_of(kind, words: str):
+    """An argparse type for a non-empty comma-separated list of kind;
+    argparse reports the ArgumentTypeError as a usage error."""
+    def parse(text: str):
+        try:
+            items = [kind(s) for s in text.split(",") if s]
+        except ValueError:
+            items = []
+        if items:
+            return items
+        raise argparse.ArgumentTypeError(f"expected comma-separated {words}, got {text!r}")
+    return parse
 
 
 def _violations(m) -> int:
@@ -228,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=cmd_query)
 
     verify = sub.add_parser("verify", help="differential check against the oracle")
-    verify.add_argument("--n-list", type=_int_list, required=True)
+    verify.add_argument("--n-list", type=_list_of(int, "integers"), required=True)
     verify.add_argument("--trials", type=int, required=True)
     verify.add_argument("--seed", type=int, required=True)
-    verify.add_argument("--epsilon-list", type=_float_list, required=True)
+    verify.add_argument("--epsilon-list", type=_list_of(float, "floats"), required=True)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="measure and compare against the bounds")
-    bench.add_argument("--n-list", type=_int_list, required=True)
+    bench.add_argument("--n-list", type=_list_of(int, "integers"), required=True)
     bench.add_argument("--epsilon", type=float)
     bench.add_argument("--k", type=int)
     bench.add_argument("--family", default="full", choices=FAMILIES)

@@ -9,22 +9,21 @@ on that block; otherwise it divides the view into k^2 blocks and runs a
 marker-array DFS over the implicit boundary graph, deciding each edge by
 recursing into the block the rule finds.  A DFS frame is its run: one
 generator, _run, at every level, which first tests the edge into the
-target and then walks the frame's candidates, skipping those the markers
-rule out in whole stretches.  At the last divided level, where that
-recursion would end in one base-case row sweep per edge, it reads the
-candidates as the set bits of one row sweep of the frame's block per
-visit, charged as one base case.
+target, where the target lies in the frame's block, and then walks the
+frame's candidates, skipping those the markers rule out in whole
+stretches.  At the last divided level, where that recursion would end in
+one base-case row sweep per edge, it reads the candidates as the set bits
+of one row sweep of the frame's block per visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
-so far, and per horizontal gridline the leftmost; a candidate's edge is
-tested, and the candidate pushed, only when one of its lines still admits
-it, so a candidate the markers reject costs no recursion.  Each run tests
-the edge into the target once, first, before it enumerates anything else.
-Neighbors are cycled in counter-clockwise order starting due east, so
-lower and righter targets are explored first and the skip rule never
-hides a reachable vertex.  The stack then never holds more than 2k+1
-frames (2k+3 when an endpoint is block-interior and enters through
-augmented edges).
+so far, and per horizontal gridline the leftmost; they take the place of
+a visited set.  A candidate's edge is tested, and the candidate pushed,
+only when one of its lines still admits it, so a candidate the markers
+reject costs no recursion.  Neighbors are cycled in counter-clockwise
+order starting due east, so lower and righter targets are explored first
+and the skip rule never hides a reachable vertex.  The stack then never
+holds more than 2k+1 frames (2k+3 when an endpoint is block-interior and
+enters through augmented edges).
 
 Every run is cut to the target's box: a DFS whose target is v never asks
 about a vertex w with w.x > v.x or w.y > v.y, because no monotone path
@@ -133,8 +132,9 @@ def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[boo
 
     av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
     while there is none), ah[j] the x of the leftmost on horizontal
-    gridline j (past the lattice while there is none).  A line admits w
-    while its marker lies strictly below (left of) w.
+    gridline j (past the lattice while there is none).  A vertical line
+    admits w while its marker lies strictly below w, a horizontal one while
+    its marker lies strictly right of w.
     """
     return (wx % b == 0 and av[wx // b] < wy,
             wy % b == 0 and ah[wy // b] > wx)
@@ -148,7 +148,8 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     the frame's vertex and its cursor, the resume slot, between visits.
 
     The target comes first, asked of edge_test once where it lies
-    north-east of curr, and no marker is consulted for it: a target
+    north-east of curr inside curr's north-eastmost block (the block rule,
+    auxgraph.ne_corner), and no marker is consulted for it: a target
     sitting below a marker must still be recognized.  The run is the east
     column of curr's north-eastmost block going north, then its north row
     going west.  Its two candidates on curr's own row and column, (x1, cy)
@@ -180,9 +181,9 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     cx, cy = curr
     if cx > v[0] or cy > v[1]:
         return  # curr lies outside the box, and so does all north-east of it
-    if curr != v and edge_test(curr, v):
-        yield v
     x1, y1 = ne_corner(p, curr)
+    if curr != v and v[0] <= x1 and v[1] <= y1 and edge_test(curr, v):
+        yield v
     east = x1 <= v[0]  # the east column lies in the box
     north = y1 <= v[1]  # the north row lies in the box
     if cx < x1 and east:
@@ -280,11 +281,15 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     order, skipping v.  Each generator keeps its cursor, so returning to a
     frame resumes strictly past the child it just popped.  The markers gate
     the edges: a candidate that neither of its lines admits (_admits) is
-    skipped untested, and an admitting marker advances only when the
-    candidate is pushed.  The run only reads the markers, so this level's
-    pushes and the verdict are those of a search that tests every
-    candidate.  Returns True as soon as a run yields v, False once the
-    stack is empty.
+    skipped untested, and every push, the source's included, moves each
+    marker that admits the vertex onto it.  The run only reads the markers,
+    so this level's pushes and the verdict are those of a search that
+    tests every candidate.  Returns True as soon as a run yields v, False
+    once the stack is empty.
+
+    The search holds no per-vertex state, only the stack, the markers and
+    a push count.  Markers only advance, so no marker admits a vertex
+    twice, and a push after the source's that none admits breaks visit-once.
 
     Every run is cut to v's box, so every pushed vertex lies in [u, v];
     the module docstring shows why the bounds below still hold.
@@ -296,8 +301,8 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     edge_test is asked about every admitted candidate.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
-    the gridlines), of visit-once and of the push bound are counted in the
-    metrics' violation counters.
+    the gridlines), of visit-once and of the push bound (2(k+1)(n+1)+2
+    pushes) are counted in the metrics' violation counters.
     """
     m = metrics
     b = p.b
@@ -311,36 +316,34 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     level_words = level_charge(k)
     m.charge(level_words)
 
-    stack = [_run(p, g, u, v, av, ah, edge_test, m, depth, swept)]
-    pushed = {u}
-    m.note_push(depth, u, 1)
-
+    stack = []
+    pushes = 0
+    w = u
     try:
-        while stack:
-            w = next(stack[-1], None)
-            if w is None:
-                stack.pop()
-                m.note_pop()
-                continue
-            if w == v:
-                return True
+        while True:  # push w, then find the next vertex to push
             wx, wy = w
             admit_v, admit_h = _admits(b, av, ah, wx, wy)
             if admit_v:
                 av[wx // b] = wy
             if admit_h:
                 ah[wy // b] = wx
-            if w in pushed:
+            if pushes and not (admit_v or admit_h):  # the source needs none
                 m.visit_once_violations += 1
-            pushed.add(w)
+            pushes += 1
             stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, swept))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
-        return False
+            while (w := next(stack[-1], None)) is None:
+                stack.pop()
+                m.note_pop()
+                if not stack:
+                    return False
+            if w == v:
+                return True
     finally:
         m.release(level_words + Metrics.FRAME_WORDS * len(stack))
-        if len(pushed) > 2 * (k + 1) * (p.n + 1) + 2:
+        if pushes > 2 * (k + 1) * (p.n + 1) + 2:
             m.push_bound_violations += 1
 
 
@@ -456,8 +459,6 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
                     or (curr == u and wx % b == 0 and wy % b == 0)):
                 return False
         x1, y1 = ne_corner(p, curr)
-        if wx > x1 or wy > y1:
-            return False
         x0 = x1 - b
         y0 = y1 - b
         return _reach(view.sub(x0, y0, b), (cx - x0, cy - y0),

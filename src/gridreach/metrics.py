@@ -16,9 +16,9 @@ read-only input graph, the output and instrumentation are never counted.
 Space is measured by this explicit instrumentation rather than process
 RSS, which is noisy and dominated by the input itself.
 
-A marker DFS reports each push and pop to note_push and note_pop, which
-count it and charge or release its frame; a subclass may override them to
-observe the search.
+A marker DFS holds no per-vertex state.  It reports each push and pop to
+note_push and note_pop, which count it and charge or release its frame; a
+subclass may override them to observe the search.
 
 edge_queries counts the calls of a divided level's edge test: each
 decides one pair by the gridline rule and a recursive block query.  The

@@ -194,21 +194,24 @@ def box_candidates(p: AuxParams, curr, v):
 
 def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=None):
     """The reference run of a marker-DFS frame: first the target v, if it
-    lies north-east of curr (curr excluded) and edge_test joins it to curr,
-    whatever the markers say; then the vertices of candidates(p, curr),
-    other than v, that one of their gridlines still admits and that
-    edge_test joins to curr, in that order.  By default the candidates are
-    box_candidates(p, curr, v): the east column of curr's north-eastmost
-    block going north, then its north row going west, cut to v's box.  A
-    given enumeration is taken as it is, box or not.
+    lies north-east of curr (curr excluded) in a block holding curr
+    (common_blocks) and edge_test joins it to curr, whatever the markers
+    say; then the vertices of candidates(p, curr), other than v, that one
+    of their gridlines still admits and that edge_test joins to curr, in
+    that order.  By default the candidates are box_candidates(p, curr, v):
+    the east column of curr's north-eastmost block going north, then its
+    north row going west, cut to v's box.  A given enumeration is taken as
+    it is, box or not.
 
     av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
     while there is none), ah[j] the x of the leftmost on horizontal
-    gridline j (past the lattice while there is none).  A line admits w
-    while its marker lies strictly below (left of) w.  The markers are read
-    afresh for every candidate, and each admitted one costs an edge test.
+    gridline j (past the lattice while there is none).  A vertical line
+    admits w while its marker lies strictly below w, a horizontal one while
+    its marker lies strictly right of w.  The markers are read afresh for
+    every candidate, and each admitted one costs an edge test.
     """
-    if curr != v and v[0] >= curr[0] and v[1] >= curr[1] and edge_test(curr, v):
+    if (curr != v and v[0] >= curr[0] and v[1] >= curr[1]
+            and common_blocks(p, curr, v) and edge_test(curr, v)):
         yield v
     b = p.b
     run = box_candidates(p, curr, v) if candidates is None else candidates(p, curr)

@@ -8,6 +8,7 @@ seed, and instance is deterministic.
 import json
 import math
 import multiprocessing as mp
+from collections import Counter
 
 import pytest
 
@@ -32,12 +33,15 @@ from support import (
     lattice_reach,
 )
 
-# Trials per (n, p, epsilon) bin; 36 bins, 10,020 trials in all, weighted
+# Trials per (n, p, epsilon) bin; 36 bins, 20,040 trials in all, weighted
 # towards small sides where trials are cheap.
 N_SIDES = (8, 12, 16, 24, 32, 48)
 P_VALUES = (0.3, 0.5, 0.7)
 EPS_VALUES = (0.5, 1.0)
-TRIALS_PER_BIN = {8: 700, 12: 500, 16: 300, 24: 100, 32: 40, 48: 30}
+TRIALS_PER_BIN = {8: 1400, 12: 1000, 16: 600, 24: 200, 32: 80, 48: 60}
+# The graph of each pair of trials, in turn: one of each fixed family, then
+# four gen_random graphs at the bin's p.
+GRAPH_CYCLE = ("full", "empty", "staircase", "single_path") + ("random",) * 4
 
 _WORKERS = 2
 
@@ -50,19 +54,27 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 # criteria 1-3: differential sweep with traversal invariants
 
 def _differential_bin(task):
-    """Every odd trial draws its source in the south-west quadrant and its
-    target in the north-east one, as `verify` does, so that half the trials
-    run the marker DFS.  The expected verdict comes from lattice_reach on
-    the box [s, t], which shares no view code with the engine."""
+    """Pairs of trials cycle through GRAPH_CYCLE.  Every odd trial draws its
+    source in the south-west quadrant and its target in the north-east
+    one, as `verify` does, so that half the trials run the marker DFS.  The
+    expected verdict comes from lattice_reach on the box [s, t], which
+    shares no view code with the engine.  Returns the totals, and per
+    graph family the trials, those that push a frame and those that reach
+    depth 2."""
     n, p, eps, seed, trials = task
     rng = SplitMix64(seed)
     cfg = EngineConfig(epsilon=eps)
     half = n // 2
     count = 0
     mismatches = []
-    stack_viol = visit_viol = push_viol = words_over = pushing = deep = 0
+    stack_viol = visit_viol = push_viol = words_over = 0
+    tried, pushing, deep = Counter(), Counter(), Counter()
     for i in range(trials):
-        g = gen_random(n, p, p, rng.next_u64())
+        family = GRAPH_CYCLE[i // 2 % len(GRAPH_CYCLE)]
+        if family == "random":
+            g = gen_random(n, p, p, rng.next_u64())
+        else:
+            g = gen_family(family, n)
         if i % 2:
             s = (rng.next_below(half), rng.next_below(half))
             t = (half + 1 + rng.next_below(n - half),
@@ -80,10 +92,11 @@ def _differential_bin(task):
         visit_viol += m.visit_once_violations
         push_viol += m.push_bound_violations
         words_over += m.peak_tracked_words > predicted_words(n, m.k_top)
-        pushing += m.pushes > 0
-        deep += len(m.recursive_calls_by_depth) > 2
+        tried[family] += 1
+        pushing[family] += m.pushes > 0
+        deep[family] += len(m.recursive_calls_by_depth) > 2
     return (count, mismatches, stack_viol, visit_viol, push_viol, words_over,
-            pushing, deep)
+            (tried, pushing, deep))
 
 
 @pytest.fixture(scope="module")
@@ -109,19 +122,21 @@ def differential_results():
     visit_viol = sum(r[3] for r in results)
     push_viol = sum(r[4] for r in results)
     words_over = sum(r[5] for r in results)
-    coverage = (sum(r[6] for r in results), sum(r[7] for r in results))
+    coverage = [sum((r[6][j] for r in results), Counter()) for j in range(3)]
     return (total, mismatches, stack_viol, visit_viol, push_viol, words_over,
             coverage)
 
 
 def test_criterion_1_differential_correctness(differential_results):
-    total, mismatches, *_, (pushing, deep) = differential_results
-    ok = total >= 10_000 and not mismatches
+    total, mismatches, *_, (tried, pushing, deep) = differential_results
+    ok = total >= 20_000 and not mismatches
+    by_family = ", ".join(f"{f} {tried[f]}/{pushing[f]}/{deep[f]}"
+                          for f in sorted(tried))
     _report(1, "differential correctness", ok,
             f"{total} trials against lattice_reach, {len(mismatches)} "
-            f"disagreements; {pushing} push a frame, {deep} reach depth 2"
+            f"disagreements; trials/push a frame/reach depth 2: {by_family}"
             + (f"; first: {mismatches[0]}" if mismatches else ""))
-    assert total >= 10_000
+    assert total >= 20_000
     assert mismatches == []
 
 
@@ -137,8 +152,8 @@ def test_criterion_3_visit_once(differential_results):
     total, _, _, visit_viol, push_viol, *_ = differential_results
     ok = visit_viol == 0 and push_viol == 0
     _report(3, "visit-once", ok,
-            f"{visit_viol} duplicate pushes, {push_viol} push-bound breaches "
-            f"across {total} trials")
+            f"{visit_viol} pushes no marker admitted, {push_viol} push-bound "
+            f"breaches across {total} trials")
     assert visit_viol == 0
     assert push_viol == 0
 
@@ -297,7 +312,7 @@ def test_criterion_7_recurrence_conformance(differential_results):
         for n, _, mc, pc, mw, pw in rows)
     _report(7, "recurrence conformance", ok,
             f"{detail}; S(256)/S(16)={space_ratio:.2f}<16; "
-            f"{words_over} of {total} random trials over the word bound")
+            f"{words_over} of {total} trials over the word bound")
     assert calls_ok
     assert words_ok
     assert sublinear

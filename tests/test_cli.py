@@ -274,8 +274,11 @@ def test_verify_negative_trials_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flag, value, words", [
-    ("--n-list", "8,x", "integers"), ("--epsilon-list", "1.0,y", "floats")])
+    ("--n-list", "8,x", "integers"), ("--epsilon-list", "1.0,y", "floats"),
+    ("--n-list", "", "integers"), ("--epsilon-list", "", "floats"),
+    ("--n-list", ",", "integers")])
 def test_verify_malformed_lists_exit_2(capsys, flag, value, words):
+    # an empty list would check nothing and pass
     args = {"--n-list": "8", "--trials": "1", "--seed": "1", "--epsilon-list": "1.0"}
     args[flag] = value
     code, out, err = run(capsys, "verify", *[a for kv in args.items() for a in kv])
@@ -300,6 +303,12 @@ def test_bench_emits_one_json_line_per_n(capsys):
         for name in QUERY_FIELDS + ["predicted_calls", "predicted_words",
                                     "recursive_calls", "bounds_pass"]:
             assert name in fields
+
+
+def test_bench_empty_n_list_exits_2(capsys):
+    code, out, err = run(capsys, "bench", "--n-list", ",", "--epsilon", "1.0")
+    assert code == 2
+    assert out == "" and "expected comma-separated integers" in err
 
 
 def test_bench_fixed_k_echo(capsys):

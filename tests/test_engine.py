@@ -825,23 +825,15 @@ def test_swept_run_matches_the_tested_run(n, k):
 # pushes, pops, edge tests, peak words and base calls.  At epsilon=1.0 (k=4,
 # one divided level) each frame reads its run off one sweep per visit; at
 # epsilon=0.5 (k=2, three divided levels) the upper levels test their
-# candidates one edge at a time.  Cutting every run to its target's box
-# (no candidate east or north of the target, at every level) moved them,
-# query by query, from -> to:
-#   pushes      41 -> 17, 42 -> 33, 24 -> 18, 1110 -> 32, 161 -> 78, 51 -> 49
-#   pops        41 -> 17, 42 -> 33, 24 -> 18,  815 -> 30, 161 -> 78, 51 -> 49
-#   edge tests  54 -> 30, 83 -> 68, 51 -> 39, 2028 -> 72, 652 -> 296, 205 -> 186
-#   peak words  35 -> 31, 33 -> 33, 33 -> 31,   65 -> 57,  59 -> 59,  55 -> 55
-#   base calls  49 -> 21, 53 -> 46, 26 -> 18,  701 -> 15, 192 -> 86,  60 -> 47
-# The ids name each query by its epsilon and graph seed only, so that a
-# change of counters keeps them.
+# candidates one edge at a time.  The ids name each query by its epsilon
+# and graph seed only, so that a change of counters keeps them.
 PINNED = [
-    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 17, 17, 30, 31, 21),
-    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 68, 33, 46),
-    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 39, 31, 18),
-    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 32, 30, 72, 57, 15),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 78, 78, 296, 59, 86),
-    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 49, 49, 186, 55, 47),
+    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 17, 17, 18, 31, 21),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 33, 46),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 31, 18),
+    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 32, 30, 51, 57, 15),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 78, 78, 239, 59, 86),
+    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 49, 49, 156, 55, 47),
 ]
 
 
@@ -895,7 +887,7 @@ def test_marker_arrays_only_advance():
         m = PushLog()
         marker_dfs(p, g, (0, 0), (12, 12), _edge_oracle_from(g, p), m)
         markers = _Markers(p.b)
-        for _, w in m.log[1:]:  # the source is pushed unconditionally
+        for _, w in m.log:
             assert any(markers.admits(w)), w
             markers.push(w)
 
@@ -903,7 +895,8 @@ def test_marker_arrays_only_advance():
 def test_edge_test_asked_only_for_admitted_candidates():
     """The markers gate the edge test: apart from the entry tests into the
     target, every edge the search asks about leads to a candidate that a
-    marker, as it stood at that moment, still admits."""
+    marker, as it stood at that moment, still admits.  The target
+    included, every edge asked about lies in a block holding its tail."""
     rng = SplitMix64(313)
     checked = 0
     for p in (AuxParams(12, 3), AuxParams(16, 4)):
@@ -924,11 +917,12 @@ def test_edge_test_asked_only_for_admitted_candidates():
 
             marker_dfs(p, g, u, v, edge_test, m)
             markers = _Markers(p.b)
-            replayed = 1  # the source is pushed unconditionally
+            replayed = 0
             for pushes, curr, w in asked:
                 for _, x in m.log[replayed:pushes]:
                     markers.push(x)
                 replayed = pushes
+                assert common_blocks(p, curr, w), (p, u, v, curr, w)
                 if w != v:
                     assert any(markers.admits(w)), (p, u, v, curr, w)
                     checked += 1
@@ -957,19 +951,25 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     full = whole(gen_family("full", 12))
     u, v = (0, 0), (12, 12)
 
-    def run(fault, edge_test=lambda c, w: w != v):
-        # A frame's run is the reference run over the faulty enumeration.
-        monkeypatch.setattr(engine, "_run", lambda p, g, curr, v, av, ah, test, *_:
-                            reference_run(p, curr, v, av, ah, test, fault))
+    def run(fault, target=v, fresh=False):
+        # A frame's run is the reference run over the faulty enumeration
+        # (the box's, for None), on the engine's markers or, with fresh
+        # set, on markers nothing has moved, so that it ignores every push.  Every edge into the
+        # target is refused, so no frame's entry test ends the search.
+        def frame(p, g, curr, v, av, ah, test, *_):
+            if fresh:
+                av, ah = [-1] * (p.k + 1), [p.n + 1] * (p.k + 1)
+            return reference_run(p, curr, v, av, ah, test, fault)
+
+        monkeypatch.setattr(engine, "_run", frame)
         m = Metrics()
-        got = marker_dfs(p, full, u, v, edge_test, m)
+        got = marker_dfs(p, full, u, target, lambda c, w: w != target, m)
         return got, (m.stack_bound_violations, m.visit_once_violations,
                      m.push_bound_violations)
 
     # The enumeration climbs column 0 one vertex at a time and stops after
     # `pushes` vertices.  Past the top it skips the horizontal gridlines,
-    # which have no marker there.  Every edge into v is refused, so no
-    # frame's entry test ends the search.
+    # which have no marker there.
     bound = 2 * (p.k + 1) * (p.n + 1) + 2
     ys = [y for y in range(2 * bound) if y <= p.n or y % p.b]
 
@@ -985,21 +985,16 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     # column, and the stack climbs to 13 frames against the 2k+1 = 7 bound.
     assert run(climb(p.n + 1)) == (False, (6, 0, 0))
 
-    # Visit-once: the enumeration offers the current vertex back first.
-    # Both markers still admit the source, which is pushed a second time;
-    # every later vertex moved its own markers onto itself when pushed, so
-    # the strict marker tests refuse it.  Only the edge from the source
-    # into v is refused, so the first vertex pushed past the source's
-    # second frame reaches v.
-    def self_first(p, curr):
-        yield curr
-        yield from iter_candidates(p, curr)
-
-    assert run(self_first, lambda c, w: (c, w) != (u, v)) == (True, (0, 1, 0))
+    # Visit-once: runs that ignore the markers offer every vertex again
+    # each time a frame reaches it.  Towards (6, 5) the search pushes 13
+    # distinct vertices 30 times; the engine's markers admit none of the 17
+    # repeats, nor 3 first pushes of vertices they had ruled out.
+    assert run(None, (6, 5), fresh=True) == (False, (0, 20, 0))
 
     # Push bound: inside the lattice each marker advances at most n+1
-    # times, so at most 2(k+1)(n+1)+1 distinct vertices are pushed and the
-    # bound of 2(k+1)(n+1)+2 is out of reach.  Only an enumeration that
-    # leaves the lattice can breach it.
+    # times, and every push but the source's advances one, so at most
+    # 2(k+1)(n+1)+1 pushes are admitted and the bound of 2(k+1)(n+1)+2 is
+    # out of reach.  Besides pushes no marker admits, only an enumeration
+    # that leaves the lattice can breach it.
     assert run(climb(bound)) == (False, (bound - 7, 0, 0))
     assert run(climb(bound + 1)) == (False, (bound - 6, 0, 1))
