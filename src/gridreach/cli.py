@@ -117,8 +117,8 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     cfgs = [EngineConfig(epsilon=eps) for eps in args.epsilon_list]
-    if args.trials < 0:
-        raise ValueError("--trials must be >= 0")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     rng = SplitMix64(args.seed)
     comparisons = 0
     violations = 0

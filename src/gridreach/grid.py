@@ -25,9 +25,14 @@ parse_lgg(emit_lgg(g)) == g.
 
 from __future__ import annotations
 
+import math
+
 Vertex = tuple[int, int]  # (x, y); x east, y north
 
 _U64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -36,6 +41,10 @@ class SplitMix64:
     Chosen because it is trivially portable: the stream for a given seed is
     identical on every platform and Python version, which keeps generated
     instances reproducible everywhere.
+
+    It is counter-based: after j draws the state is seed + j*GAMMA (mod
+    2**64), and draw j (from 0) is the mix of seed + (j+1)*GAMMA alone, so
+    draws can be computed out of order (``gen_random`` does).
     """
 
     __slots__ = ("_state",)
@@ -44,10 +53,10 @@ class SplitMix64:
         self._state = seed & _U64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
+        self._state = (self._state + _GAMMA) & _U64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        z = ((z ^ (z >> 30)) * _MIX1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX2) & _U64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -293,30 +302,75 @@ def emit_lgg(g: LayeredGridGraph) -> str:
 # ---------------------------------------------------------------------------
 # Generators
 
+def _lanes(values) -> int:
+    """One int holding each value in its own 128-bit lane, the first value
+    in the lowest lane."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values),
+                          "little")
+
+
+def _flag_lane(p: float) -> int:
+    """The lane from which subtracting a draw u < 2**64 leaves the ASCII
+    digit of ``next_float() < p`` in bits 64-71 and never borrows.
+
+    next_float() is (u >> 11) * 2**-53 and p * 2**53 is exact, so the draw
+    lies below p exactly when u >> 11 < t = ceil(p * 2**53), that is when
+    u < t * 2**11.  The lane is ord('1') * 2**64 + t * 2**11 - 1: the
+    difference keeps 0x31 in bits 64-71 when u < t * 2**11 and drops to
+    0x30 otherwise.
+    """
+    return (ord("1") << 64) + (math.ceil(p * 2.0**53) << 11) - 1
+
+
 def gen_random(n: int, p_north: float, p_east: float, seed: int) -> LayeredGridGraph:
     """Independent Bernoulli edges from a SplitMix64 stream.
 
     Draw order is fixed (rows y=0..n, columns x=0..n within a row; a north
     draw where y < n, then an east draw where x < n) so identical arguments
     give byte-identical graphs on every platform.
+
+    The draws of a row are evaluated at once.  SplitMix64 is counter-based
+    (draw j mixes seed + (j+1)*GAMMA alone), so the row's counters go into
+    128-bit lanes of one int and the mix runs on all lanes together: every
+    lane is cut to 64 bits before and after each multiply, so a product
+    fills at most its own lane.  Subtracting the draws from ``_flag_lane``
+    constants turns each into the digit of ``next_float() < p``, and the
+    row masks are read off those digits.  The graph equals the one drawn a
+    float at a time through ``SplitMix64.next_float`` in the order above.
     """
     if not (0.0 <= p_north <= 1.0 and 0.0 <= p_east <= 1.0):
         raise ValueError("edge probabilities must lie in [0, 1]")
     if n < 1:
         raise ValueError("side must be >= 1")
-    rng = SplitMix64(seed)
+    width = 2 * n + 1  # a row's draws below the top: N E N E ... E N
+    ones = _lanes([1] * width)
+    mask = _U64 * ones
+    # Lane i holds the counter of the row's draw i: seed + (i+1)*GAMMA for
+    # row 0, and every row advances it by width*GAMMA.
+    counters = (seed & _U64) * ones + _lanes((i + 1) * _GAMMA for i in range(width))
+    row_step = (width * _GAMMA & _U64) * ones
+    kn = _flag_lane(p_north)
+    ke = _flag_lane(p_east)
+    row_flags = _lanes([kn, ke] * n + [kn])
+    # The top row draws only its n east edges; the other n+1 lanes run
+    # past the end of the stream and are dropped.
+    top_flags = _lanes([ke] * width)
     north = [0] * (n + 1)
     east = [0] * (n + 1)
     for y in range(n + 1):
-        nm = 0
-        em = 0
-        for x in range(n + 1):
-            if y < n and rng.next_float() < p_north:
-                nm |= 1 << x
-            if x < n and rng.next_float() < p_east:
-                em |= 1 << x
-        north[y] = nm
-        east[y] = em
+        z = counters & mask
+        counters = z + row_step
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z = (row_flags if y < n else top_flags) - ((z ^ (z >> 31)) & mask)
+        # Big-endian bytes put the last lane first; byte 7 of each 16 is
+        # its flag digit, so the digits read from column n down to 0.
+        digits = z.to_bytes(16 * width, "big")[7::16]
+        if y < n:
+            north[y] = int(digits[::2], 2)
+            east[y] = int(digits[1::2], 2)
+        else:
+            east[y] = int(digits[-n:], 2)
     return LayeredGridGraph(n, north, east)
 
 

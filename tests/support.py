@@ -8,7 +8,7 @@ the marker DFS's pushes.
 
 from __future__ import annotations
 
-from gridreach import AuxParams, LayeredGridGraph, Metrics, SubgridView
+from gridreach import AuxParams, LayeredGridGraph, Metrics, SplitMix64, SubgridView
 from gridreach.auxgraph import iter_candidates
 
 
@@ -39,6 +39,23 @@ def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def reference_gen_random(n: int, p_north: float, p_east: float,
+                         seed: int) -> LayeredGridGraph:
+    """``gen_random`` drawn one float at a time through
+    ``SplitMix64.next_float``: rows y=0..n, columns x=0..n, a north draw
+    where y < n, then an east draw where x < n."""
+    rng = SplitMix64(seed)
+    north = [0] * (n + 1)
+    east = [0] * (n + 1)
+    for y in range(n + 1):
+        for x in range(n + 1):
+            if y < n and rng.next_float() < p_north:
+                north[y] |= 1 << x
+            if x < n and rng.next_float() < p_east:
+                east[y] |= 1 << x
+    return LayeredGridGraph(n, north, east)
 
 
 def view_chain(g: LayeredGridGraph, steps: int, pick):

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,8 @@ from gridreach import (
     parse_lgg,
 )
 
-from support import lattice_reach, view_chain, watch_windows
+from gridreach.grid import _GAMMA, _MIX1, _MIX2, _U64
+from support import lattice_reach, reference_gen_random, view_chain, watch_windows
 
 
 @st.composite
@@ -96,6 +100,79 @@ def test_gen_random_determinism():
     a = emit_lgg(gen_random(8, 0.5, 0.5, seed=7))
     b = emit_lgg(gen_random(8, 0.5, 0.5, seed=7))
     assert a == b
+
+
+# sha256 prefixes of emit_lgg(gen_random(n, p_north, p_east, seed)), taken
+# from the generator that drew one float at a time.
+GEN_RANDOM_DIGESTS = [
+    ((16, 0.5, 0.5, 7), "e50f76152491daac"),
+    ((16, 0.7, 0.7, 1), "aa9b3d03246b6e21"),
+    ((512, 0.2, 0.2, 2), "5ade57f173d74679"),
+    ((33, 0.3, 0.6, -5), "f95efb958360c0d5"),
+    ((9, 0.5, 0.25, 2**64 + 3), "3293f557f21e8474"),
+    ((1, 1.0, 0.0, 0), "cf2926627b9ac3c8"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GEN_RANDOM_DIGESTS)
+def test_gen_random_bytes_are_pinned(args, digest):
+    text = emit_lgg(gen_random(*args))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# At these p, p * 2**53 is an integer, so the edge test's threshold is met
+# exactly; one ulp either side checks its rounding.  Random seeds almost
+# never draw the threshold itself: test_gen_random_ties_at_the_threshold
+# forces it.
+_EXACT = [0.0, 0.25, 0.5, 1.0]
+_PROBS = st.one_of(
+    st.sampled_from(_EXACT
+                    + [math.nextafter(p, 0.0) for p in _EXACT if p > 0]
+                    + [math.nextafter(p, 1.0) for p in _EXACT if p < 1]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_SEEDS = st.one_of(
+    st.sampled_from([0, -1, -5, 2**63, 2**64 - 1, 2**64, 2**64 + 3, -2**64]),
+    st.integers(min_value=-2**70, max_value=2**70),
+)
+
+
+@given(st.integers(min_value=1, max_value=40), _PROBS, _PROBS, _SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_gen_random_matches_the_float_by_float_draws(n, p_north, p_east, seed):
+    assert gen_random(n, p_north, p_east, seed) == reference_gen_random(
+        n, p_north, p_east, seed)
+
+
+def _seed_for_draw(u, j):
+    """A seed whose SplitMix64 draw j (from 0) is u: the mix is invertible,
+    xor-shifts by iteration and the odd multipliers by their inverses."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(u, 31)
+    z = unshift(z * pow(_MIX2, -1, 2**64) & _U64, 27)
+    z = unshift(z * pow(_MIX1, -1, 2**64) & _U64, 30)
+    return (z - (j + 1) * _GAMMA) & _U64
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_gen_random_ties_at_the_threshold(p, j):
+    # At n=1 draws 0-3 are north (0,0), east (0,0), north (1,0) and the top
+    # row's east (0,1).  Each is forced onto the threshold of p and around it.
+    t = int(p * 2**53)
+    for u in ((t << 11) - 1, t << 11, (t << 11) + 2047, (t + 1) << 11):
+        seed = _seed_for_draw(u, j)
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(j + 1)][j] == u
+        g = gen_random(1, p, p, seed)
+        assert g == reference_gen_random(1, p, p, seed)
+        edge = [g.north(0, 0), g.east(0, 0), g.north(1, 0), g.east(0, 1)][j]
+        assert edge == ((u >> 11) * 2.0**-53 < p)
 
 
 def test_gen_random_extremes():
