@@ -11,9 +11,12 @@ recursing into the block the rule finds.  A DFS frame is its run: one
 generator, _run, at every level, which first tests the edge into the
 target, where the target lies in the frame's block, and then walks the
 frame's candidates, skipping those the markers rule out in whole
-stretches.  At the last divided level, where that recursion would end in
-one base-case row sweep per edge, it reads the candidates as the set bits
-of one row sweep of the frame's block per visit, charged as one base case.
+stretches.  The two candidates on the frame's own row and column need no
+recursion: a path to them runs straight, so the frame decides them itself,
+by the gridline rule and a straight walk on its block.  At the last
+divided level, where the recursion would end in one base-case row sweep
+per edge, it reads the other candidates as the set bits of one row sweep
+of the frame's block per visit, charged as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -126,6 +129,25 @@ def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics) -> bool:
     return oracle_reach(view, u, v)
 
 
+def _gridline_rule(b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex) -> bool:
+    """The gridline edge rule of a (u, v) search, for w north-east of curr:
+    False where the two share a gridline and the rule does not join them,
+    True where a path inside their block decides the edge.
+
+    Two vertices on one gridline are joined only where both are block
+    corners, where curr is a corner and w is the target v, or where curr is
+    the source u and w is a corner (the endpoint augmentation of the module
+    docstring).
+    """
+    cx, cy = curr
+    wx, wy = w
+    if (wx == cx and cx % b == 0) or (wy == cy and cy % b == 0):
+        w_corner = wx % b == 0 and wy % b == 0
+        return ((cx % b == 0 and cy % b == 0 and (w_corner or w == v))
+                or (w_corner and curr == u))
+    return True
+
+
 def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[bool, bool]:
     """The marker rule for candidate w: (its vertical line admits it, its
     horizontal line admits it).
@@ -141,7 +163,7 @@ def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[boo
 
 
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-         ah: list[int], edge_test, m: Metrics, depth: int, swept: bool):
+         ah: list[int], edge_test, m: Metrics, depth: int, swept: bool, u: Vertex):
     """A marker-DFS frame at curr: yield v if curr is joined to it, then the
     candidates of curr's run that the markers admit and that are joined to
     curr, in run order, skipping v.  The generator is the frame: it holds
@@ -153,7 +175,11 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     sitting below a marker must still be recognized.  The run is the east
     column of curr's north-eastmost block going north, then its north row
     going west.  Its two candidates on curr's own row and column, (x1, cy)
-    and (cx, y1), are decided by edge_test.  For the others, each visit
+    and (cx, y1), are decided here: the gridline rule (_gridline_rule, which
+    needs the source u), then a straight walk on curr's block, the view the
+    sweeps also read.  Each costs one edge query and each walk one call at
+    depth+1, as the edge test's recursion into the block would, so the
+    counters do not tell the two apart.  For the others, each visit
     (the entry, and each return after a pop) cuts the stretch the markers
     admit: the east-column rows above the cursor and the vertical marker,
     the corner (admitted by either marker), and the north-row columns left
@@ -186,20 +212,26 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
         yield v
     east = x1 <= v[0]  # the east column lies in the box
     north = y1 <= v[1]  # the north row lies in the box
+    if not (east or north):
+        return
+    x0 = x1 - b
+    y0 = y1 - b
+    view = g.sub(x0, y0, b)  # curr's block: its line walks and its sweeps
+    lx = cx - x0
+    ly = cy - y0
     if cx < x1 and east:
         w = (x1, cy)
-        if w != v and any(_admits(b, av, ah, x1, cy)) and edge_test(curr, w):
-            yield w
-    if x1 > cx and y1 > cy and (east or north):
-        x0 = x1 - b
-        y0 = y1 - b
-        if swept:  # the probe's block and the words its sweep holds
-            view = g.sub(x0, y0, b)
+        if w != v and any(_admits(b, av, ah, x1, cy)):
+            m.edge_queries += 1
+            if _gridline_rule(b, u, v, curr, w):
+                m.note_call(depth + 1)
+                if _straight(view, lx, ly, b, ly, m):
+                    yield w
+    if x1 > cx and y1 > cy:
+        if swept:  # the words the probe's sweep holds
             words = base_charge(b, g.base.n)
         i = x1 // b
         j = y1 // b
-        lx = cx - x0
-        ly = cy - y0
         vx = v[0] - x0
         vy = v[1] - y0
         # The box: the east-column rows below ey, the corner where
@@ -266,8 +298,12 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             yield hit
     if cy < y1 and north:
         w = (cx, y1)
-        if w != v and any(_admits(b, av, ah, cx, y1)) and edge_test(curr, w):
-            yield w
+        if w != v and any(_admits(b, av, ah, cx, y1)):
+            m.edge_queries += 1
+            if _gridline_rule(b, u, v, curr, w):
+                m.note_call(depth + 1)
+                if _straight(view, lx, ly, lx, b, m):
+                    yield w
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
@@ -275,7 +311,11 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
-    sees fit).  The stack holds the frames, and a frame is its run: the
+    sees fit) for the target and for the candidates strictly north-east of
+    the frame's vertex.  The two candidates on the vertex's own row and
+    column are decided by the run itself, by the gridline rule and a
+    straight walk in g, so edge_test must agree with that rule.  The stack
+    holds the frames, and a frame is its run: the
     _run generator of its vertex, which yields the target first if the
     vertex is joined to it, then its candidates lazily in counter-clockwise
     order, skipping v.  Each generator keeps its cursor, so returning to a
@@ -296,9 +336,9 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
 
     Where the blocks of g are base sides (auxgraph.is_base_side), the run
     reads the candidates strictly north-east of the frame's vertex off one
-    row sweep of g per visit: edge_test is asked only about the target and
-    the two candidates on the vertex's own row and column.  Above that,
-    edge_test is asked about every admitted candidate.
+    row sweep of g per visit: edge_test is asked only about the target.
+    Above that, edge_test is asked about the target and every admitted
+    candidate strictly north-east of the vertex.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound (2(k+1)(n+1)+2
@@ -330,7 +370,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             if pushes and not (admit_v or admit_h):  # the source needs none
                 m.visit_once_violations += 1
             pushes += 1
-            stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, swept))
+            stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, swept, u))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
@@ -451,18 +491,13 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:
         m.edge_queries += 1
-        cx, cy = curr
-        wx, wy = w
-        if (wx == cx and cx % b == 0) or (wy == cy and cy % b == 0):
-            if not (((cx % b == 0 and cy % b == 0) and (w == v or (
-                    wx % b == 0 and wy % b == 0)))
-                    or (curr == u and wx % b == 0 and wy % b == 0)):
-                return False
+        if not _gridline_rule(b, u, v, curr, w):
+            return False
         x1, y1 = ne_corner(p, curr)
         x0 = x1 - b
         y0 = y1 - b
-        return _reach(view.sub(x0, y0, b), (cx - x0, cy - y0),
-                      (wx - x0, wy - y0), m, levels, depth1)
+        return _reach(view.sub(x0, y0, b), (curr[0] - x0, curr[1] - y0),
+                      (w[0] - x0, w[1] - y0), m, levels, depth1)
 
     return marker_dfs(p, view, u, v, edge_test, m, depth)
 

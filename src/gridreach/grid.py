@@ -233,12 +233,35 @@ class SubgridView:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_CHAR_BY_BITS = {(False, False): ".", (True, False): "N", (False, True): "E",
-                 (True, True): "B"}
+# A row's cell x as the sum of its digits in the two masks' binary strings:
+# ord('0') + north bit, plus 2 * (ord('0') + east bit).
+_CELL_BY_SUM = bytes.maketrans(bytes(range(0x90, 0x94)), b".NEB")
+_NORTH_DIGIT = str.maketrans(".NEB", "0101")
+_EAST_DIGIT = str.maketrans(".NEB", "0011")
+_CELLS = str.maketrans("", "", ".NEB")  # deletes every legal cell
+
+
+def _row_error(row: str, y: int, n: int) -> LggFormatError:
+    """The error of the first bad cell of a row of the right length."""
+    for x, ch in enumerate(row):
+        if ch not in ".NEB":
+            return LggFormatError(f"illegal character {ch!r}", y + 2, x + 1)
+        if ch in "NB" and y == n:
+            return LggFormatError("north edge leaves the lattice (top row)", y + 2, x + 1)
+        if ch in "EB" and x == n:
+            return LggFormatError("east edge leaves the lattice (right column)",
+                                  y + 2, x + 1)
+    raise AssertionError("row has no bad cell")
 
 
 def parse_lgg(text: str) -> LayeredGridGraph:
-    """Parse LGG v1 text; raises LggFormatError with line/column on errors."""
+    """Parse LGG v1 text; raises LggFormatError with line/column on errors.
+
+    A row is read whole: it is checked for cells outside '.NEB' and for
+    edges that leave the lattice, and each bit-plane's row is the row's
+    cells mapped to binary digits, read backwards as one integer.  The
+    column of an error is that of the first bad cell.
+    """
     lines = text.splitlines()
     if not lines:
         raise LggFormatError("empty input", 1, 1)
@@ -261,42 +284,36 @@ def parse_lgg(text: str) -> LayeredGridGraph:
     north = [0] * (n + 1)
     east = [0] * (n + 1)
     for y, row in enumerate(rows):
-        line_no = y + 2
         if len(row) != n + 1:
             raise LggFormatError(
                 f"row length mismatch: expected {n + 1} characters, found {len(row)}",
-                line_no,
+                y + 2,
                 min(len(row), n + 1) + 1,
             )
-        for x, ch in enumerate(row):
-            if ch == ".":
-                continue
-            if ch not in "NEB":
-                raise LggFormatError(f"illegal character {ch!r}", line_no, x + 1)
-            if ch in "NB":
-                if y == n:
-                    raise LggFormatError("north edge leaves the lattice (top row)",
-                                         line_no, x + 1)
-                north[y] |= 1 << x
-            if ch in "EB":
-                if x == n:
-                    raise LggFormatError("east edge leaves the lattice (right column)",
-                                         line_no, x + 1)
-                east[y] |= 1 << x
+        if (row.translate(_CELLS) or row[-1] in "EB"
+                or (y == n and ("N" in row or "B" in row))):
+            raise _row_error(row, y, n)
+        north[y] = int(row.translate(_NORTH_DIGIT)[::-1], 2)
+        east[y] = int(row.translate(_EAST_DIGIT)[::-1], 2)
     return LayeredGridGraph(n, north, east)
 
 
 def emit_lgg(g: LayeredGridGraph) -> str:
-    """Canonical LGG v1 text for g (row y=0 first, newline-terminated)."""
-    out = [f"lgg 1 {g.n}"]
-    for y in range(g.n + 1):
-        nm = g.north_row(y)
-        em = g.east_row(y)
-        out.append("".join(
-            _CHAR_BY_BITS[((nm >> x) & 1 == 1, (em >> x) & 1 == 1)]
-            for x in range(g.n + 1)
-        ))
-    return "\n".join(out) + "\n"
+    """Canonical LGG v1 text for g (row y=0 first, newline-terminated).
+
+    A row is built whole: the binary strings of its two masks, column n
+    first, are added as big-endian integers with the east one doubled, so
+    byte x from the end holds cell x's digit sum (_CELL_BY_SUM), and the
+    little-endian bytes of the sum, translated, are the row.
+    """
+    n = g.n
+    fmt = f"0{n + 1}b"
+    out = [f"lgg 1 {n}".encode()]
+    for y in range(n + 1):
+        nm = int.from_bytes(format(g.north_row(y), fmt).encode(), "big")
+        em = int.from_bytes(format(g.east_row(y), fmt).encode(), "big")
+        out.append((nm + 2 * em).to_bytes(n + 1, "little").translate(_CELL_BY_SUM))
+    return b"\n".join(out).decode() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +444,15 @@ def row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
     row.  Returns the closed reach mask of row ty (0 once a lift leaves
     nothing).  A mask already closed in row y may be passed back in to
     continue the sweep.
+
+    A row closes in one carry step.  A run of east edges at columns a..c-1
+    joins columns a..c.  Adding the reached columns of the run, reach & em,
+    to em carries from the lowest reached column i through the run into
+    column c, and the xor with em leaves columns i..c set.
     """
     while True:
         em = view.east_row(y)
-        while True:
-            spread = reach | ((reach & em) << 1)
-            if spread == reach:
-                break
-            reach = spread
+        reach |= (em + (reach & em)) ^ em
         if y == ty:
             return reach
         reach &= view.north_row(y)

@@ -20,10 +20,14 @@ A marker DFS holds no per-vertex state.  It reports each push and pop to
 note_push and note_pop, which count it and charge or release its frame; a
 subclass may override them to observe the search.
 
-edge_queries counts the calls of a divided level's edge test: each
-decides one pair by the gridline rule and a recursive block query.  The
-candidates a frame sweep reads off its mask are not edge tests; each
-sweep counts one base_case_calls and one call at the next depth.
+edge_queries counts the edge tests of a divided level: each decides one
+pair by the gridline rule and a block query.  The target and the
+candidates strictly north-east of a frame's vertex go through the edge
+test, which recurses into the block; the two candidates on the vertex's
+own row and column are tested by the frame, whose straight walk counts as
+the call at the next depth that recursion would make.  The candidates a
+frame sweep reads off its mask are not edge tests; each sweep counts one
+base_case_calls and one call at the next depth.
 
 The word bound is the worst case of those same charges over the levels
 of the schedule; the engine charges through level_charge and base_charge.

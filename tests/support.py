@@ -2,13 +2,16 @@
 
 The oracles recompute structure from first principles (full closures,
 explicit edge rules) so the engine under test is never used to check
-itself.  The seams build view chains, watch the views sub makes and record
-the marker DFS's pushes.
+itself.  The references are the plain loops that faster library code
+replaced (the float-at-a-time generator, the per-character LGG codec, the
+per-bit row closure), kept for differential tests.  The seams build view
+chains, watch the views sub makes and record the marker DFS's pushes.
 """
 
 from __future__ import annotations
 
-from gridreach import AuxParams, LayeredGridGraph, Metrics, SplitMix64, SubgridView
+from gridreach import (AuxParams, LayeredGridGraph, LggFormatError, Metrics, SplitMix64,
+                       SubgridView)
 from gridreach.auxgraph import iter_candidates
 
 
@@ -54,6 +57,84 @@ def reference_gen_random(n: int, p_north: float, p_east: float,
             if y < n and rng.next_float() < p_north:
                 north[y] |= 1 << x
             if x < n and rng.next_float() < p_east:
+                east[y] |= 1 << x
+    return LayeredGridGraph(n, north, east)
+
+
+def reference_row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
+    """``row_sweep`` with each row closed one east step per pass: reach
+    spreads along the east edges until a pass adds no column."""
+    while True:
+        em = view.east_row(y)
+        while True:
+            spread = reach | ((reach & em) << 1)
+            if spread == reach:
+                break
+            reach = spread
+        if y == ty:
+            return reach
+        reach &= view.north_row(y)
+        if reach == 0:
+            return 0
+        y += 1
+
+
+_CHAR_BY_BITS = {(False, False): ".", (True, False): "N", (False, True): "E",
+                 (True, True): "B"}
+
+
+def reference_emit_lgg(g: LayeredGridGraph) -> str:
+    """``emit_lgg`` one character at a time, from the edge predicates."""
+    out = [f"lgg 1 {g.n}"]
+    for y in range(g.n + 1):
+        out.append("".join(
+            _CHAR_BY_BITS[(g.north(x, y), g.east(x, y))]
+            for x in range(g.n + 1)))
+    return "\n".join(out) + "\n"
+
+
+def reference_parse_lgg(text: str) -> LayeredGridGraph:
+    """``parse_lgg`` one character at a time, raising the same errors at the
+    same line and column."""
+    lines = text.splitlines()
+    if not lines:
+        raise LggFormatError("empty input", 1, 1)
+    head = lines[0].split(" ")
+    if len(head) != 3 or head[0] != "lgg" or head[1] != "1":
+        raise LggFormatError("malformed header, expected 'lgg 1 <n>'", 1, 1)
+    try:
+        n = int(head[2])
+    except ValueError:
+        raise LggFormatError("malformed header, side is not an integer", 1, 1) from None
+    if n < 1:
+        raise LggFormatError("side must be >= 1", 1, 1)
+    rows = lines[1:]
+    if len(rows) != n + 1:
+        raise LggFormatError(
+            f"row count mismatch: expected {n + 1} rows, found {len(rows)}",
+            len(lines) + 1 if len(rows) < n + 1 else n + 3, 1)
+    north = [0] * (n + 1)
+    east = [0] * (n + 1)
+    for y, row in enumerate(rows):
+        line_no = y + 2
+        if len(row) != n + 1:
+            raise LggFormatError(
+                f"row length mismatch: expected {n + 1} characters, found {len(row)}",
+                line_no, min(len(row), n + 1) + 1)
+        for x, ch in enumerate(row):
+            if ch == ".":
+                continue
+            if ch not in "NEB":
+                raise LggFormatError(f"illegal character {ch!r}", line_no, x + 1)
+            if ch in "NB":
+                if y == n:
+                    raise LggFormatError("north edge leaves the lattice (top row)",
+                                         line_no, x + 1)
+                north[y] |= 1 << x
+            if ch in "EB":
+                if x == n:
+                    raise LggFormatError("east edge leaves the lattice (right column)",
+                                         line_no, x + 1)
                 east[y] |= 1 << x
     return LayeredGridGraph(n, north, east)
 

@@ -131,7 +131,7 @@ def _edge_oracle_from(g, p):
 def test_algo_lggr_full_and_empty():
     """At b = k the DFS reads the candidates strictly north-east of a
     frame's vertex off row sweeps, so the supplied oracle is never asked
-    about them; at b > k it decides every edge."""
+    about them; at b > k it decides each of them."""
     for p in (AuxParams(9, 3), AuxParams(12, 3)):
         n = p.n
         asked = []
@@ -153,23 +153,28 @@ def _aug_edge_oracle(p, g, u, v):
     same-line corner hops at the two endpoints, decided by the oracle."""
     from support import block_reach, common_blocks
 
-    b = p.b
-
     def fn(curr, w):
         if w[0] < curr[0] or w[1] < curr[1] or w == curr:
             return False
-        same_line = (w[0] == curr[0] and curr[0] % b == 0) or (
-            w[1] == curr[1] and curr[1] % b == 0)
-        if same_line:
-            w_corner = w[0] % b == 0 and w[1] % b == 0
-            c_corner = curr[0] % b == 0 and curr[1] % b == 0
-            if not ((c_corner and w_corner) or (curr == u and w_corner)
-                    or (w == v and c_corner)):
-                return False
+        if not _aug_line_filter(p.b, u, v, curr, w):
+            return False
         return any(block_reach(p, g, blk, curr, w)
                    for blk in common_blocks(p, curr, w))
 
     return fn
+
+
+def _aug_line_filter(b, u, v, curr, w):
+    """The gridline filter of _aug_edge_oracle: a pair on one gridline is
+    joined only corner to corner, from the source to a corner, or from a
+    corner to the target."""
+    same_line = (w[0] == curr[0] and curr[0] % b == 0) or (
+        w[1] == curr[1] and curr[1] % b == 0)
+    if not same_line:
+        return True
+    w_corner = w[0] % b == 0 and w[1] % b == 0
+    c_corner = curr[0] % b == 0 and curr[1] % b == 0
+    return (c_corner and w_corner) or (curr == u and w_corner) or (w == v and c_corner)
 
 
 def test_algo_lggr_differential_boundary_pairs():
@@ -636,10 +641,10 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     from the source) on the engine's own view and edge test yields exactly
     the target, if the edge rule plus the endpoint augmentation joins it to
     the vertex, then the candidates in the target's box
-    (support.box_candidates) that rule joins to it, in run order.  Besides
-    the target, it asks the edge test only about the two candidates on the
-    vertex's row and column, opens at most one sweep per visit, and holds
-    no sweep words at a yield."""
+    (support.box_candidates) that rule joins to it, in run order.  It asks
+    the edge test about the target alone, deciding the two candidates on
+    the vertex's row and column itself at one edge query each, opens at
+    most one sweep per visit, and holds no sweep words at a yield."""
     real = engine.marker_dfs
     captured = []
 
@@ -675,8 +680,7 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             assert m.cur_tracked_words == 0
 
             def edge_test(curr, w):  # the target's asks stay off the budgets
-                if w != v:
-                    return engine_test(curr, w)
+                assert w == v, (curr, w)
                 spent = m.edge_queries, m.base_case_calls
                 got = engine_test(curr, w)
                 m.edge_queries, m.base_case_calls = spent
@@ -689,7 +693,7 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
                 inside = sum(w != v and w[0] > c[0] and w[1] > c[1] for w in want)
                 edges, base = m.edge_queries, m.base_case_calls
                 run = engine._run(p, view, c, v, [-1] * (p.k + 1),
-                                  [p.n + 1] * (p.k + 1), edge_test, m, 0, True)
+                                  [p.n + 1] * (p.k + 1), edge_test, m, 0, True, u)
                 got = []
                 for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
@@ -753,8 +757,10 @@ def test_swept_run_matches_the_tested_run(n, k):
     between visits: from an interior source and from every gridline vertex
     (those with cx = n or cy = n included), with the target on the frame's
     run and off it.  Both yield the target first where the edge rule joins
-    it.  The tested probe asks the edge test about exactly the candidates
-    the reference asks about, in the same order, and opens no sweep.  The
+    it.  Both decide the two candidates on the frame's own row and column
+    themselves, at one edge query for each one the reference tests.  The
+    tested probe asks the edge test about exactly the other candidates the
+    reference asks about, in the same order, and opens no sweep.  The
     swept probe opens one sweep exactly when the reference tests a
     candidate other than the target strictly north-east of the frame's
     vertex, and holds no sweep words at a yield."""
@@ -794,22 +800,30 @@ def test_swept_run_matches_the_tested_run(n, k):
             m = Metrics()
             mt = Metrics()
             ref = reference_run(p, curr, v, av, ah, edge_to(asked))
-            swept = engine._run(p, g, curr, v, av, ah, edge, m, 0, True)
-            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, False)
+            swept = engine._run(p, g, curr, v, av, ah, edge, m, 0, True, u)
+            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, False, u)
+            x1, y1 = ne_corner(p, curr)
+            lines = {(x1, curr[1]), (curr[0], y1)} - {v}  # decided by the frame
             sweeps = 0  # visits that test a candidate a sweep answers
             for _ in range(len(run) + 1):  # a visit yields one candidate or ends
                 asked.clear()
                 probed.clear()
+                spent = m.edge_queries, mt.edge_queries
                 want = next(ref, None)
                 where = (n, k, u, v, curr, av, ah)
                 assert next(swept, None) == want, where
                 assert next(tested, None) == want, where
-                assert probed == asked, where
-                assert m.cur_tracked_words == 0, (curr, want)
+                assert probed == [w for w in asked if w not in lines], where
+                line_tests = sum(w in lines for w in asked)
+                assert (m.edge_queries - spent[0], mt.edge_queries - spent[1]) == (
+                    line_tests, line_tests), where
+                assert m.cur_tracked_words == mt.cur_tracked_words == 0, (curr, want)
                 sweeps += any(w != v and w[0] > curr[0] and w[1] > curr[1]
                               for w in asked)
                 assert m.base_case_calls == sweeps, where
-                assert (mt.base_case_calls, mt.peak_tracked_words) == (0, 0), where
+                # A line walk holds its cursor, never a sweep's mask.
+                assert mt.base_case_calls == 0, where
+                assert mt.peak_tracked_words <= Metrics.WALK_WORDS, where
                 if want is None:
                     break
                 hits += 1
@@ -819,6 +833,63 @@ def test_swept_run_matches_the_tested_run(n, k):
             else:
                 raise AssertionError(f"the run of {curr} did not end")
     assert hits > 100 and on_run > 20, (hits, on_run)
+
+
+@pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2), (18, 3)])
+def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
+    """A frame decides the two candidates on its own row and column, (x1,
+    cy) and (cx, y1), without the edge test.  From an interior source and
+    from every gridline vertex, as a frame of that search and as the
+    source itself, towards the far corner and towards a target in the
+    vertex's box, both probes with no marker set yield a line candidate
+    exactly where the reference edge rule (_aug_edge_oracle) joins it.
+    Each line candidate costs one edge query, and each that passes the
+    gridline filter one call at the next depth, its straight walk.  The
+    cases cover vertices on a horizontal gridline (cy % b == 0, where
+    (x1, cy) shares their line), on a vertical one (cx % b == 0, where
+    (cx, y1) does), and both verdicts of each."""
+    p = AuxParams(n, k)
+    b = p.b
+    rng = SplitMix64(909 + n)
+    sites = gridline_vertices(p)
+    cases = set()
+    for q in (0.5, 0.8, 1.0):
+        g = whole(gen_random(n, q, q, rng.next_u64()))
+        interior = (1 + rng.next_below(b - 1), 1 + rng.next_below(b - 1))
+        for curr in [interior] + sites:
+            for u in {interior, curr}:
+                box = (curr[0] + rng.next_below(n + 1 - curr[0]),
+                       curr[1] + rng.next_below(n + 1 - curr[1]))
+                for v in {(n, n), box}:
+                    x1, y1 = ne_corner(p, curr)
+                    lines = [w for w in ((x1, curr[1]), (curr[0], y1))
+                             if w != curr and w != v and w[0] <= v[0] and w[1] <= v[1]]
+                    edge = _aug_edge_oracle(p, g, u, v)
+                    want = [w for w in lines if edge(curr, w)]
+                    walks = sum(_aug_line_filter(b, u, v, curr, w) for w in lines)
+
+                    def edge_test(c, w):
+                        assert w not in lines, (c, w)
+                        return edge(c, w)
+
+                    for swept in (False, True):
+                        m = Metrics()
+                        run = engine._run(p, g, curr, v, [-1] * (k + 1),
+                                          [n + 1] * (k + 1), edge_test, m, 0, swept, u)
+                        where = (n, k, u, v, curr, swept)
+                        assert [w for w in run if w in lines] == want, where
+                        assert m.edge_queries == len(lines), where
+                        calls = (m.recursive_calls_by_depth[1:] or [0])[0]
+                        assert calls - m.base_case_calls == walks, where
+                    for w in lines:
+                        line = ("horizontal" if w[1] == curr[1] and curr[1] % b == 0 else
+                                "vertical" if w[0] == curr[0] and curr[0] % b == 0 else
+                                "crossing")
+                        cases.add((line, curr == u, w in want))
+    assert cases == {(line, source, joined) for line in ("horizontal", "vertical")
+                     for source in (False, True) for joined in (False, True)} | {
+        ("crossing", source, joined) for source in (False, True)
+        for joined in (False, True)}, cases
 
 
 # (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
@@ -892,13 +963,17 @@ def test_marker_arrays_only_advance():
             markers.push(w)
 
 
-def test_edge_test_asked_only_for_admitted_candidates():
-    """The markers gate the edge test: apart from the entry tests into the
+def test_edge_test_asked_only_for_admitted_candidates(monkeypatch):
+    """The markers gate the edge tests: apart from the entry tests into the
     target, every edge the search asks about leads to a candidate that a
-    marker, as it stood at that moment, still admits.  The target
-    included, every edge asked about lies in a block holding its tail."""
+    marker, as it stood at that moment, still admits.  That holds for the
+    edges the edge test decides and for the two on the frame's own row and
+    column, which the frame decides itself and which are logged here where
+    they meet the gridline rule.  The target included, every edge asked
+    about lies in a block holding its tail."""
+    rule = engine._gridline_rule
     rng = SplitMix64(313)
-    checked = 0
+    checked = lines = 0
     for p in (AuxParams(12, 3), AuxParams(16, 4)):
         low = [w for w in gridline_vertices(p) if max(w) < p.n // 2]
         high = [w for w in gridline_vertices(p) if min(w) > p.n // 2]
@@ -908,14 +983,22 @@ def test_edge_test_asked_only_for_admitted_candidates():
             u = low[rng.next_below(len(low))]
             v = high[rng.next_below(len(high))]
             m = PushLog()
-            oracle = _edge_oracle_from(g, p)
+            oracle = _aug_edge_oracle(p, g, u, v)  # the frame's own rule
             asked = []
 
             def edge_test(curr, w):
                 asked.append((len(m.log), curr, w))
                 return oracle(curr, w)
 
+            def line_rule(b, u_, v_, curr, w):
+                asked.append((len(m.log), curr, w))
+                lined.append(w)
+                return rule(b, u_, v_, curr, w)
+
+            lined = []
+            monkeypatch.setattr(engine, "_gridline_rule", line_rule)
             marker_dfs(p, g, u, v, edge_test, m)
+            lines += len(lined)
             markers = _Markers(p.b)
             replayed = 0
             for pushes, curr, w in asked:
@@ -926,7 +1009,7 @@ def test_edge_test_asked_only_for_admitted_candidates():
                 if w != v:
                     assert any(markers.admits(w)), (p, u, v, curr, w)
                     checked += 1
-    assert checked > 200
+    assert checked > 200 and lines > 100, (checked, lines)
 
 
 def test_determinism_of_answers_and_metrics():

@@ -17,8 +17,9 @@ from gridreach import (
     parse_lgg,
 )
 
-from gridreach.grid import _GAMMA, _MIX1, _MIX2, _U64
-from support import lattice_reach, reference_gen_random, view_chain, watch_windows
+from gridreach.grid import _GAMMA, _MIX1, _MIX2, _U64, FAMILIES, row_sweep
+from support import (lattice_reach, reference_emit_lgg, reference_gen_random,
+                     reference_parse_lgg, reference_row_sweep, view_chain, watch_windows)
 
 
 @st.composite
@@ -91,6 +92,75 @@ def test_round_trip(g):
 def test_emit_of_parse_is_identity_on_canonical_text(g):
     text = emit_lgg(g)
     assert emit_lgg(parse_lgg(text)) == text
+
+
+@st.composite
+def family_graphs(draw, max_side=24):
+    """A graph of any family, side 1 included."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(min_value=1, max_value=max_side))
+    if family != "random":
+        return gen_family(family, n)
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    return gen_random(n, p, p, draw(st.integers(min_value=0, max_value=2**64 - 1)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lgg_codec_matches_the_reference_at_side_one(family):
+    g = gen_random(1, 0.5, 0.5, 3) if family == "random" else gen_family(family, 1)
+    text = emit_lgg(g)
+    assert text == reference_emit_lgg(g)
+    assert parse_lgg(text) == reference_parse_lgg(text) == g
+
+
+@given(family_graphs())
+@settings(max_examples=150, deadline=None)
+def test_lgg_codec_matches_the_per_character_reference(g):
+    """emit_lgg builds each row from its two masks and parse_lgg reads it
+    whole; both agree byte for byte with the per-character codec."""
+    text = emit_lgg(g)
+    assert text == reference_emit_lgg(g)
+    assert parse_lgg(text) == reference_parse_lgg(text) == g
+
+
+def _parsed(parse, text):
+    """The graph parse reads from text, or its error's message and place."""
+    try:
+        return parse(text)
+    except LggFormatError as e:
+        return str(e), e.line, e.column
+
+
+# Replacement cells: the legal ones (which may leave the lattice), ones
+# int() accepts around or inside a digit string, line breaks and a
+# non-ASCII letter.
+_CELL_EDITS = st.sampled_from(list(".NEB") * 3 + list("x_ 1+-\n\r\t\u00e9"))
+
+
+@given(family_graphs(max_side=10),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=10**6),
+                          st.integers(min_value=0, max_value=4), _CELL_EDITS),
+                min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_lgg_parse_errors_match_the_per_character_reference(g, edits):
+    """Canonical text with characters replaced, inserted or deleted, or
+    with a cell of the right column or the top row replaced, parses to the
+    reference's graph, or fails with its message, line and column."""
+    text = emit_lgg(g)
+    n = g.n
+    for pos, kind, ch in edits:
+        if kind >= 3:  # the cell where an edge may leave the lattice
+            row, x = (1 + pos % (n + 1), n) if kind == 3 else (n + 1, pos % (n + 1))
+            pos = sum(len(line) + 1 for line in text.split("\n")[:row]) + x
+            kind = 0
+        i = pos % (len(text) + 1)
+        if kind == 0:
+            text = text[:i] + ch + text[i + 1:]
+        elif kind == 1:
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    assert _parsed(parse_lgg, text) == _parsed(reference_parse_lgg, text), text
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +350,61 @@ def test_oracle_rejects_out_of_view():
     g = gen_family("full", 4)
     with pytest.raises(ValueError):
         oracle_reach(SubgridView.whole(g), (0, 0), (5, 5))
+
+
+@st.composite
+def swept_rows(draw):
+    """A graph drawn row mask by row mask, sparse or dense, with a reach
+    mask and a row range to sweep."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    full = (2 << n) - 1
+
+    def mask(top):
+        m = draw(st.integers(min_value=0, max_value=top))
+        if draw(st.booleans()):  # long runs of edges
+            m |= draw(st.integers(min_value=0, max_value=top))
+        return m
+
+    north = [mask(full) for _ in range(n)] + [0]
+    east = [mask(full >> 1) for _ in range(n + 1)]
+    y = draw(st.integers(min_value=0, max_value=n))
+    ty = draw(st.integers(min_value=y, max_value=n))
+    return LayeredGridGraph(n, north, east), mask(full), y, ty
+
+
+@given(swept_rows())
+@settings(max_examples=300, deadline=None)
+def test_row_sweep_matches_the_per_bit_closure(case):
+    """row_sweep closes each row in one carry step; it equals the closure
+    that spreads one east step per pass."""
+    g, reach, y, ty = case
+    view = SubgridView.whole(g)
+    assert row_sweep(view, reach, y, ty) == reference_row_sweep(view, reach, y, ty)
+
+
+def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
+    """The same on chains of sub views, padding ones among them, whose
+    content windows include -1 (no column or row), 0 and the whole side."""
+    rng = SplitMix64(43)
+
+    def pick(lo, hi):
+        return lo + rng.next_below(hi - lo + 1)
+
+    windows = set()
+    for _ in range(600):
+        n = 2 + rng.next_below(14)
+        density = (0.3, 0.6, 0.9)[rng.next_below(3)]
+        g = gen_random(n, density, density, rng.next_u64())
+        view, _, _ = view_chain(g, pick(1, 4), pick)
+        side = view.side
+        windows.update({-1: "-1", 0: "0", side: "side"}.get(w) for w in (view.wx, view.wy))
+        for _ in range(10):
+            reach = rng.next_u64() & ((2 << side) - 1)
+            y = rng.next_below(side + 1)
+            ty = y + rng.next_below(side - y + 1)
+            assert row_sweep(view, reach, y, ty) == reference_row_sweep(
+                view, reach, y, ty), (view, reach, y, ty)
+    assert {"-1", "0", "side"} <= windows
 
 
 def _with_extra_edge(g, rng):
