@@ -5,8 +5,10 @@ dispatching, in order: equal endpoints; impossible (west/south)
 displacement; shared row or column (straight walk); below the top level,
 a two-pass prefilter (_may_reach); small side (the oracle's row sweep);
 both endpoints in one block (auxgraph.ne_corner, the block rule), a query
-on that block; otherwise it divides the view into k^2 blocks and runs a
-marker-array DFS over the implicit boundary graph, deciding each edge by
+on that block; the entry check (_enters), one backward row sweep of the
+target's block that answers NO where no path can enter that block and
+reach the target; otherwise it divides the view into k^2 blocks and runs
+a marker-array DFS over the implicit boundary graph, deciding each edge by
 recursing into the block the rule finds.  A DFS frame is its run: one
 generator, _run, at every level, which first tests the edge into the
 target, where the target lies in the frame's block, and then walks the
@@ -83,7 +85,7 @@ class EngineConfig:
             raise ValueError("k must be >= 2")
 
 
-@dataclass
+@dataclass(slots=True)
 class Answer:
     reachable: bool
     metrics: Metrics
@@ -101,18 +103,21 @@ def choose_k(side: int, epsilon: float) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def _schedule(side: int, cfg: EngineConfig) -> tuple[int, tuple[AuxParams | None, ...]]:
-    """A query's divisor k and its decomposition at every depth.
+def _schedule(side: int, epsilon: float | None,
+              k: int | None) -> tuple[int, tuple[AuxParams | None, ...]]:
+    """A query's divisor k and its decomposition at every depth, for an
+    EngineConfig's epsilon and k.
 
     k is the given one clamped to the side, or choose_k(side, epsilon); a
     side below 2 keeps the given k, or 2.  The levels are decompose(side,
     k).  Cached, because the dispatch-only queries would otherwise pay for
-    building the AuxParams.
+    building the AuxParams; the key holds the config's two fields, not the
+    config, whose generated __hash__ would run on every query.
     """
-    if cfg.k is not None:
-        k = min(cfg.k, side) if side >= 2 else cfg.k
+    if k is not None:
+        k = min(k, side) if side >= 2 else k
     else:
-        k = choose_k(side, cfg.epsilon) if side >= 2 else 2
+        k = choose_k(side, epsilon) if side >= 2 else 2
     return k, decompose(side, k)
 
 
@@ -123,9 +128,7 @@ def base_dfs(view: SubgridView, u: Vertex, v: Vertex, metrics: Metrics) -> bool:
     metrics.base_charge.
     """
     metrics.base_case_calls += 1
-    words = base_charge(view.side, view.base.n)
-    metrics.charge(words)
-    metrics.release(words)
+    metrics.hold(base_charge(view.side, view.base.n))
     return oracle_reach(view, u, v)
 
 
@@ -199,9 +202,11 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     stretch that is not empty: it jumps over the rows below the stretch in
     one step, reads bit b of each east-column row, and takes the north
     row's admitted reachable candidates as the set bits of the top row's
-    mask, the highest first; it never sweeps a row above v.  The sweep is
-    released before the candidate is yielded (a push follows) and before
-    the visit ends without one.
+    mask, the highest first; it never sweeps a row above v.  The sweep
+    charges nothing else, so its words are held in one peak update
+    (Metrics.hold) and never across a yield.  Each row it reads is closed
+    once: between the east-column rows it asks about, the closed mask is
+    lifted into the next row before the sweep goes on.
     """
     b = p.b
     cx, cy = curr
@@ -257,18 +262,19 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             if swept:
                 m.note_call(depth + 1)
                 m.base_case_calls += 1
-                m.charge(words)
+                m.hold(words)
                 reach = 1 << lx
-                sy = ly
+                sy = ly  # the row reach lies in, not yet closed
                 while ty < ey:  # the east column below the corner
                     reach = row_sweep(view, reach, sy, ty)
-                    sy = ty
                     if (reach >> b) & 1:
                         hit = x1, y0 + ty
                         break
+                    reach &= view.north_row(ty)  # lifted, so no row closes twice
                     if not reach:
                         break
                     ty += 1
+                    sy = ty
                 if hit is None and reach and (corner or top):
                     reach = row_sweep(view, reach, sy, b)
                     if corner and (reach >> b) & 1:
@@ -277,7 +283,6 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
                         top &= reach
                         if top:
                             hit = x0 + top.bit_length() - 1, y1
-                m.release(words)
             else:  # one edge test per candidate of the stretch, in run order
                 # The corner ends the east column (ey is b where it is in the
                 # box); the horizontal marker may admit it when the vertical
@@ -397,8 +402,7 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     recover; so it exists iff every edge in between does.  Tracked state is
     O(1) words beyond the endpoints.
     """
-    m.charge(Metrics.WALK_WORDS)
-    m.release(Metrics.WALK_WORDS)
+    m.hold(Metrics.WALK_WORDS)
     if uy == vy:
         need = ((1 << (vx - ux)) - 1) << ux
         return view.east_row(uy) & need == need
@@ -420,14 +424,14 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     saved.
 
     acc, the OR of the span's east rows, holds up to `side` bits, so it is
-    charged as one (side+1)-bit mask, metrics.mask_words, while the scan
-    holds it, and released on either return.  row_span and col_need are
-    not charged: each is a range fixed by two coordinates, as _straight's
-    need is.  _reach skips the prefilter on the top-level view, where acc
-    would be as wide as the oracle's own row mask.
+    charged as one (side+1)-bit mask, metrics.mask_words; the scan charges
+    nothing else, so the mask is held in one peak update (Metrics.hold).
+    row_span and col_need are not charged: each is a range fixed by two
+    coordinates, as _straight's need is.  _reach skips the prefilter on the
+    top-level view, where acc would be as wide as the oracle's own row
+    mask.
     """
-    words = mask_words(view.side, view.base.n)
-    m.charge(words)
+    m.hold(mask_words(view.side, view.base.n))
     nr = view.north_row
     er = view.east_row
     row_span = ((2 << (vx - ux)) - 1) << ux
@@ -435,11 +439,70 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     acc = er(vy)
     for y in range(uy, vy):
         if not nr(y) & row_span:
-            m.release(words)
             return False
         acc |= er(y)
-    m.release(words)
     return acc & col_need == col_need
+
+
+def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
+            m: Metrics) -> bool:
+    """The entry check of a divided level with block side b, for u south-west
+    of v off a common row, column and block: False exactly where no vertex
+    by which a path from u can enter v's block reaches v inside it, and so
+    only where u does not reach v.
+
+    Let B be the south-west-most block holding v, [x0, x0+b] x [y0, y0+b]
+    with x0 = (vx-1)//b*b and y0 = (vy-1)//b*b.  u lies outside B (else
+    the two would share a block), so a path to v has a first vertex in B,
+    and its step into B crosses B's west column, where x0 > ux, or its
+    south row, where y0 > uy: a step east lands on x = x0, a step north
+    on y = y0, and no monotone path comes back into B from its east or
+    north.  From there the path stays in B and in [u, v].  So the check
+    sweeps backward from v over rows vy down to max(y0, uy), inside
+    columns max(x0, ux)..vx, holding one mask: the columns of the row that
+    reach v inside that box.  It returns True at the first row where the
+    west column, where it is an entry, is in the mask (x0's run of east
+    edges meets the mask before the row closes westward, so a YES exits on
+    v's row), or at row y0 where the south row is an entry, since the mask
+    is not empty there.  It returns False when the mask empties, or when
+    the sweep ends on u's row with no entry found.
+
+    It holds the mask and locals of one base case, base_charge(b, n), and
+    counts one base_case_calls; it makes no recursive call.
+    """
+    m.base_case_calls += 1
+    m.hold(base_charge(b, view.base.n))
+    x0 = (vx - 1) // b * b
+    west = 1 << x0 if x0 > ux else 0  # B's west column, where it is an entry
+    co = 1 << vx  # the columns of row y that reach v in the box
+    y = vy
+    em = view.east_row(y)
+    # x0 reaches v where its run of east edges meets co.  Tested before the
+    # box below is set up, so that a YES pays for v's row alone.
+    if west and ((em + (west & em)) ^ em | west) & co:
+        return True
+    y0 = (vy - 1) // b * b
+    lo = x0 if west else ux
+    edges = ((1 << (vx - lo)) - 1) << lo  # east edges from columns lo..vx-1
+    stop = y0 if y0 > uy else uy
+    while True:
+        # Close co westward: column x joins where the edge x -> x+1 leads
+        # into it.  Doubling shifts: g holds the columns with s edges east.
+        g = em & edges
+        s = 1
+        while g:
+            co |= (co >> s) & g
+            g &= g >> s
+            s <<= 1
+        if y == stop:
+            return stop > uy  # the south row, an entry, holds co
+        y -= 1
+        co &= view.north_row(y)
+        if not co:
+            return False
+        em = view.east_row(y)
+        if west and ((em + (west & em)) ^ em | west) & co:
+            return True
 
 
 def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
@@ -476,6 +539,8 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         y0 = y1 - b
         return _reach(view.sub(x0, y0, b), (ux - x0, uy - y0),
                       (vx - x0, vy - y0), m, levels, depth + 1)
+    if not _enters(view, p.b, ux, uy, vx, vy, m):
+        return False
     return _divided(view, p, u, v, m, levels, depth)
 
 
@@ -515,5 +580,5 @@ def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig,
     if not (0 <= t[0] <= g.n and 0 <= t[1] <= g.n):
         raise ValueError(f"target {t} outside lattice of side {g.n}")
     m = Metrics() if metrics is None else metrics
-    m.k_top, levels = _schedule(g.n, cfg)
-    return Answer(_reach(SubgridView.whole(g), s, t, m, levels, 0), m)
+    m.k_top, levels = _schedule(g.n, cfg.epsilon, cfg.k)
+    return Answer(_reach(SubgridView(g), s, t, m, levels, 0), m)

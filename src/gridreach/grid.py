@@ -181,18 +181,20 @@ class SubgridView:
     def contains(self, v: Vertex) -> bool:
         return 0 <= v[0] <= self.side and 0 <= v[1] <= self.side
 
+    # The two row reads index the base graph's bit-planes directly, not
+    # through its north_row/east_row: every search step reads rows here.
     def north_row(self, y: int) -> int:
         """Bit x set iff the local edge (x, y) -> (x, y+1) is visible."""
         if y < 0 or y >= self.wy:
             return 0
-        m = self.base.north_row(self.oy + y) >> self.ox
+        m = self.base._north[self.oy + y] >> self.ox
         return m & ((1 << (self.wx + 1)) - 1)
 
     def east_row(self, y: int) -> int:
         """Bit x set iff the local edge (x, y) -> (x+1, y) is visible."""
         if y < 0 or y > self.wy:
             return 0
-        m = self.base.east_row(self.oy + y) >> self.ox
+        m = self.base._east[self.oy + y] >> self.ox
         return m & ((1 << self.wx) - 1) if self.wx > 0 else 0
 
     def north(self, x: int, y: int) -> bool:

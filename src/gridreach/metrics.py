@@ -6,15 +6,22 @@ live marker entries (2(k+1) per decomposition level), live stack frames
 locals per live level, the straight-walk cursor, and the base case's one
 reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
 locals.  The last divided level's frame sweep is such a base case: it
-holds the same one mask and locals, charged when a visit of a DFS frame
-opens it and released before that visit pushes or pops, so it is never
-held across a push and adds nothing to the bound.  Below the top level,
-the prefilter of a block query holds one mask of the block's side+1 bits
-while it scans; its two span masks are ranges fixed by two coordinates
-and are not counted, and on the top-level view it does not run.  The
-read-only input graph, the output and instrumentation are never counted.
+holds the same one mask and locals while a visit of a DFS frame runs it,
+never across a push or pop, so it adds nothing to the bound.  So is the
+entry check of every divided level: one mask and locals of the level's
+block side, held under the levels above only, before the level charges
+its markers; it is below the prefilter term of the next depth, so it adds
+nothing to the bound either.  Below the top level, the prefilter of a
+block query holds one mask of the block's side+1 bits while it scans;
+its two span masks are ranges fixed by two coordinates and are not
+counted, and on the top-level view it does not run.  The read-only input
+graph, the output and instrumentation are never counted.
 Space is measured by this explicit instrumentation rather than process
 RSS, which is noisy and dominated by the input itself.
+
+Leaf work that charges nothing while it holds its words (the base case,
+a straight walk, the prefilter, a frame sweep and the entry check) holds
+them through hold, one peak update, in place of a charge and a release.
 
 A marker DFS holds no per-vertex state.  It reports each push and pop to
 note_push and note_pop, which count it and charge or release its frame; a
@@ -27,7 +34,9 @@ test, which recurses into the block; the two candidates on the vertex's
 own row and column are tested by the frame, whose straight walk counts as
 the call at the next depth that recursion would make.  The candidates a
 frame sweep reads off its mask are not edge tests; each sweep counts one
-base_case_calls and one call at the next depth.
+base_case_calls and one call at the next depth.  Each entry check counts
+one base_case_calls and no call: it runs inside the call of the query it
+checks.
 
 The word bound is the worst case of those same charges over the levels
 of the schedule; the engine charges through level_charge and base_charge.
@@ -80,6 +89,12 @@ class Metrics:
 
     def release(self, words: int) -> None:
         self.cur_tracked_words -= words
+
+    def hold(self, words: int) -> None:
+        """charge(words) then release(words) in one peak update: for leaf
+        work that charges nothing while it holds its words."""
+        if self.cur_tracked_words + words > self.peak_tracked_words:
+            self.peak_tracked_words = self.cur_tracked_words + words
 
     # -- time --------------------------------------------------------------
     def note_call(self, depth: int) -> None:

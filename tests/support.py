@@ -44,6 +44,31 @@ def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
     return False
 
 
+def reference_enters(g: LayeredGridGraph, origin, box, b: int, u, v) -> bool:
+    """The entry check of a divided level with block side b (``engine._enters``),
+    built on lattice_reach alone, for u south-west of v in a view's local
+    coordinates.  origin is the view's base-coordinate origin and box the
+    inclusive base-coordinate box of its content (see view_chain).
+
+    B is the south-west-most block holding v, [x0, x0+b] x [y0, y0+b] with
+    x0 = (v.x-1)//b*b and y0 = (v.y-1)//b*b.  True exactly when some vertex
+    of B's west column (where x0 > u.x) or of its south row (where y0 >
+    u.y) inside [u, v] reaches v within B.
+    """
+    ox, oy = origin
+    x0 = (v[0] - 1) // b * b
+    y0 = (v[1] - 1) // b * b
+    entries = []
+    if x0 > u[0]:
+        entries += [(x0, y) for y in range(max(y0, u[1]), v[1] + 1)]
+    if y0 > u[1]:
+        entries += [(x, y0) for x in range(max(x0, u[0]), v[0] + 1)]
+    within = (max(box[0], ox + x0), max(box[1], oy + y0),
+              min(box[2], ox + x0 + b), min(box[3], oy + y0 + b))
+    t = (ox + v[0], oy + v[1])
+    return any(lattice_reach(g, within, (ox + x, oy + y), t) for x, y in entries)
+
+
 def reference_gen_random(n: int, p_north: float, p_east: float,
                          seed: int) -> LayeredGridGraph:
     """``gen_random`` drawn one float at a time through

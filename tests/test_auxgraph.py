@@ -40,16 +40,21 @@ def _lids(p, v):
 def _engine_edge_test(g):
     """The edge rule the engine hands marker_dfs at the top level of the
     corner query on a side-9 graph (k = 3 at epsilon 1).  Its endpoints are
-    lattice corners, so the endpoint augmentation adds no edge."""
+    lattice corners, so the endpoint augmentation adds no edge.  The
+    divided level is entered directly: reach's entry check answers the
+    query on graphs where nothing enters the target's block, and then no
+    DFS runs."""
     captured = []
 
     def capture(p, view, u, v, edge_test, *args, **kw):
         captured.append((p, edge_test))
         return False
 
+    levels = engine._schedule(9, 1.0, None)[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "marker_dfs", capture)
-        reach(g, (0, 0), (9, 9), EngineConfig(epsilon=1.0))
+        engine._divided(SubgridView.whole(g), levels[0], (0, 0), (9, 9), Metrics(),
+                        levels, 0)
     (p, edge_test), = captured
     assert p == P93
     return edge_test

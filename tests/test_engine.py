@@ -20,12 +20,13 @@ from gridreach import (
     reach,
 )
 from gridreach import engine
-from gridreach.auxgraph import is_base_side, iter_candidates, ne_corner
+from gridreach.auxgraph import decompose, is_base_side, iter_candidates, ne_corner
 from gridreach.engine import _schedule
-from gridreach.metrics import level_charge, mask_words
+from gridreach.metrics import base_charge, level_charge, mask_words
 
 from support import (PushLog, box_candidates, common_blocks, gridline_vertices, is_edge,
-                     lattice_reach, reference_run, view_chain, watch_windows)
+                     lattice_reach, reference_enters, reference_run, view_chain,
+                     watch_windows)
 
 
 def whole(g):
@@ -265,7 +266,8 @@ def test_reach_fills_the_given_metrics():
 
 def _reach_view(view, s, t, cfg, m):
     """The recursion on a view, as reach runs it on the whole one."""
-    return engine._reach(view, s, t, m, engine._schedule(view.side, cfg)[1], 0)
+    levels = engine._schedule(view.side, cfg.epsilon, cfg.k)[1]
+    return engine._reach(view, s, t, m, levels, 0)
 
 
 def test_recursion_on_views():
@@ -395,6 +397,70 @@ def test_differential_view_chains(query):
     assert_no_violations(m)
 
 
+def test_entry_check_matches_the_reference():
+    """engine._enters, the entry check of a divided level, on graphs of n
+    8-24 under k 2-4, on view chains (padded ones among them), against
+    support.reference_enters: it returns False exactly where no vertex of
+    the west column or the south row of v's south-west-most block, inside
+    [u, v], reaches v within that block.  Targets lie on a vertical
+    gridline, on a horizontal one, on a corner and inside a block; sources
+    lie where both entries count, and where one does because u.x >= x0 or
+    u.y >= y0; each of these, and a padded view, sees both answers.  A
+    source outside the block never shares one with v, and each check
+    counts one base case, holds base_charge(b, n) words and makes no
+    call."""
+    rng = SplitMix64(2020)
+
+    def pick(lo, hi):
+        return lo + rng.next_below(hi - lo + 1)
+
+    cases = set()
+    checked = 0
+    for trial in range(400):
+        q = (0.4, 0.6, 0.8)[trial % 3]
+        g = gen_random(pick(8, 24), q, q, rng.next_u64())
+        view, origin, box = view_chain(g, pick(0, 2), pick)
+        side = view.side
+        k = pick(2, 4)
+        if is_base_side(side, k):
+            continue
+        p = decompose(side, k)[0]
+        b = p.b
+        padded = side < p.n or view.wx < side or view.wy < side
+        for kind, entries in itertools.product(
+                ("vertical", "horizontal", "corner", "interior"),
+                ("both", "south", "west")):
+            vx, vy = pick(1, side), pick(1, side)  # snapped onto, or off, a gridline
+            if kind in ("vertical", "corner"):
+                vx = max(vx // b * b, b)
+            else:
+                vx -= vx % b == 0
+            if kind in ("horizontal", "corner"):
+                vy = max(vy // b * b, b)
+            else:
+                vy -= vy % b == 0
+            x0 = (vx - 1) // b * b
+            y0 = (vy - 1) // b * b
+            xs = (0, x0 - 1) if entries in ("both", "west") else (x0, vx - 1)
+            ys = (0, y0 - 1) if entries in ("both", "south") else (y0, vy - 1)
+            if xs[0] > xs[1] or ys[0] > ys[1]:
+                continue
+            u = (pick(*xs), pick(*ys))
+            x1, y1 = ne_corner(p, u)
+            assert not (vx <= x1 and vy <= y1), (side, b, u, (vx, vy))
+            m = Metrics()
+            got = engine._enters(view, b, *u, vx, vy, m)
+            assert got == reference_enters(g, origin, box, b, u, (vx, vy)), (
+                view, b, u, (vx, vy))
+            assert (m.base_case_calls, m.recursive_calls_by_depth, m.cur_tracked_words,
+                    m.peak_tracked_words) == (1, [], 0, base_charge(b, g.n))
+            cases |= {(kind, got), (entries, got), ("padded", got) if padded else None}
+            checked += 1
+    assert checked > 1200
+    assert cases - {None} == {(c, got) for got in (False, True) for c in (
+        "vertical", "horizontal", "corner", "interior", "both", "south", "west", "padded")}
+
+
 @pytest.mark.parametrize("n, cfg", [(24, EngineConfig(epsilon=1.0)), (10, EngineConfig(k=4)),
                                     (13, EngineConfig(k=3)), (512, EngineConfig(epsilon=1.0))])
 def test_cut_views_keep_the_window_invariant(monkeypatch, n, cfg):
@@ -402,7 +468,7 @@ def test_cut_views_keep_the_window_invariant(monkeypatch, n, cfg):
     every view the engine cuts keeps SubgridView's window invariant
     (support.window_holds), on which its row reads rely to stay inside the
     base graph; blocks that run past the content window are among them."""
-    assert _schedule(n, cfg)[1][0].n > n
+    assert _schedule(n, cfg.epsilon, cfg.k)[1][0].n > n
     seen = watch_windows(monkeypatch)
     rng = SplitMix64(1300 + n)
     half = n // 2
@@ -438,7 +504,7 @@ def _fixed_k_depth(n, k):
 
 
 def _check_schedule(n, cfg, k):
-    got_k, levels = _schedule(n, cfg)
+    got_k, levels = _schedule(n, cfg.epsilon, cfg.k)
     assert got_k == k, (n, cfg)
     assert len(levels) == _fixed_k_depth(n, k), (n, cfg)
     assert levels[-1] is None
@@ -612,10 +678,10 @@ def test_search_stays_in_the_targets_box(monkeypatch, n, cfg, targets):
     monkeypatch.setattr(engine, "marker_dfs", spy)
     rng = SplitMix64(1500 + n)
     half = n // 2
-    divided = len(_schedule(n, cfg)[1]) - 1
+    divided = len(_schedule(n, cfg.epsilon, cfg.k)[1]) - 1
     searched = deep = 0
     for t in targets:
-        for trial in range(10):
+        for trial in range(30):
             q = (0.5, 0.6, 0.7)[trial % 3]
             g = gen_random(n, q, q, rng.next_u64())
             s = (rng.next_below(half), rng.next_below(half))
@@ -656,7 +722,7 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
     rng = SplitMix64(606)
     sources = set()
     for n in (16, 24):  # several divided levels
-        levels = _schedule(n, EngineConfig(k=2))[1]
+        levels = _schedule(n, None, 2)[1]
         for _ in range(6):
             g = gen_random(n, 0.6, 0.6, rng.next_u64())
             reach(g, (1, 1), (n - 1, n - 1), EngineConfig(k=2))
@@ -747,6 +813,37 @@ def test_frame_sweep_released_when_the_search_ends():
                 answers.add(got)
                 assert m.base_case_calls > 0
     assert answers == {False, True}
+
+
+def test_frame_sweep_closes_each_row_once(monkeypatch):
+    """Within one visit, a frame sweep's row_sweep calls cover disjoint
+    rows: each call after the first starts on the row above the one the
+    last call closed, the mask lifted into it, never on that row again.
+    A visit's first call starts on the frame's own row, below every row
+    the frame's earlier calls closed."""
+    real = engine.row_sweep
+    calls = []  # (view, first row, last row), the views kept alive
+
+    def spy(view, reach, y, ty):
+        calls.append((view, y, ty))
+        return real(view, reach, y, ty)
+
+    monkeypatch.setattr(engine, "row_sweep", spy)
+    rng = SplitMix64(808)
+    for cfg in (EngineConfig(epsilon=1.0), EngineConfig(epsilon=0.5)):
+        for _ in range(40):
+            g = gen_random(16, 0.7, 0.7, rng.next_u64())
+            s = (rng.next_below(8), rng.next_below(8))
+            t = (9 + rng.next_below(8), 9 + rng.next_below(8))
+            assert reach(g, s, t, cfg).reachable == oracle_reach(whole(g), s, t)
+    last = {}
+    lifted = 0
+    for view, y, ty in calls:
+        prev = last.get(id(view))
+        assert prev is None or y != prev, (view, y, ty)
+        lifted += prev is not None and y == prev + 1
+        last[id(view)] = ty
+    assert lifted > 100
 
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
@@ -896,15 +993,21 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
 # pushes, pops, edge tests, peak words and base calls.  At epsilon=1.0 (k=4,
 # one divided level) each frame reads its run off one sweep per visit; at
 # epsilon=0.5 (k=2, three divided levels) the upper levels test their
-# candidates one edge at a time.  The ids name each query by its epsilon
-# and graph seed only, so that a change of counters keeps them.
+# candidates one edge at a time.  Every divided level first runs the entry
+# check, one base call: the rows with no push are queries it answers at the
+# top level, and at 0x3fd8e85ac1ae6d0 it answers some of the block queries
+# below.  The ids name each query by its epsilon and graph seed only, so that
+# a change of counters keeps them.
 PINNED = [
-    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 17, 17, 18, 31, 21),
-    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 33, 46),
-    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 31, 18),
-    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 32, 30, 51, 57, 15),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 78, 78, 239, 59, 86),
-    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 49, 49, 156, 55, 47),
+    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 0, 0, 0, 5, 1),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 33, 47),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 31, 19),
+    (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 33, 25),
+    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 0, 0, 0, 6, 1),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 59, 114),
+    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 0, 0, 0, 6, 1),
+    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 62, 62, 213, 55, 90),
+    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 36, 36, 97, 55, 51),
 ]
 
 
@@ -918,6 +1021,10 @@ def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, ba
     assert (m.pushes, m.pops, m.edge_queries, m.peak_tracked_words) == (
         pushes, pops, edges, words)
     assert m.base_case_calls == base
+    # The DFS runs at the top level exactly where the check passes.
+    assert (m.peak_stack_by_depth[:1] != []) == (pushes > 0)
+    if not pushes:
+        assert m.recursive_calls_by_depth == [1]
     assert m.cur_tracked_words == 0
     assert_no_violations(m)
 

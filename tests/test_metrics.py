@@ -157,10 +157,24 @@ def test_tracked_accounting_returns_to_zero():
     assert m.pops <= m.pushes
 
 
+def test_hold_is_a_charge_and_a_release_in_one():
+    m = Metrics()
+    m.charge(5)
+    m.hold(3)
+    assert (m.cur_tracked_words, m.peak_tracked_words) == (5, 8)
+    m.release(5)
+    m.hold(4)  # below the peak: no change
+    assert (m.cur_tracked_words, m.peak_tracked_words) == (0, 8)
+    m.hold(9)
+    assert (m.cur_tracked_words, m.peak_tracked_words) == (0, 9)
+
+
 def test_counters_populated():
     g = gen_random(16, 0.6, 0.6, 5)
-    a = reach(g, (0, 1), (15, 16), EngineConfig(epsilon=0.5))
+    # The entry check passes this query, so the DFS runs at three depths.
+    a = reach(g, (0, 1), (16, 15), EngineConfig(epsilon=0.5))
     m = a.metrics
+    assert len(m.peak_stack_by_depth) == 3 and m.pushes > 0
     assert m.recursive_calls == sum(m.recursive_calls_by_depth)
     assert m.peak_stack == max(m.peak_stack_by_depth)
     assert m.edge_queries >= 0 and m.base_case_calls >= 0
