@@ -513,7 +513,9 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
     rd = m.recursive_calls_by_depth
     if depth < len(rd):
         rd[depth] += 1
-    else:
+    elif depth == len(rd):  # a call at depth d follows one at depth d-1
+        rd.append(1)
+    else:  # a search entered below the top level
         m.note_call(depth)
     if u == v:
         return True
@@ -581,4 +583,4 @@ def reach(g: LayeredGridGraph, s: Vertex, t: Vertex, cfg: EngineConfig,
         raise ValueError(f"target {t} outside lattice of side {g.n}")
     m = Metrics() if metrics is None else metrics
     m.k_top, levels = _schedule(g.n, cfg.epsilon, cfg.k)
-    return Answer(_reach(SubgridView(g), s, t, m, levels, 0), m)
+    return Answer(_reach(g._whole, s, t, m, levels, 0), m)

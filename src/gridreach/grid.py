@@ -84,10 +84,11 @@ class LayeredGridGraph:
     the edge (x, y) -> (x, y+1), bit x of ``east_rows[y]`` is
     (x, y) -> (x+1, y).  The representation makes illegal directions
     unrepresentable; boundary invariants (no edge leaves the lattice) are
-    checked at construction.
+    checked at construction.  The graph makes its whole view once, here;
+    ``SubgridView.whole`` hands out that one view.
     """
 
-    __slots__ = ("n", "_north", "_east")
+    __slots__ = ("n", "_north", "_east", "_whole")
 
     def __init__(self, n: int, north_rows, east_rows):
         if n < 1:
@@ -108,6 +109,7 @@ class LayeredGridGraph:
         self.n = n
         self._north = north_rows
         self._east = east_rows
+        self._whole = SubgridView(self)
 
     # Row masks are the fast path used by views and the oracle.
     def north_row(self, y: int) -> int:
@@ -158,25 +160,32 @@ class SubgridView:
     Local coordinates run over {0..side}^2 and map to base coordinates by
     translating with ``(ox, oy)``.  Edges whose endpoints fall outside the
     content window ``(wx, wy)`` are invisible.  ``whole`` and ``sub`` are
-    the only ways to make a view, and padding is a ``sub`` that runs past
-    the content window: ``sub(0, 0, s)`` with ``s >= side`` is addressable
-    up to ``s`` but carries no edges beyond the window it was cut from.
+    the only ways to make a view: ``whole`` hands out the one whole view
+    the graph made when it was built, and padding is a ``sub`` that runs
+    past the content window: ``sub(0, 0, s)`` with ``s >= side`` is
+    addressable up to ``s`` but carries no edges beyond the window it was
+    cut from.
 
     Every view keeps ``-1 <= wx <= side`` and, where ``wx >= 0``,
     ``ox + wx <= base.n`` (likewise for y), so a row read inside the
-    window never leaves the base graph.
+    window never leaves the base graph.  A view cuts its two window masks
+    once, when it is made: ``north_mask`` holds columns 0..wx, the north
+    edges the window shows, and ``east_mask`` columns 0..wx-1, its east
+    edges.
     """
 
-    __slots__ = ("base", "ox", "oy", "side", "wx", "wy")
+    __slots__ = ("base", "ox", "oy", "side", "wx", "wy", "north_mask", "east_mask")
 
     def __init__(self, base: LayeredGridGraph):
         self.base = base
         self.ox = self.oy = 0
         self.side = self.wx = self.wy = base.n
+        self.north_mask = (1 << (base.n + 1)) - 1
+        self.east_mask = self.north_mask >> 1
 
-    @classmethod
-    def whole(cls, g: LayeredGridGraph) -> "SubgridView":
-        return cls(g)
+    @staticmethod
+    def whole(g: LayeredGridGraph) -> "SubgridView":
+        return g._whole
 
     def contains(self, v: Vertex) -> bool:
         return 0 <= v[0] <= self.side and 0 <= v[1] <= self.side
@@ -187,15 +196,13 @@ class SubgridView:
         """Bit x set iff the local edge (x, y) -> (x, y+1) is visible."""
         if y < 0 or y >= self.wy:
             return 0
-        m = self.base._north[self.oy + y] >> self.ox
-        return m & ((1 << (self.wx + 1)) - 1)
+        return self.base._north[self.oy + y] >> self.ox & self.north_mask
 
     def east_row(self, y: int) -> int:
         """Bit x set iff the local edge (x, y) -> (x+1, y) is visible."""
         if y < 0 or y > self.wy:
             return 0
-        m = self.base._east[self.oy + y] >> self.ox
-        return m & ((1 << self.wx) - 1) if self.wx > 0 else 0
+        return self.base._east[self.oy + y] >> self.ox & self.east_mask
 
     def north(self, x: int, y: int) -> bool:
         return 0 <= x and (self.north_row(y) >> x) & 1 == 1
@@ -225,6 +232,8 @@ class SubgridView:
             wy = -1
         v.wx = wx
         v.wy = wy
+        v.north_mask = m = (1 << (wx + 1)) - 1
+        v.east_mask = m >> 1
         return v
 
     def __repr__(self) -> str:

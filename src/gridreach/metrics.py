@@ -15,7 +15,8 @@ nothing to the bound either.  Below the top level, the prefilter of a
 block query holds one mask of the block's side+1 bits while it scans;
 its two span masks are ranges fixed by two coordinates and are not
 counted, and on the top-level view it does not run.  The read-only input
-graph, the output and instrumentation are never counted.
+graph (with its one whole view and each view's two window masks), the
+output and instrumentation are never counted.
 Space is measured by this explicit instrumentation rather than process
 RSS, which is noisy and dominated by the input itself.
 

@@ -197,11 +197,15 @@ def view_chain(g: LayeredGridGraph, steps: int, pick):
 
 def window_holds(view: SubgridView) -> bool:
     """SubgridView's window invariant: -1 <= wx <= side and, where wx >= 0,
-    ox + wx <= base.n; likewise for y."""
+    ox + wx <= base.n; likewise for y.  The view's stored masks are those of
+    its window: north_mask holds columns 0..wx, east_mask columns 0..wx-1."""
     n = view.base.n
-    return (-1 <= view.wx <= view.side and -1 <= view.wy <= view.side
-            and (view.wx < 0 or view.ox + view.wx <= n)
-            and (view.wy < 0 or view.oy + view.wy <= n))
+    wx = view.wx
+    return (-1 <= wx <= view.side and -1 <= view.wy <= view.side
+            and (wx < 0 or view.ox + wx <= n)
+            and (view.wy < 0 or view.oy + view.wy <= n)
+            and view.north_mask == sum(1 << x for x in range(wx + 1))
+            and view.east_mask == sum(1 << x for x in range(wx)))
 
 
 def watch_windows(monkeypatch) -> list[SubgridView]:

@@ -264,6 +264,92 @@ def test_reach_fills_the_given_metrics():
         assert getattr(m, slot) == getattr(a.metrics, slot), slot
 
 
+def test_reach_searches_the_graphs_one_whole_view(monkeypatch):
+    """reach hands the recursion the view the graph made, not a new one."""
+    g = gen_random(16, 0.7, 0.7, 5)
+    seen = []
+    real = engine._reach
+
+    def spy(view, u, v, m, levels, depth):
+        if depth == 0:
+            seen.append(view)
+        return real(view, u, v, m, levels, depth)
+
+    monkeypatch.setattr(engine, "_reach", spy)
+    for t in ((13, 14), (9, 3)):
+        reach(g, (1, 2), t, EngineConfig(epsilon=1.0))
+    assert len(seen) == 2 and all(v is whole(g) for v in seen)
+
+
+class _CallLog(Metrics):
+    """Metrics that count the calls note_call records, by depth."""
+
+    __slots__ = ("noted",)
+
+    def __init__(self):
+        super().__init__()
+        self.noted = []
+
+    def note_call(self, depth):
+        self.noted.append(depth)
+        super().note_call(depth)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_calls_are_counted_in_place_by_depth(monkeypatch, eps):
+    """_reach counts its own call in place: recursive_calls_by_depth holds,
+    per depth, the _reach calls plus the straight walks and frame sweeps
+    note_call records, and never a zero before its last entry.  A Metrics
+    reused for two queries holds the sum of theirs."""
+    real = engine._reach
+    calls = []
+
+    def spy(view, u, v, m, levels, depth):
+        calls.append(depth)
+        return real(view, u, v, m, levels, depth)
+
+    monkeypatch.setattr(engine, "_reach", spy)
+
+    def expected(noted):
+        by_depth = [0] * (max(calls + noted) + 1)
+        for d in calls + noted:
+            by_depth[d] += 1
+        return by_depth
+
+    cfg = EngineConfig(epsilon=eps)
+    rng = SplitMix64(2100 + int(10 * eps))
+    deep = 0
+    for n in (16, 24, 32):
+        for _ in range(8):
+            g = gen_random(n, 0.7, 0.7, rng.next_u64())
+            pair = []
+            for _ in range(2):
+                s = (rng.next_below(n // 2 + 1), rng.next_below(n // 2 + 1))
+                t = (n // 2 + rng.next_below(n - n // 2 + 1),
+                     n // 2 + rng.next_below(n - n // 2 + 1))
+                pair.append((s, t))
+            each = []
+            for s, t in pair:
+                calls.clear()
+                m = _CallLog()
+                reach(g, s, t, cfg, m)
+                rd = m.recursive_calls_by_depth
+                assert rd == expected(m.noted), (n, s, t)
+                assert 0 not in rd[:-1], (n, s, t, rd)
+                deep += len(rd) > 1
+                each.append(rd)
+            calls.clear()
+            m = _CallLog()
+            for s, t in pair:  # one caller-supplied Metrics, two queries
+                reach(g, s, t, cfg, m)
+            rd = m.recursive_calls_by_depth
+            assert rd == expected(m.noted)
+            assert 0 not in rd[:-1], (n, pair, rd)
+            width = max(map(len, each))
+            assert rd == [sum(r[d] for r in each if d < len(r)) for d in range(width)]
+    assert deep > 10
+
+
 def _reach_view(view, s, t, cfg, m):
     """The recursion on a view, as reach runs it on the whole one."""
     levels = engine._schedule(view.side, cfg.epsilon, cfg.k)[1]

@@ -19,7 +19,8 @@ from gridreach import (
 
 from gridreach.grid import _GAMMA, _MIX1, _MIX2, _U64, FAMILIES, row_sweep
 from support import (lattice_reach, reference_emit_lgg, reference_gen_random,
-                     reference_parse_lgg, reference_row_sweep, view_chain, watch_windows)
+                     reference_parse_lgg, reference_row_sweep, view_chain, watch_windows,
+                     window_holds)
 
 
 @st.composite
@@ -456,6 +457,54 @@ def test_view_clips_edges_at_window():
     assert (beyond.wx, beyond.wy) == (-1, 1)
     assert not beyond.east(0, 0)
     assert not beyond.north(0, 0)
+
+
+def test_whole_view_is_made_once_per_graph():
+    """A graph makes its whole view when it is built, and whole hands out
+    that one view: origin (0, 0), side and window n.  The view takes no part
+    in a graph's equality or hash."""
+    g = gen_random(12, 0.5, 0.5, 3)
+    v = SubgridView.whole(g)
+    assert SubgridView.whole(g) is v and v.base is g
+    assert (v.ox, v.oy, v.side, v.wx, v.wy) == (0, 0, 12, 12, 12)
+    assert window_holds(v)
+    twin = LayeredGridGraph(12, [g.north_row(y) for y in range(13)],
+                            [g.east_row(y) for y in range(13)])
+    assert SubgridView.whole(twin) is not v
+    assert twin == g and hash(twin) == hash(g)
+
+
+def test_row_reads_match_the_edges_inside_the_window():
+    """Every row read of a view, rows -1..side+1, equals the mask built bit
+    by bit from the base graph's edge predicates inside the content box the
+    chain cut (support.view_chain), on padded and clipped views and views
+    wholly past the graph, so windows -1 and 0 occur."""
+    rng = SplitMix64(47)
+
+    def pick(lo, hi):
+        return lo + rng.next_below(hi - lo + 1)
+
+    windows = set()
+    for _ in range(300):
+        n = 2 + rng.next_below(12)
+        density = (0.3, 0.6, 0.9)[rng.next_below(3)]
+        g = gen_random(n, density, density, rng.next_u64())
+        view, (ox, oy), (x0, y0, x1, y1) = view_chain(g, pick(1, 4), pick)
+        side = view.side
+        windows.update({-1: "-1", 0: "0", side: "side"}.get(w) for w in (view.wx, view.wy))
+        xs = range(max(x0, ox), min(x1, ox + side) + 1)  # base columns in the box
+        for y in range(-1, side + 2):
+            by = oy + y
+            north = east = 0
+            if y0 <= by <= y1:
+                for bx in xs:
+                    if by < y1 and g.north(bx, by):
+                        north |= 1 << (bx - ox)
+                    if bx < x1 and g.east(bx, by):
+                        east |= 1 << (bx - ox)
+            assert view.north_row(y) == north, (view, y)
+            assert view.east_row(y) == east, (view, y)
+    assert {"-1", "0", "side"} <= windows
 
 
 def test_oracle_matches_lattice_reach_on_view_chains(monkeypatch):
