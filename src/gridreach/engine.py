@@ -9,16 +9,21 @@ on that block; the entry check (_enters), one backward row sweep of the
 target's block that answers NO where no path can enter that block and
 reach the target; otherwise it divides the view into k^2 blocks and runs
 a marker-array DFS over the implicit boundary graph, deciding each edge by
-recursing into the block the rule finds.  A DFS frame is its run: one
-generator, _run, at every level, which first tests the edge into the
-target, where the target lies in the frame's block, and then walks the
-frame's candidates, skipping those the markers rule out in whole
-stretches.  The two candidates on the frame's own row and column need no
-recursion: a path to them runs straight, so the frame decides them itself,
-by the gridline rule and a straight walk on its block.  At the last
+recursing into the block the rule finds.  A DFS frame is its run, a
+generator that first decides the edge into the target, where the target
+lies in the frame's block, and then walks the frame's candidates,
+skipping those the markers rule out.  The two candidates on the frame's
+own row and column need no recursion: a path to them runs straight, so
+the frame decides them itself, by the gridline rule and a straight walk
+on its block (_line_edge).  Above the last divided level the run, _run,
+tests the target and every other candidate by recursion.  At the last
 divided level, where the recursion would end in one base-case row sweep
-per edge, it reads the other candidates as the set bits of one row sweep
-of the frame's block per visit, charged as one base case.
+per edge, the run is _swept_run, which decides every pair inside the
+frame's block itself: the target by the gridline rule and a straight
+walk on the frame's row or column, else by one row sweep of the block up
+to the target's row, and the other candidates, in whole stretches, as
+the set bits of one row sweep of the block per visit, each sweep charged
+as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -58,8 +63,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import AuxParams, decompose, is_base_side, is_gridline_vertex, ne_corner
-from .auxgraph import iter_candidates  # not called here; perfbench's Tracer patches it
+from .auxgraph import (AuxParams, decompose, is_base_side, is_gridline_vertex,
+                       iter_candidates, ne_corner)
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge, mask_words
 
@@ -165,80 +170,136 @@ def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[boo
             wy % b == 0 and ah[wy // b] > wx)
 
 
+def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex,
+               x0: int, y0: int, m: Metrics, depth: int) -> bool:
+    """The edge from curr to w, north-east of it on its row or column in
+    curr's block, which view shows from (x0, y0): one edge query, the
+    gridline rule (_gridline_rule, which needs the source u and the target
+    v), then, where the rule joins them, a straight walk on the block view,
+    counted as the call at depth+1 that an edge test's recursion into the
+    block would make.  Frames decide their own-line candidates, and at the
+    last divided level a target on their row or column, here."""
+    m.edge_queries += 1
+    if not _gridline_rule(b, u, v, curr, w):
+        return False
+    m.note_call(depth + 1)
+    return _straight(view, curr[0] - x0, curr[1] - y0, w[0] - x0, w[1] - y0, m)
+
+
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-         ah: list[int], edge_test, m: Metrics, depth: int, swept: bool, u: Vertex):
-    """A marker-DFS frame at curr: yield v if curr is joined to it, then the
-    candidates of curr's run that the markers admit and that are joined to
-    curr, in run order, skipping v.  The generator is the frame: it holds
-    the frame's vertex and its cursor, the resume slot, between visits.
+         ah: list[int], edge_test, m: Metrics, depth: int, u: Vertex):
+    """A marker-DFS frame at curr above the last divided level: yield v if
+    curr is joined to it, then the candidates of curr's run that the
+    markers admit and that are joined to curr, in run order, skipping v.
+    The generator is the frame: it holds the frame's vertex and its
+    cursor, the resume slot, between visits.
 
     The target comes first, asked of edge_test once where it lies
     north-east of curr inside curr's north-eastmost block (the block rule,
     auxgraph.ne_corner), and no marker is consulted for it: a target
-    sitting below a marker must still be recognized.  The run is the east
-    column of curr's north-eastmost block going north, then its north row
-    going west.  Its two candidates on curr's own row and column, (x1, cy)
-    and (cx, y1), are decided here: the gridline rule (_gridline_rule, which
-    needs the source u), then a straight walk on curr's block, the view the
-    sweeps also read.  Each costs one edge query and each walk one call at
-    depth+1, as the edge test's recursion into the block would, so the
-    counters do not tell the two apart.  For the others, each visit
-    (the entry, and each return after a pop) cuts the stretch the markers
+    sitting below a marker must still be recognized.  The run is
+    auxgraph.iter_candidates, the east column of that block going north,
+    then its north row going west, cut to v's box, which the module
+    docstring shows sound: it asks about no vertex east or north of v.  Of
+    its candidates, those the markers admit (_admits, read afresh for each
+    one, so a return after a pop sees the markers the child moved) are
+    decided in run order: the two on curr's own row and column, (x1, cy)
+    and (cx, y1), by the frame itself (_line_edge, on curr's block), every
+    other one by edge_test.
+    """
+    b = p.b
+    cx, cy = curr
+    vx, vy = v
+    if cx > vx or cy > vy:
+        return  # curr lies outside the box, and so does all north-east of it
+    x1, y1 = ne_corner(p, curr)
+    if curr != v and vx <= x1 and vy <= y1 and edge_test(curr, v):
+        yield v
+    x0 = x1 - b
+    y0 = y1 - b
+    view = g.sub(x0, y0, b)  # curr's block: its line walks
+    for w in iter_candidates(p, curr):
+        wx, wy = w
+        if wx > vx or wy > vy or w == v or not any(_admits(b, av, ah, wx, wy)):
+            continue
+        if (_line_edge(view, b, u, v, curr, w, x0, y0, m, depth) if wx == cx or wy == cy
+                else edge_test(curr, w)):
+            yield w
+
+
+def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
+               ah: list[int], m: Metrics, depth: int, u: Vertex, words: int):
+    """A marker-DFS frame at curr at the last divided level, where an edge
+    inside a block is one base-case row sweep: it yields what _run yields,
+    in the same order and at the same edge queries and calls by depth, but
+    decides every pair inside curr's block, the view its sweeps read,
+    without an edge test.
+
+    The target comes first, where it lies north-east of curr inside
+    curr's north-eastmost block (auxgraph.ne_corner), whatever the markers
+    say.  On curr's row or column it is decided as an own-line candidate
+    (_line_edge); off both, where the gridline rule joins every pair, by
+    one row sweep of the block from curr to v's row, reading bit v.x,
+    counted as one edge query, one call at depth+1 and one base case and
+    holding base_charge(b, n), the words marker_dfs passes in.  Yielding
+    v ends the search, so nothing is held across that yield.
+
+    The run is the east column of curr's north-eastmost block going
+    north, then its north row going west, cut to v's box.  Its two
+    candidates on curr's own row and column, (x1, cy) and (cx, y1), are
+    decided by _line_edge, as in _run.  For the others, each visit (the
+    entry, and each return after a pop) cuts the stretch the markers
     admit: the east-column rows above the cursor and the vertical marker,
     the corner (admitted by either marker), and the north-row columns left
     of the cursor and of the horizontal marker, v excluded.  The markers
-    move only between visits, so the stretch holds for the whole visit; a
-    probe finds its first candidate joined to curr, the cursor moves past
-    it, and a visit that finds none ends the stretch.
-
-    The run is cut to v's box, which the module docstring shows sound: it
-    asks about no vertex east or north of v, and so never about v itself
-    inside a stretch.
-
-    Above the last divided level the probe asks edge_test about each
-    candidate of the stretch in run order.  With swept set, where an edge
-    inside a block is one base-case row sweep, the probe is one row sweep
-    of the block from curr, charged as one base case and opened only for a
-    stretch that is not empty: it jumps over the rows below the stretch in
-    one step, reads bit b of each east-column row, and takes the north
-    row's admitted reachable candidates as the set bits of the top row's
-    mask, the highest first; it never sweeps a row above v.  The sweep
-    charges nothing else, so its words are held in one peak update
-    (Metrics.hold) and never across a yield.  Each row it reads is closed
-    once: between the east-column rows it asks about, the closed mask is
-    lifted into the next row before the sweep goes on.
+    move only between visits, so the stretch holds for the whole visit.
+    The probe is one row sweep of the block from curr, charged as one base
+    case and one call at depth+1 and opened only for a stretch that is not
+    empty: it jumps over the rows below the stretch in one step, reads bit
+    b of each east-column row, and takes the north row's admitted
+    reachable candidates as the set bits of the top row's mask, the
+    highest first; it never sweeps a row above v.  The sweep charges
+    nothing else, so its words are held in one peak update (Metrics.hold)
+    and never across a yield.  Each row it reads is closed once: between
+    the east-column rows it asks about, the closed mask is lifted into the
+    next row before the sweep goes on.  The cursor moves past each hit,
+    and a visit that finds none ends the stretch.
     """
     b = p.b
     cx, cy = curr
     if cx > v[0] or cy > v[1]:
         return  # curr lies outside the box, and so does all north-east of it
     x1, y1 = ne_corner(p, curr)
-    if curr != v and v[0] <= x1 and v[1] <= y1 and edge_test(curr, v):
-        yield v
-    east = x1 <= v[0]  # the east column lies in the box
-    north = y1 <= v[1]  # the north row lies in the box
-    if not (east or north):
-        return
     x0 = x1 - b
     y0 = y1 - b
-    view = g.sub(x0, y0, b)  # curr's block: its line walks and its sweeps
+    view = g.sub(x0, y0, b)  # curr's block: its target, line walks and sweeps
     lx = cx - x0
     ly = cy - y0
-    if cx < x1 and east:
-        w = (x1, cy)
-        if w != v and any(_admits(b, av, ah, x1, cy)):
+    vx = v[0] - x0  # v in the block's coordinates
+    vy = v[1] - y0
+    if vx <= b and vy <= b and curr != v:  # v lies in curr's block
+        if vx == lx or vy == ly:
+            if _line_edge(view, b, u, v, curr, v, x0, y0, m, depth):
+                yield v
+        else:  # off curr's row and column the gridline rule joins the pair
             m.edge_queries += 1
-            if _gridline_rule(b, u, v, curr, w):
-                m.note_call(depth + 1)
-                if _straight(view, lx, ly, b, ly, m):
-                    yield w
-    if x1 > cx and y1 > cy:
-        if swept:  # the words the probe's sweep holds
-            words = base_charge(b, g.base.n)
+            m.note_call(depth + 1)
+            m.base_case_calls += 1
+            m.hold(words)
+            if (row_sweep(view, 1 << lx, ly, vy) >> vx) & 1:
+                yield v
+    east = vx >= b  # the east column lies in the box
+    north = vy >= b  # the north row lies in the box
+    if not (east or north):
+        return
+    if lx < b and east:
+        w = (x1, cy)
+        if (w != v and any(_admits(b, av, ah, x1, cy))
+                and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
+            yield w
+    if lx < b and ly < b:
         i = x1 // b
         j = y1 // b
-        vx = v[0] - x0
-        vy = v[1] - y0
         # The box: the east-column rows below ey, the corner where
         # in_corner, the north-row columns up to ex.  Where v lies beyond
         # the block on both axes, that is the whole run.
@@ -259,56 +320,39 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             if ty >= ey and not corner and not top:
                 break
             hit = None
-            if swept:
-                m.note_call(depth + 1)
-                m.base_case_calls += 1
-                m.hold(words)
-                reach = 1 << lx
-                sy = ly  # the row reach lies in, not yet closed
-                while ty < ey:  # the east column below the corner
-                    reach = row_sweep(view, reach, sy, ty)
-                    if (reach >> b) & 1:
-                        hit = x1, y0 + ty
-                        break
-                    reach &= view.north_row(ty)  # lifted, so no row closes twice
-                    if not reach:
-                        break
-                    ty += 1
-                    sy = ty
-                if hit is None and reach and (corner or top):
-                    reach = row_sweep(view, reach, sy, b)
-                    if corner and (reach >> b) & 1:
-                        hit = x1, y1
-                    else:
-                        top &= reach
-                        if top:
-                            hit = x0 + top.bit_length() - 1, y1
-            else:  # one edge test per candidate of the stretch, in run order
-                # The corner ends the east column (ey is b where it is in the
-                # box); the horizontal marker may admit it when the vertical
-                # one rules out every row.
-                for r in range(min(ty, b), b + 1) if corner else range(ty, ey):
-                    if edge_test(curr, (x1, y0 + r)):
-                        hit = x1, y0 + r
-                        break
+            m.note_call(depth + 1)
+            m.base_case_calls += 1
+            m.hold(words)
+            reach = 1 << lx
+            sy = ly  # the row reach lies in, not yet closed
+            while ty < ey:  # the east column below the corner
+                reach = row_sweep(view, reach, sy, ty)
+                if (reach >> b) & 1:
+                    hit = x1, y0 + ty
+                    break
+                reach &= view.north_row(ty)  # lifted, so no row closes twice
+                if not reach:
+                    break
+                ty += 1
+                sy = ty
+            if hit is None and reach and (corner or top):
+                reach = row_sweep(view, reach, sy, b)
+                if corner and (reach >> b) & 1:
+                    hit = x1, y1
                 else:
-                    for c in range(hi, lx, -1):
-                        if (top >> c) & 1 and edge_test(curr, (x0 + c, y1)):
-                            hit = x0 + c, y1
-                            break
+                    top &= reach
+                    if top:
+                        hit = x0 + top.bit_length() - 1, y1
             if hit is None:
                 break
             y = hit[1] + 1  # past the hit: y1 + 1 once the corner is done
             x = hit[0] - 1  # x1 - 1 until a north-row hit
             yield hit
-    if cy < y1 and north:
+    if ly < b and north:
         w = (cx, y1)
-        if w != v and any(_admits(b, av, ah, cx, y1)):
-            m.edge_queries += 1
-            if _gridline_rule(b, u, v, curr, w):
-                m.note_call(depth + 1)
-                if _straight(view, lx, ly, lx, b, m):
-                    yield w
+        if (w != v and any(_admits(b, av, ah, cx, y1))
+                and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
+            yield w
 
 
 def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
@@ -320,10 +364,11 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     the frame's vertex.  The two candidates on the vertex's own row and
     column are decided by the run itself, by the gridline rule and a
     straight walk in g, so edge_test must agree with that rule.  The stack
-    holds the frames, and a frame is its run: the
-    _run generator of its vertex, which yields the target first if the
-    vertex is joined to it, then its candidates lazily in counter-clockwise
-    order, skipping v.  Each generator keeps its cursor, so returning to a
+    holds the frames, and a frame is its run: the generator of its vertex,
+    chosen once per search (_run, or _swept_run where the blocks are base
+    sides), which yields the target first if the vertex is joined to it,
+    then its candidates lazily in counter-clockwise order, skipping v.
+    Each generator keeps its cursor, so returning to a
     frame resumes strictly past the child it just popped.  The markers gate
     the edges: a candidate that neither of its lines admits (_admits) is
     skipped untested, and every push, the source's included, moves each
@@ -340,10 +385,13 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     the module docstring shows why the bounds below still hold.
 
     Where the blocks of g are base sides (auxgraph.is_base_side), the run
-    reads the candidates strictly north-east of the frame's vertex off one
-    row sweep of g per visit: edge_test is asked only about the target.
-    Above that, edge_test is asked about the target and every admitted
-    candidate strictly north-east of the vertex.
+    is _swept_run, which decides every pair in the frame's block of g
+    itself: the target by a straight walk or one row sweep, the candidates
+    strictly north-east of the frame's vertex off one row sweep per visit.
+    There edge_test is never asked; the search computes the sweeps' words,
+    base_charge(b, n), once and hands them to every frame.  Above that,
+    the run is _run, and edge_test is asked about the target and every
+    admitted candidate strictly north-east of the vertex.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound (2(k+1)(n+1)+2
@@ -353,6 +401,8 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     b = p.b
     k = p.k
     swept = is_base_side(b, k)
+    if swept:  # the words of each of its frames' sweeps
+        words = base_charge(b, g.base.n)
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
@@ -375,7 +425,8 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             if pushes and not (admit_v or admit_h):  # the source needs none
                 m.visit_once_violations += 1
             pushes += 1
-            stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, swept, u))
+            stack.append(_swept_run(p, g, w, v, av, ah, m, depth, u, words) if swept
+                         else _run(p, g, w, v, av, ah, edge_test, m, depth, u))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
@@ -419,9 +470,13 @@ def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
     necessary conditions for a path.  A path crosses every row of the span
     inside the column range, and every column inside the row range; two
     cheap mask sweeps prune most dead block queries before any subdivision
-    or base case.  A frame sweep runs none: it answers a whole run at once,
-    and a prefilter pass in front of it cost more time than the sweeps it
-    saved.
+    or base case.  A block query that reaches it comes from a shared-block
+    dispatch or an upper level's edge test.  The last divided level's runs
+    (_swept_run) run none: a frame sweep answers a whole run at once, and
+    a prefilter pass in front of it cost more time than the sweeps it
+    saved; and the target's sweep, which the prefilter screened while the
+    target went through the edge test, reads the same rows its scan
+    would.
 
     acc, the OR of the span's east rows, holds up to `side` bits, so it is
     charged as one (side+1)-bit mask, metrics.mask_words; the scan charges
@@ -549,10 +604,10 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
 def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over view's boundary graph, with its
-    edge test.  Where the next level is the base case, the DFS reads its
-    runs off row sweeps of view's blocks (see _run).  Kept out of _reach,
-    whose dispatch-only queries would otherwise pay for creating the edge
-    test's closure cells."""
+    edge test.  Where the next level is the base case, the DFS decides its
+    runs on view's blocks and never asks the edge test (see _swept_run).
+    Kept out of _reach, whose dispatch-only queries would otherwise pay
+    for creating the edge test's closure cells."""
     b = p.b
     depth1 = depth + 1
 

@@ -7,14 +7,18 @@ locals per live level, the straight-walk cursor, and the base case's one
 reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
 locals.  The last divided level's frame sweep is such a base case: it
 holds the same one mask and locals while a visit of a DFS frame runs it,
-never across a push or pop, so it adds nothing to the bound.  So is the
+never across a push or pop, so it adds nothing to the bound.  So is that
+level's sweep for the target, held before the frame yields the target
+and ends the search.  So is the
 entry check of every divided level: one mask and locals of the level's
 block side, held under the levels above only, before the level charges
 its markers; it is below the prefilter term of the next depth, so it adds
 nothing to the bound either.  Below the top level, the prefilter of a
 block query holds one mask of the block's side+1 bits while it scans;
 its two span masks are ranges fixed by two coordinates and are not
-counted, and on the top-level view it does not run.  The read-only input
+counted.  It does not run on the top-level view, nor at the last divided
+level, whose frames decide the target without the edge test it used to
+screen.  The read-only input
 graph (with its one whole view and each view's two window masks), the
 output and instrumentation are never counted.
 Space is measured by this explicit instrumentation rather than process
@@ -29,12 +33,19 @@ note_push and note_pop, which count it and charge or release its frame; a
 subclass may override them to observe the search.
 
 edge_queries counts the edge tests of a divided level: each decides one
-pair by the gridline rule and a block query.  The target and the
-candidates strictly north-east of a frame's vertex go through the edge
-test, which recurses into the block; the two candidates on the vertex's
-own row and column are tested by the frame, whose straight walk counts as
-the call at the next depth that recursion would make.  The candidates a
-frame sweep reads off its mask are not edge tests; each sweep counts one
+pair by the gridline rule and a block query.  Above the last divided
+level the target and the candidates strictly north-east of a frame's
+vertex go through the edge test, which recurses into the block; the two
+candidates on the vertex's own row and column are tested by the frame,
+whose straight walk counts as the call at the next depth that recursion
+would make.  At the last divided level the frame tests the target in its
+own block, at one edge query: on the vertex's row or column as it tests
+those two, elsewhere by one row sweep that counts one call at the next
+depth and one base_case_calls.  The edge test counted the same edge
+query and call, but its prefilter rejected some targets before the base
+case, so base_case_calls and the peak of such a query read higher than
+they did through the edge test, and never lower.  The candidates a frame
+sweep reads off its mask are not edge tests; each sweep counts one
 base_case_calls and one call at the next depth.  Each entry check counts
 one base_case_calls and no call: it runs inside the call of the query it
 checks.

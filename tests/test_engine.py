@@ -130,9 +130,10 @@ def _edge_oracle_from(g, p):
 
 
 def test_algo_lggr_full_and_empty():
-    """At b = k the DFS reads the candidates strictly north-east of a
-    frame's vertex off row sweeps, so the supplied oracle is never asked
-    about them; at b > k it decides each of them."""
+    """At b = k the DFS decides every pair in a frame's block itself,
+    reading the candidates strictly north-east of the frame's vertex off
+    row sweeps, so the supplied oracle is never asked about them; at b > k
+    it decides each of them."""
     for p in (AuxParams(9, 3), AuxParams(12, 3)):
         n = p.n
         asked = []
@@ -682,17 +683,18 @@ def test_every_pushed_vertex_is_reachable_from_source():
 
 
 def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
-    """Each frame's run asks for the edge into the target first, so a YES query
-    decided by the depth-0 traversal stops at the first pushed vertex with
-    an edge into the target: that edge is true from the last depth-0 push
-    and false from every earlier one (checked with the engine's own edge
-    rule)."""
+    """Each frame's run decides the edge into the target first, so a YES
+    query decided by the depth-0 traversal stops at the first pushed vertex
+    with an edge into the target: that edge is true from the last depth-0
+    push and false from every earlier one.  Checked with the reference
+    edge rule (_aug_edge_oracle), not the engine's edge test, which the
+    last divided level (all of epsilon=1.0 here) never asks."""
     real = engine.marker_dfs
     captured = []
 
     def spy(p, g, u, v, edge_test, metrics=None, depth=0, **kw):
         if depth == 0:
-            captured.append(edge_test)
+            captured.append(_aug_edge_oracle(p, g, u, v))
         return real(p, g, u, v, edge_test, metrics, depth, **kw)
 
     monkeypatch.setattr(engine, "marker_dfs", spy)
@@ -712,9 +714,9 @@ def test_search_ends_at_the_first_push_with_an_edge_to_the_target(monkeypatch):
                     continue
                 if not captured:
                     continue  # decided before the depth-0 traversal
-                edge_test, = captured
+                oracle, = captured
                 pushes = [w for depth, w in m.log if depth == 0]
-                hits = [w[0] <= t[0] and w[1] <= t[1] and edge_test(w, t)
+                hits = [w[0] <= t[0] and w[1] <= t[1] and oracle(w, t)
                         for w in pushes]
                 assert hits == [False] * (len(pushes) - 1) + [True], (eps, n, s, t)
                 checked += 1
@@ -785,28 +787,41 @@ def test_search_stays_in_the_targets_box(monkeypatch, n, cfg, targets):
 
 
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
-    """Where the next level is the base case, the engine's marker DFS reads
-    its runs off frame sweeps, and above it the DFS tests them: marker_dfs
-    tells the two apart by auxgraph.is_base_side(p.b, p.k), which holds
-    exactly where the schedule's next level is the base case.  With no
-    marker set, the swept probe of _run from every gridline vertex (and
-    from the source) on the engine's own view and edge test yields exactly
-    the target, if the edge rule plus the endpoint augmentation joins it to
-    the vertex, then the candidates in the target's box
-    (support.box_candidates) that rule joins to it, in run order.  It asks
-    the edge test about the target alone, deciding the two candidates on
-    the vertex's row and column itself at one edge query each, opens at
-    most one sweep per visit, and holds no sweep words at a yield."""
+    """Where the next level is the base case, the engine's marker DFS runs
+    its frames as _swept_run, which reads them off frame sweeps, and above
+    it as _run, which tests them: marker_dfs tells the two apart by
+    auxgraph.is_base_side(p.b, p.k), which holds exactly where the
+    schedule's next level is the base case.  With no marker set, the
+    swept run from every gridline vertex (and from the source) on the
+    engine's own view yields exactly the target, if the edge rule plus
+    the endpoint augmentation (_aug_edge_oracle) joins it to the vertex,
+    then the candidates in the target's box (support.box_candidates) that
+    rule joins to it, in run order.  It asks no edge test, deciding the
+    target and the two candidates on the vertex's row and column itself
+    at one edge query each, opens at most one sweep per visit besides the
+    target's, and holds no sweep words at a yield."""
     real = engine.marker_dfs
     captured = []
+    frames = []  # (the run's name, its p, its depth), one per push
 
     def spy(p, g, u, v, edge_test, metrics=None, depth=0):
         captured.append((p, g, u, v, edge_test, metrics, depth))
         return real(p, g, u, v, edge_test, metrics, depth)
 
+    def frame_spy(name, at_depth):
+        gen = getattr(engine, name)
+
+        def spied(p, *args):
+            frames.append((name, p, args[at_depth]))
+            return gen(p, *args)
+        monkeypatch.setattr(engine, name, spied)
+
     monkeypatch.setattr(engine, "marker_dfs", spy)
+    frame_spy("_run", 7)
+    frame_spy("_swept_run", 6)
     rng = SplitMix64(606)
     sources = set()
+    runs = set()
     for n in (16, 24):  # several divided levels
         levels = _schedule(n, None, 2)[1]
         for _ in range(6):
@@ -815,8 +830,13 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
         for p, *_, depth in captured:
             assert is_base_side(p.b, p.k) == (levels[depth + 1] is None), depth
             sources.add(is_base_side(p.b, p.k))
+        for name, p, depth in frames:
+            assert (name == "_swept_run") == (levels[depth + 1] is None), (name, depth)
+            runs.add(name)
         captured.clear()
+        frames.clear()
     assert sources == {False, True}
+    assert runs == {"_run", "_swept_run"}
     for n in (12, 16):
         cfg = EngineConfig(k=4)  # one divided level: depth 0 is the last
         for _ in range(3):
@@ -827,43 +847,41 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
             reach(g, u, v, cfg)
             # u and v share no block and no line, so the DFS always runs.
             assert captured, (n, u, v)
-            (p, view, _, _, engine_test, m, _), = captured
+            (p, view, _, _, _, m, _), = captured
             assert (p.n, p.k) == (n, 4) and is_base_side(p.b, p.k)
             assert m.cur_tracked_words == 0
-
-            def edge_test(curr, w):  # the target's asks stay off the budgets
-                assert w == v, (curr, w)
-                spent = m.edge_queries, m.base_case_calls
-                got = engine_test(curr, w)
-                m.edge_queries, m.base_case_calls = spent
-                return got
-
+            words = base_charge(p.b, n)
             oracle = _aug_edge_oracle(p, whole(g), u, v)
             for c in [u] + gridline_vertices(p):
                 want = [v] if oracle(c, v) else []
                 want += [w for w in box_candidates(p, c, v) if w != v and oracle(c, w)]
                 inside = sum(w != v and w[0] > c[0] and w[1] > c[1] for w in want)
+                target = c != v and c[0] <= v[0] and c[1] <= v[1] and bool(
+                    common_blocks(p, c, v))  # decided in the frame's block
                 edges, base = m.edge_queries, m.base_case_calls
-                run = engine._run(p, view, c, v, [-1] * (p.k + 1),
-                                  [p.n + 1] * (p.k + 1), edge_test, m, 0, True, u)
+                run = engine._swept_run(p, view, c, v, [-1] * (p.k + 1),
+                                        [p.n + 1] * (p.k + 1), m, 0, u, words)
                 got = []
                 for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
                     got.append(w)
                 assert got == want, (n, u, v, c)
-                assert m.edge_queries - edges <= 2, (n, u, v, c)
-                assert m.base_case_calls - base <= inside + 1, (n, u, v, c)
+                assert m.edge_queries - edges <= 2 + target, (n, u, v, c)
+                assert m.base_case_calls - base <= inside + 1 + target, (n, u, v, c)
 
 
 class _FrameWordsMetrics(Metrics):
     """Metrics that check, whenever a search of one divided level pushes or
-    pops, that it holds exactly its level's words and its frames'."""
+    pops, that it holds exactly its level's words and its frames', and,
+    whenever a hold runs inside that search, that it sits on exactly those
+    words and holds at most one base case of the level's block side."""
 
-    __slots__ = ("level_words",)
+    __slots__ = ("level_words", "base_words")
 
-    def __init__(self, k):
+    def __init__(self, k, base_words):
         super().__init__()
         self.level_words = level_charge(k)
+        self.base_words = base_words
 
     def _check(self):
         frames = self.pushes - self.pops
@@ -878,10 +896,18 @@ class _FrameWordsMetrics(Metrics):
         self._check()
         super().note_pop()
 
+    def hold(self, words):
+        if self.pushes > self.pops:  # inside the search: a frame holds it
+            self._check()
+            assert words <= self.base_words, words
+        super().hold(words)
+
 
 def test_frame_sweep_released_when_the_search_ends():
     """No frame sweep is held across a push or a pop, nor once the search
-    ends, whether it finds the target or exhausts the stack."""
+    ends, whether it finds the target or exhausts the stack; every hold
+    inside the search sits on the level's and the frames' words alone and
+    holds at most base_charge(b, n), the sweep of one block."""
     rng = SplitMix64(707)
     cfg = EngineConfig(k=4)  # one divided level: every frame sweeps
     answers = set()
@@ -891,7 +917,7 @@ def test_frame_sweep_released_when_the_search_ends():
             g = gen_random(n, 0.7, 0.7, rng.next_u64())
             s = (rng.next_below(half), rng.next_below(half))
             t = (half + 1 + rng.next_below(n - half), half + 1 + rng.next_below(n - half))
-            m = _FrameWordsMetrics(4)
+            m = _FrameWordsMetrics(4, base_charge(n // 4, n))
             got = reach(g, s, t, cfg, m).reachable
             assert got == oracle_reach(whole(g), s, t)
             assert m.cur_tracked_words == 0
@@ -934,19 +960,22 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
 def test_swept_run_matches_the_tested_run(n, k):
-    """Both probes of _run yield what the reference run (support.reference_run,
-    cut to the target's box) yields on the reference edge rule
-    (_aug_edge_oracle), visit by visit, with random markers that move
-    between visits: from an interior source and from every gridline vertex
-    (those with cx = n or cy = n included), with the target on the frame's
-    run and off it.  Both yield the target first where the edge rule joins
-    it.  Both decide the two candidates on the frame's own row and column
-    themselves, at one edge query for each one the reference tests.  The
-    tested probe asks the edge test about exactly the other candidates the
-    reference asks about, in the same order, and opens no sweep.  The
-    swept probe opens one sweep exactly when the reference tests a
-    candidate other than the target strictly north-east of the frame's
-    vertex, and holds no sweep words at a yield."""
+    """The swept run (_swept_run) and the tested run (_run) yield what the
+    reference run (support.reference_run, cut to the target's box) yields
+    on the reference edge rule (_aug_edge_oracle), visit by visit, with
+    random markers that move between visits: from an interior source and
+    from every gridline vertex (those with cx = n or cy = n included), with
+    the target on the frame's run and off it.  Both yield the target first
+    where the edge rule joins it.  Both decide the two candidates on the
+    frame's own row and column themselves, at one edge query for each one
+    the reference tests.  The tested run asks the edge test about exactly
+    the other candidates the reference asks about, in the same order, and
+    opens no sweep.  The swept run asks no edge test: it decides the
+    target at one edge query where the reference tests it, sweeping for it
+    where it lies off the frame's row and column, and opens one more sweep
+    exactly when the reference tests a candidate other than the target
+    strictly north-east of the frame's vertex; it holds no sweep words at
+    a yield."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(808 + n)
@@ -983,11 +1012,11 @@ def test_swept_run_matches_the_tested_run(n, k):
             m = Metrics()
             mt = Metrics()
             ref = reference_run(p, curr, v, av, ah, edge_to(asked))
-            swept = engine._run(p, g, curr, v, av, ah, edge, m, 0, True, u)
-            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, False, u)
+            swept = engine._swept_run(p, g, curr, v, av, ah, m, 0, u, base_charge(b, n))
+            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, u)
             x1, y1 = ne_corner(p, curr)
             lines = {(x1, curr[1]), (curr[0], y1)} - {v}  # decided by the frame
-            sweeps = 0  # visits that test a candidate a sweep answers
+            sweeps = 0  # sweeps answering the target or a candidate tested
             for _ in range(len(run) + 1):  # a visit yields one candidate or ends
                 asked.clear()
                 probed.clear()
@@ -999,8 +1028,9 @@ def test_swept_run_matches_the_tested_run(n, k):
                 assert probed == [w for w in asked if w not in lines], where
                 line_tests = sum(w in lines for w in asked)
                 assert (m.edge_queries - spent[0], mt.edge_queries - spent[1]) == (
-                    line_tests, line_tests), where
+                    line_tests + (v in asked), line_tests), where
                 assert m.cur_tracked_words == mt.cur_tracked_words == 0, (curr, want)
+                sweeps += v in asked and v[0] > curr[0] and v[1] > curr[1]
                 sweeps += any(w != v and w[0] > curr[0] and w[1] > curr[1]
                               for w in asked)
                 assert m.base_case_calls == sweeps, where
@@ -1024,10 +1054,13 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
     cy) and (cx, y1), without the edge test.  From an interior source and
     from every gridline vertex, as a frame of that search and as the
     source itself, towards the far corner and towards a target in the
-    vertex's box, both probes with no marker set yield a line candidate
-    exactly where the reference edge rule (_aug_edge_oracle) joins it.
-    Each line candidate costs one edge query, and each that passes the
-    gridline filter one call at the next depth, its straight walk.  The
+    vertex's box, the tested run (_run) and the swept run (_swept_run)
+    with no marker set yield a line candidate exactly where the reference
+    edge rule (_aug_edge_oracle) joins it.  Each line candidate costs one
+    edge query, and each that passes the gridline filter one call at the
+    next depth, its straight walk; the swept run's own decision of a target
+    in the vertex's block adds one edge query, and one walk where the
+    target lies on the vertex's row or column and passes the filter.  The
     cases cover vertices on a horizontal gridline (cy % b == 0, where
     (x1, cy) shares their line), on a vertical one (cx % b == 0, where
     (cx, y1) does), and both verdicts of each."""
@@ -1055,15 +1088,21 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
                         assert w not in lines, (c, w)
                         return edge(c, w)
 
+                    # The swept run decides a target in curr's block too: on
+                    # curr's row or column by the same rule and walk.
+                    target = curr != v and bool(common_blocks(p, curr, v))
+                    walk = target and (v[0] == curr[0] or v[1] == curr[1]) and (
+                        _aug_line_filter(b, u, v, curr, v))
+                    av, ah = [-1] * (k + 1), [n + 1] * (k + 1)
                     for swept in (False, True):
                         m = Metrics()
-                        run = engine._run(p, g, curr, v, [-1] * (k + 1),
-                                          [n + 1] * (k + 1), edge_test, m, 0, swept, u)
+                        run = (engine._swept_run(p, g, curr, v, av, ah, m, 0, u, base_charge(b, n))
+                               if swept else engine._run(p, g, curr, v, av, ah, edge_test, m, 0, u))
                         where = (n, k, u, v, curr, swept)
                         assert [w for w in run if w in lines] == want, where
-                        assert m.edge_queries == len(lines), where
+                        assert m.edge_queries == len(lines) + (swept and target), where
                         calls = (m.recursive_calls_by_depth[1:] or [0])[0]
-                        assert calls - m.base_case_calls == walks, where
+                        assert calls - m.base_case_calls == walks + (swept and walk), where
                     for w in lines:
                         line = ("horizontal" if w[1] == curr[1] and curr[1] % b == 0 else
                                 "vertical" if w[0] == curr[0] and curr[0] % b == 0 else
@@ -1073,6 +1112,77 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
                      for source in (False, True) for joined in (False, True)} | {
         ("crossing", source, joined) for source in (False, True)
         for joined in (False, True)}, cases
+
+
+@pytest.mark.parametrize("n, k", [(9, 3), (12, 4), (16, 4)])
+def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
+    """At the last divided level a frame decides the target in its own
+    block.  From the search's source and from every gridline vertex, towards
+    every vertex of the frame's block north-east of it (a corner, one on a
+    vertical or a horizontal gridline, one inside the block, and one on the
+    frame's own row or column), the swept run's first yield is the target
+    exactly where the gridline rule with the endpoint augmentation
+    (_aug_line_filter) joins the two and lattice_reach finds a path inside
+    the block's box.  Each decision costs one edge query, one call at the
+    next depth where the rule joins the pair and one base case where the
+    target lies off the frame's row and column, and holds at most one base
+    case of the block's side on top of the level and its frame; the words
+    are those marker_dfs hands its frames, and the search asks no edge
+    test."""
+    p = AuxParams(n, k)
+    b = p.b
+    assert is_base_side(b, k)
+    held = level_charge(k) + Metrics.FRAME_WORDS  # the level and one frame
+    bound = held + base_charge(b, n)
+    real = engine._swept_run
+    words = []
+
+    def spy(*args):
+        words.append(args[-1])
+        return real(*args)
+
+    def no_edge_test(c, w):
+        raise AssertionError(f"edge test asked about {c} -> {w}")
+
+    monkeypatch.setattr(engine, "_swept_run", spy)
+    none_v, none_h = [n] * (k + 1), [0] * (k + 1)  # markers that admit nothing
+    rng = SplitMix64(1700 + n)
+    cases = set()
+    for q in (0.5, 0.7, 0.9):
+        g = gen_random(n, q, q, rng.next_u64())
+        view = whole(g)
+        u = (1 + rng.next_below(b - 1), 1 + rng.next_below(b - 1))
+        words.clear()
+        m = Metrics()
+        assert marker_dfs(p, view, u, (n, n), no_edge_test, m) == lattice_reach(
+            g, (0, 0, n, n), u, (n, n))
+        word, = set(words)
+        for curr in [u] + gridline_vertices(p):
+            x1, y1 = ne_corner(p, curr)
+            box = (x1 - b, y1 - b, x1, y1)
+            for v in itertools.product(range(curr[0], x1 + 1), range(curr[1], y1 + 1)):
+                if v == curr:
+                    continue
+                kind = ("row" if v[1] == curr[1] else "column" if v[0] == curr[0] else
+                        "corner" if v[0] % b == 0 and v[1] % b == 0 else
+                        "vertical" if v[0] % b == 0 else
+                        "horizontal" if v[1] % b == 0 else "interior")
+                rule = _aug_line_filter(b, u, v, curr, v)
+                m = Metrics()
+                m.charge(held)
+                run = engine._swept_run(p, view, curr, v, none_v, none_h, m, 0, u, word)
+                got = next(run, None) == v
+                where = (n, k, u, curr, v)
+                assert got == (rule and lattice_reach(g, box, curr, v)), where
+                assert m.edge_queries == 1, where
+                assert m.recursive_calls_by_depth[1:] == ([1] if rule else []), where
+                assert m.base_case_calls == (kind not in ("row", "column")), where
+                assert m.peak_tracked_words <= bound, where
+                if m.base_case_calls:
+                    assert m.peak_tracked_words == bound, where
+                cases.add((kind, got))
+    assert cases == {(kind, got) for got in (False, True) for kind in (
+        "corner", "vertical", "horizontal", "interior", "row", "column")}, cases
 
 
 # (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
