@@ -64,6 +64,22 @@ def is_gridline_vertex(p: AuxParams, v: Vertex) -> bool:
     return v[0] % p.b == 0 or v[1] % p.b == 0
 
 
+def box_gridlines(p: AuxParams, u: Vertex, v: Vertex) -> tuple[int, int, int, int]:
+    """The gridlines of the box [u, v], as (i0, nx, j0, ny): the vertical
+    ones x = i*b with u.x <= x <= v.x are those with i0 <= i < i0 + nx, and
+    the horizontal ones y = j*b with u.y <= y <= v.y those with
+    j0 <= j < j0 + ny.  Where v lies west (south) of u, the axis's range is
+    [u.x, u.x] ([u.y, u.y]), so the gridlines always include u's own.
+    """
+    b = p.b
+    ux, uy = u
+    vx, vy = v
+    i0 = -(-ux // b)
+    j0 = -(-uy // b)
+    return (i0, (vx if vx > ux else ux) // b + 1 - i0,
+            j0, (vy if vy > uy else uy) // b + 1 - j0)
+
+
 # ---------------------------------------------------------------------------
 # Counter-clockwise neighbor enumeration
 

@@ -27,9 +27,12 @@ as one base case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
-a visited set.  A candidate's edge is tested, and the candidate pushed,
-only when one of its lines still admits it, so a candidate the markers
-reject costs no recursion.  Neighbors are cycled in counter-clockwise
+a visited set.  A search keeps them only for the gridlines of its
+target's box (below), one entry per gridline, and the level is charged
+for those entries alone: at most 2(k+1), on a box that spans the
+lattice.  A candidate's edge is tested, and the candidate pushed, only
+when one of its lines still admits it, so a candidate the markers reject
+costs no recursion.  Neighbors are cycled in counter-clockwise
 order starting due east, so lower and righter targets are explored first
 and the skip rule never hides a reachable vertex.  The stack then never
 holds more than 2k+1 frames (2k+3 when an endpoint is block-interior and
@@ -45,6 +48,9 @@ since a monotone path between them stays in the box.  G_B is itself a
 layered grid graph, so the marker argument, the stack bound, visit-once
 and the push bound hold as they are, and the word and call bounds do not
 move.  Each level's DFS has its own v, so each level has its own box.
+Every vertex it pushes, and every candidate whose markers it reads, lies
+in [u, v], so it never reads or moves the marker of a gridline outside
+the box, and holds none (auxgraph.box_gridlines).
 
 Two details extend the block-boundary edge rule at the query endpoints:
 an endpoint lying strictly inside a block is joined to every boundary
@@ -63,8 +69,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .auxgraph import (AuxParams, decompose, is_base_side, is_gridline_vertex,
-                       iter_candidates, ne_corner)
+from .auxgraph import (AuxParams, box_gridlines, decompose, is_base_side,
+                       is_gridline_vertex, iter_candidates, ne_corner)
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge, mask_words
 
@@ -156,18 +162,20 @@ def _gridline_rule(b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex) -> boo
     return True
 
 
-def _admits(b: int, av: list[int], ah: list[int], wx: int, wy: int) -> tuple[bool, bool]:
-    """The marker rule for candidate w: (its vertical line admits it, its
-    horizontal line admits it).
+def _admits(b: int, av: list[int], ah: list[int], i0: int, j0: int,
+            wx: int, wy: int) -> tuple[bool, bool]:
+    """The marker rule for candidate w in the search's box: (its vertical
+    line admits it, its horizontal line admits it).
 
-    av[i] is the y of the topmost vertex pushed on vertical gridline i (-1
-    while there is none), ah[j] the x of the leftmost on horizontal
-    gridline j (past the lattice while there is none).  A vertical line
-    admits w while its marker lies strictly below w, a horizontal one while
-    its marker lies strictly right of w.
+    av[i - i0] is the y of the topmost vertex pushed on vertical gridline
+    i (-1 while there is none), ah[j - j0] the x of the leftmost on
+    horizontal gridline j (past the lattice while there is none); i0 and
+    j0 are the box's first gridlines.  A vertical line admits w while its
+    marker lies strictly below w, a horizontal one while its marker lies
+    strictly right of w.
     """
-    return (wx % b == 0 and av[wx // b] < wy,
-            wy % b == 0 and ah[wy // b] > wx)
+    return (wx % b == 0 and av[wx // b - i0] < wy,
+            wy % b == 0 and ah[wy // b - j0] > wx)
 
 
 def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex,
@@ -187,7 +195,7 @@ def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w:
 
 
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-         ah: list[int], edge_test, m: Metrics, depth: int, u: Vertex):
+         ah: list[int], edge_test, m: Metrics, depth: int, u: Vertex, i0: int, j0: int):
     """A marker-DFS frame at curr above the last divided level: yield v if
     curr is joined to it, then the candidates of curr's run that the
     markers admit and that are joined to curr, in run order, skipping v.
@@ -220,7 +228,7 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     view = g.sub(x0, y0, b)  # curr's block: its line walks
     for w in iter_candidates(p, curr):
         wx, wy = w
-        if wx > vx or wy > vy or w == v or not any(_admits(b, av, ah, wx, wy)):
+        if wx > vx or wy > vy or w == v or not any(_admits(b, av, ah, i0, j0, wx, wy)):
             continue
         if (_line_edge(view, b, u, v, curr, w, x0, y0, m, depth) if wx == cx or wy == cy
                 else edge_test(curr, w)):
@@ -228,7 +236,8 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
 
 
 def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-               ah: list[int], m: Metrics, depth: int, u: Vertex, words: int):
+               ah: list[int], m: Metrics, depth: int, u: Vertex, i0: int, j0: int,
+               words: int):
     """A marker-DFS frame at curr at the last divided level, where an edge
     inside a block is one base-case row sweep: it yields what _run yields,
     in the same order and at the same edge queries and calls by depth, but
@@ -242,7 +251,10 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
     one row sweep of the block from curr to v's row, reading bit v.x,
     counted as one edge query, one call at depth+1 and one base case and
     holding base_charge(b, n), the words marker_dfs passes in.  Yielding
-    v ends the search, so nothing is held across that yield.
+    v ends the search, so nothing is held across that yield.  The run
+    reads the east column's marker only where that column lies in v's
+    box, and the north row's only where that row does: the arrays hold
+    no others (marker_dfs).
 
     The run is the east column of curr's north-eastmost block going
     north, then its north row going west, cut to v's box.  Its two
@@ -294,12 +306,12 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
         return
     if lx < b and east:
         w = (x1, cy)
-        if (w != v and any(_admits(b, av, ah, x1, cy))
+        if (w != v and any(_admits(b, av, ah, i0, j0, x1, cy))
                 and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
             yield w
     if lx < b and ly < b:
-        i = x1 // b
-        j = y1 // b
+        i = x1 // b - i0  # the markers of the east column and the north
+        j = y1 // b - j0  # row, read only where that line lies in the box
         # The box: the east-column rows below ey, the corner where
         # in_corner, the north-row columns up to ex.  Where v lies beyond
         # the block on both axes, that is the whole run.
@@ -313,9 +325,9 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
         y = cy + 1  # cursor: the next east-column row (y1 is the corner)
         x = x1 - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
-            ty = max(y, av[i] + 1) - y0  # local rows above the vertical marker
+            ty = max(y, av[i] + 1) - y0 if east else ey  # rows above the marker
             corner = in_corner and y <= y1 and (av[i] < y1 or ah[j] > x1)
-            hi = min(x - x0, ah[j] - 1 - x0, ex)  # cursor, marker and box
+            hi = min(x - x0, ah[j] - 1 - x0, ex) if north else lx  # cursor, marker, box
             top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
             if ty >= ey and not corner and not top:
                 break
@@ -350,7 +362,7 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
             yield hit
     if ly < b and north:
         w = (cx, y1)
-        if (w != v and any(_admits(b, av, ah, cx, y1))
+        if (w != v and any(_admits(b, av, ah, i0, j0, cx, y1))
                 and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
             yield w
 
@@ -382,16 +394,23 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     twice, and a push after the source's that none admits breaks visit-once.
 
     Every run is cut to v's box, so every pushed vertex lies in [u, v];
-    the module docstring shows why the bounds below still hold.
+    the module docstring shows why the bounds below still hold.  So the
+    markers cover the box's gridlines alone (auxgraph.box_gridlines, which
+    also covers the source's own lines where v lies west or south of u):
+    av[i - i0] for vertical gridline i, ah[j - j0] for horizontal gridline
+    j, where i0 and j0 are the box's first gridlines.  The level charges
+    those entries plus its locals, metrics.level_charge(len(av) +
+    len(ah)); 2(k+1) entries, the word bound's, are the worst case.
 
     Where the blocks of g are base sides (auxgraph.is_base_side), the run
     is _swept_run, which decides every pair in the frame's block of g
     itself: the target by a straight walk or one row sweep, the candidates
     strictly north-east of the frame's vertex off one row sweep per visit.
-    There edge_test is never asked; the search computes the sweeps' words,
-    base_charge(b, n), once and hands them to every frame.  Above that,
-    the run is _run, and edge_test is asked about the target and every
-    admitted candidate strictly north-east of the vertex.
+    There edge_test is never asked (_divided hands None); the search
+    computes the sweeps' words, base_charge(b, n), once and hands them to
+    every frame.  Above that, the run is _run, and edge_test is asked
+    about the target and every admitted candidate strictly north-east of
+    the vertex.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound (2(k+1)(n+1)+2
@@ -406,9 +425,10 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
-    av = [-1] * (k + 1)
-    ah = [p.n + 1] * (k + 1)
-    level_words = level_charge(k)
+    i0, nx, j0, ny = box_gridlines(p, u, v)
+    av = [-1] * nx
+    ah = [p.n + 1] * ny
+    level_words = level_charge(len(av) + len(ah))
     m.charge(level_words)
 
     stack = []
@@ -417,16 +437,16 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     try:
         while True:  # push w, then find the next vertex to push
             wx, wy = w
-            admit_v, admit_h = _admits(b, av, ah, wx, wy)
+            admit_v, admit_h = _admits(b, av, ah, i0, j0, wx, wy)
             if admit_v:
-                av[wx // b] = wy
+                av[wx // b - i0] = wy
             if admit_h:
-                ah[wy // b] = wx
+                ah[wy // b - j0] = wx
             if pushes and not (admit_v or admit_h):  # the source needs none
                 m.visit_once_violations += 1
             pushes += 1
-            stack.append(_swept_run(p, g, w, v, av, ah, m, depth, u, words) if swept
-                         else _run(p, g, w, v, av, ah, edge_test, m, depth, u))
+            stack.append(_swept_run(p, g, w, v, av, ah, m, depth, u, i0, j0, words) if swept
+                         else _run(p, g, w, v, av, ah, edge_test, m, depth, u, i0, j0))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
@@ -605,11 +625,13 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over view's boundary graph, with its
     edge test.  Where the next level is the base case, the DFS decides its
-    runs on view's blocks and never asks the edge test (see _swept_run).
-    Kept out of _reach, whose dispatch-only queries would otherwise pay
-    for creating the edge test's closure cells."""
-    b = p.b
+    runs on view's blocks and never asks the edge test (see _swept_run),
+    so it gets none.  Kept out of _reach, whose dispatch-only queries
+    would otherwise pay for creating the edge test's closure cells."""
     depth1 = depth + 1
+    if levels[depth1] is None:
+        return marker_dfs(p, view, u, v, None, m, depth)
+    b = p.b
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:
         m.edge_queries += 1

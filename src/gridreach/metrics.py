@@ -1,13 +1,15 @@
 """Counters, tracked-space accounting, and the analytic bounds.
 
 Tracked words measure the auxiliary state the algorithm is allowed to hold:
-live marker entries (2(k+1) per decomposition level), live stack frames
-(2 words each: a vertex record plus its resume slot), a fixed constant of
-locals per live level, the straight-walk cursor, and the base case's one
-reach mask of side+1 bits (in words of ceil(log2(n+1)) bits) plus its
-locals.  The last divided level's frame sweep is such a base case: it
-holds the same one mask and locals while a visit of a DFS frame runs it,
-never across a push or pop, so it adds nothing to the bound.  So is that
+live marker entries (one per gridline of the level's search box [u, v] on
+either axis, so at most 2(k+1) per decomposition level), live stack
+frames (2 words each: a vertex record plus its resume slot), a fixed
+constant of locals per live level, the straight-walk cursor, and the
+base case's one reach mask of side+1 bits (in words of ceil(log2(n+1))
+bits) plus its locals.  The last divided level's frame sweep is such a
+base case: it holds the same one mask and locals while a visit of a DFS
+frame runs it, never across a push or pop, so it adds nothing to the
+bound.  So is that
 level's sweep for the target, held before the frame yields the target
 and ends the search.  So is the
 entry check of every divided level: one mask and locals of the level's
@@ -139,10 +141,12 @@ class Metrics:
         return max(self.peak_stack_by_depth, default=0)
 
 
-def level_charge(k: int) -> int:
-    """Words a divided level holds besides its frames: 2(k+1) marker
-    entries plus its locals."""
-    return 2 * (k + 1) + Metrics.LEVEL_WORDS
+def level_charge(markers: int) -> int:
+    """Words a divided level holds besides its frames: its marker entries,
+    one per gridline of its search box (auxgraph.box_gridlines), plus its
+    locals.  A box spans at most k+1 gridlines on either axis, so 2(k+1)
+    entries are the worst case."""
+    return markers + Metrics.LEVEL_WORDS
 
 
 def mask_words(side: int, n: int) -> int:
@@ -189,16 +193,17 @@ def predicted_calls(n: int, k: int) -> float:
 def predicted_words(n: int, k: int) -> int:
     """The most tracked words a query on a side-n graph under divisor k can
     charge, unrolled over decompose(n, k): each divided level holds its
-    level_charge plus at most 2k+3 frames, and the bottom holds the larger
-    of a straight walk and a base case on the last block side (n when no
-    level divides).  Below the top level the prefilter holds one mask of
-    its view's side under the levels above it; where that is more than the
-    levels below would hold, it sets the bound."""
+    level_charge for the worst case of 2(k+1) marker entries, a box that
+    spans every gridline, plus at most 2k+3 frames, and the bottom holds
+    the larger of a straight walk and a base case on the last block side
+    (n when no level divides).  Below the top level the prefilter holds
+    one mask of its view's side under the levels above it; where that is
+    more than the levels below would hold, it sets the bound."""
     words = 0
     prefilter = 0
     b = n
     for p in decompose(n, k)[:-1]:
-        words += level_charge(p.k) + Metrics.FRAME_WORDS * (2 * p.k + 3)
+        words += level_charge(2 * (p.k + 1)) + Metrics.FRAME_WORDS * (2 * p.k + 3)
         b = p.b
         prefilter = max(prefilter, words + mask_words(b, n))
     return max(prefilter, words + max(Metrics.WALK_WORDS, base_charge(b, n)))

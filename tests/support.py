@@ -349,6 +349,33 @@ def reference_run(p: AuxParams, curr, v, av, ah, edge_test, candidates=None):
             yield w
 
 
+def reference_marker_dfs(p: AuxParams, u, v, edge_test, log) -> bool:
+    """The marker DFS from u to v with full-width marker arrays: k+1
+    entries a side, indexed by gridline, whatever the target's box.  Each
+    frame is a reference_run on edge_test; every push, appended to log,
+    moves each marker that admits the vertex onto it.  Returns True once a
+    run yields v, False once the stack is empty."""
+    b = p.b
+    av = [-1] * (p.k + 1)
+    ah = [p.n + 1] * (p.k + 1)
+    stack = []
+    w = u
+    while True:
+        x, y = w
+        if x % b == 0 and av[x // b] < y:
+            av[x // b] = y
+        if y % b == 0 and ah[y // b] > x:
+            ah[y // b] = x
+        log.append(w)
+        stack.append(reference_run(p, w, v, av, ah, edge_test))
+        while (w := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return False
+        if w == v:
+            return True
+
+
 def _block_boundary(p: AuxParams, bx: int, by: int):
     b = p.b
     x0, y0 = bx * b, by * b

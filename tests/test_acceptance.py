@@ -36,15 +36,20 @@ from support import (
 # Trials per (n, p, epsilon) bin; 36 bins, 44,088 trials in all, weighted
 # towards small sides where trials are cheap.  The entry check answers many
 # NO trials before any DFS, so there are enough of them that as many trials
-# push a frame (12 056) and reach depth 2 (6 091) as the 20,040 did before
+# push a frame (12 738) and reach depth 2 (6 489) as the 20,040 did before
 # it (11 835 and 4 249).
 N_SIDES = (8, 12, 16, 24, 32, 48)
 P_VALUES = (0.3, 0.5, 0.7)
 EPS_VALUES = (0.5, 1.0)
 TRIALS_PER_BIN = {8: 3080, 12: 2200, 16: 1320, 24: 440, 32: 176, 48: 132}
-# The graph of each pair of trials, in turn: one of each fixed family, then
-# four gen_random graphs at the bin's p.
-GRAPH_CYCLE = ("full", "empty", "staircase", "single_path") + ("random",) * 4
+# The graph of each pair of trials, in turn, over sixteen pairs: one of each
+# fixed family, then four gen_random graphs at the bin's p, twice, except
+# that the first round spends the empty graph's pair on gen_random too.  On
+# an empty graph the entry check answers every divided-level query, so no
+# empty trial can push a frame; coming late in the cycle, it gets at most
+# one pair in sixteen of a bin's part.
+GRAPH_CYCLE = ("full", "random", "staircase", "single_path") + ("random",) * 4 + (
+    "full", "empty", "staircase", "single_path") + ("random",) * 4
 
 _WORKERS = 2
 

@@ -19,7 +19,7 @@ from gridreach import (
     reach,
 )
 from gridreach import engine
-from gridreach.auxgraph import iter_candidates
+from gridreach.auxgraph import box_gridlines, iter_candidates
 
 from support import (
     admissible,
@@ -37,20 +37,17 @@ def _lids(p, v):
     return sorted(by * p.k + bx + 1 for bx, by in common_blocks(p, v, v))
 
 
-def _engine_edge_test(g):
-    """The edge rule the engine hands marker_dfs at the top level of the
-    corner query on a side-9 graph (k = 3 at epsilon 1).  Its endpoints are
-    lattice corners, so the endpoint augmentation adds no edge.  The
-    divided level is entered directly: reach's entry check answers the
-    query on graphs where nothing enters the target's block, and then no
-    DFS runs."""
+def _handed_edge_test(g, levels):
+    """The edge test _divided hands marker_dfs at the top level of levels,
+    for the corner query on the side-9 graph g.  The divided level is
+    entered directly: reach's entry check answers the query on graphs
+    where nothing enters the target's block, and then no DFS runs."""
     captured = []
 
     def capture(p, view, u, v, edge_test, *args, **kw):
         captured.append((p, edge_test))
         return False
 
-    levels = engine._schedule(9, 1.0, None)[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "marker_dfs", capture)
         engine._divided(SubgridView.whole(g), levels[0], (0, 0), (9, 9), Metrics(),
@@ -58,6 +55,25 @@ def _engine_edge_test(g):
     (p, edge_test), = captured
     assert p == P93
     return edge_test
+
+
+def _engine_edge_test(g):
+    """The edge rule the engine hands marker_dfs at the top level of the
+    corner query on a side-9 graph divided 3 ways.  Its endpoints are
+    lattice corners, so the endpoint augmentation adds no edge.  The level
+    below divides each side-3 block once more, into unit blocks, so the top
+    level is not the last divided one: there the frames decide every pair
+    themselves, and _divided hands no edge test
+    (test_last_divided_level_gets_no_edge_test)."""
+    return _handed_edge_test(g, (P93, AuxParams(3, 3), None))
+
+
+def test_last_divided_level_gets_no_edge_test():
+    """Where the next level is the base case (k = 3 at epsilon 1 on side 9),
+    _divided builds no edge test and hands marker_dfs None."""
+    levels = engine._schedule(9, 1.0, None)[1]
+    assert levels == (P93, None)
+    assert _handed_edge_test(gen_family("full", 9), levels) is None
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +94,23 @@ def test_blocks_of():
     assert _lids(P93, (3, 3)) == [1, 2, 4, 5]
     assert _lids(P93, (9, 9)) == [9]
     assert common_blocks(P93, (1, 1), (1, 1)) == [(0, 0)]
+
+
+def test_box_gridlines_hold_the_box_and_the_source():
+    """box_gridlines(p, u, v) holds exactly the gridline indices whose line
+    crosses [u, v], on each axis, or u's own line where v lies west (south)
+    of u; the source's gridlines are always among them."""
+    for p in (P93, AuxParams(12, 4), AuxParams(10, 2)):
+        pts = [(x, y) for x in range(p.n + 1) for y in range(p.n + 1)]
+        for u in pts:
+            for v in pts[::7] + [(p.n, p.n), (p.n, 0), (0, p.n)]:
+                i0, nx, j0, ny = box_gridlines(p, u, v)
+                for axis, got in enumerate((range(i0, i0 + nx), range(j0, j0 + ny))):
+                    lo, hi = u[axis], max(u[axis], v[axis])
+                    assert list(got) == [i for i in range(p.k + 1)
+                                         if lo <= i * p.b <= hi], (p, u, v, axis)
+                    if u[axis] % p.b == 0:
+                        assert u[axis] // p.b in got
 
 
 def test_aux_params_validation():

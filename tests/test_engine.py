@@ -20,13 +20,14 @@ from gridreach import (
     reach,
 )
 from gridreach import engine
-from gridreach.auxgraph import decompose, is_base_side, iter_candidates, ne_corner
+from gridreach.auxgraph import (box_gridlines, decompose, is_base_side, is_gridline_vertex,
+                                iter_candidates, ne_corner)
 from gridreach.engine import _schedule
 from gridreach.metrics import base_charge, level_charge, mask_words
 
 from support import (PushLog, box_candidates, common_blocks, gridline_vertices, is_edge,
-                     lattice_reach, reference_enters, reference_run, view_chain,
-                     watch_windows)
+                     lattice_reach, reference_enters, reference_marker_dfs, reference_run,
+                     view_chain, watch_windows)
 
 
 def whole(g):
@@ -860,7 +861,7 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
                     common_blocks(p, c, v))  # decided in the frame's block
                 edges, base = m.edge_queries, m.base_case_calls
                 run = engine._swept_run(p, view, c, v, [-1] * (p.k + 1),
-                                        [p.n + 1] * (p.k + 1), m, 0, u, words)
+                                        [p.n + 1] * (p.k + 1), m, 0, u, 0, 0, words)
                 got = []
                 for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
@@ -872,21 +873,25 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
 
 class _FrameWordsMetrics(Metrics):
     """Metrics that check, whenever a search of one divided level pushes or
-    pops, that it holds exactly its level's words and its frames', and,
+    pops, that it holds exactly its level's words, read off its own marker
+    arrays (one entry each, plus the level's locals), and its frames', and,
     whenever a hold runs inside that search, that it sits on exactly those
-    words and holds at most one base case of the level's block side."""
+    words and holds at most one base case of the level's block side.  The
+    arrays are the ones the search hands its frames: watch_marker_arrays
+    sets them before the frame's push is noted."""
 
-    __slots__ = ("level_words", "base_words")
+    __slots__ = ("arrays", "base_words")
 
-    def __init__(self, k, base_words):
+    def __init__(self, base_words):
         super().__init__()
-        self.level_words = level_charge(k)
+        self.arrays = None
         self.base_words = base_words
 
     def _check(self):
+        av, ah = self.arrays
         frames = self.pushes - self.pops
         assert self.cur_tracked_words == (
-            self.level_words + Metrics.FRAME_WORDS * frames), frames
+            len(av) + len(ah) + Metrics.LEVEL_WORDS + Metrics.FRAME_WORDS * frames), frames
 
     def note_push(self, depth, w, frames):
         self._check()
@@ -903,11 +908,26 @@ class _FrameWordsMetrics(Metrics):
         super().hold(words)
 
 
-def test_frame_sweep_released_when_the_search_ends():
+def watch_marker_arrays(monkeypatch, seen=None):
+    """Make every marker-DFS frame, as it is made, set its metrics' arrays
+    to the (av, ah) it is handed, and append its (p, u, v, av, ah, i0, j0)
+    to seen where that is given."""
+    for name, skip in (("_swept_run", 0), ("_run", 1)):  # _run's edge_test comes first
+        def spied(p, g, curr, v, av, ah, *rest, _real=getattr(engine, name), _skip=skip):
+            m, _, u, i0, j0 = rest[_skip:_skip + 5]
+            m.arrays = av, ah
+            if seen is not None:
+                seen.append((p, u, v, av, ah, i0, j0))
+            return _real(p, g, curr, v, av, ah, *rest)
+        monkeypatch.setattr(engine, name, spied)
+
+
+def test_frame_sweep_released_when_the_search_ends(monkeypatch):
     """No frame sweep is held across a push or a pop, nor once the search
     ends, whether it finds the target or exhausts the stack; every hold
     inside the search sits on the level's and the frames' words alone and
     holds at most base_charge(b, n), the sweep of one block."""
+    watch_marker_arrays(monkeypatch)
     rng = SplitMix64(707)
     cfg = EngineConfig(k=4)  # one divided level: every frame sweeps
     answers = set()
@@ -917,7 +937,7 @@ def test_frame_sweep_released_when_the_search_ends():
             g = gen_random(n, 0.7, 0.7, rng.next_u64())
             s = (rng.next_below(half), rng.next_below(half))
             t = (half + 1 + rng.next_below(n - half), half + 1 + rng.next_below(n - half))
-            m = _FrameWordsMetrics(4, base_charge(n // 4, n))
+            m = _FrameWordsMetrics(base_charge(n // 4, n))
             got = reach(g, s, t, cfg, m).reachable
             assert got == oracle_reach(whole(g), s, t)
             assert m.cur_tracked_words == 0
@@ -925,6 +945,89 @@ def test_frame_sweep_released_when_the_search_ends():
                 answers.add(got)
                 assert m.base_case_calls > 0
     assert answers == {False, True}
+
+
+class _WordsLog(_FrameWordsMetrics):
+    """_FrameWordsMetrics that also record every pushed vertex in log."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, base_words):
+        super().__init__(base_words)
+        self.log = []
+
+    def note_push(self, depth, w, frames):
+        self.log.append(w)
+        super().note_push(depth, w, frames)
+
+
+# (n, k): two searches at the last divided level (b <= k, _swept_run), one
+# of them on side-2 blocks, and two above it (_run).
+BOX_MARKER_CASES = [(16, 4), (12, 6), (12, 3), (12, 2)]
+
+
+@pytest.mark.parametrize("n, k", BOX_MARKER_CASES)
+def test_box_sized_markers_match_full_width_markers(monkeypatch, n, k):
+    """A marker DFS holds one marker per gridline of its target's box
+    (auxgraph.box_gridlines), indexed from the box's first gridline, and
+    charges exactly those entries, the level's locals and two words per
+    frame at every push and pop (_FrameWordsMetrics).  Its pushes and its
+    verdict equal those of the search with full-width marker arrays
+    (support.reference_marker_dfs) on the reference edge rule
+    (_aug_edge_oracle), from sources on and off the gridlines, towards
+    targets on the lattice's east and north edges (x = n, y = n, where
+    ne_corner clamps), inside the lattice, and west or south of the source
+    ("behind"), where the box is empty and the arrays hold the source's own
+    lines."""
+    p = AuxParams(n, k)
+    b = p.b
+    swept = is_base_side(b, k)
+    seen = []
+    watch_marker_arrays(monkeypatch, seen)
+    rng = SplitMix64(2300 + 10 * n + k)
+    pushes = 0
+    half = n // 2  # sources in the south-west quarter, so most boxes are wide
+    lines = [w for w in gridline_vertices(p) if max(w) <= half]
+    cases = set()
+    for q in (0.5, 0.7, 0.9):
+        g = whole(gen_random(n, q, q, rng.next_u64()))
+        for trial in range(100):
+            if trial % 2:
+                u = lines[rng.next_below(len(lines))]
+            else:
+                u = (rng.next_below(half + 1), rng.next_below(half + 1))
+            x = u[0] + rng.next_below(n + 1 - u[0])
+            y = u[1] + rng.next_below(n + 1 - u[1])
+            kind = ("east", "north", "inside", "behind")[trial // 2 % 4]
+            v = {"east": (n, y), "north": (x, n), "inside": (x, y),
+                 "behind": (rng.next_below(n + 1), rng.next_below(n + 1))}[kind]
+            if kind == "behind" and v[0] >= u[0] and v[1] >= u[1]:
+                v = (v[0], u[1] - 1) if u[1] else (u[0] - 1, v[1])
+            if v == u or min(v) < 0:
+                continue
+            edge = _aug_edge_oracle(p, g, u, v)
+            ref_log = []
+            want = reference_marker_dfs(p, u, v, edge, ref_log)
+            m = _WordsLog(base_charge(b, n))
+            seen.clear()
+            got = marker_dfs(p, g, u, v, None if swept else edge, m)
+            where = (n, k, u, v)
+            assert (got, m.log) == (want, ref_log), where
+            assert m.cur_tracked_words == 0, where
+            assert_no_violations(m)
+            box = box_gridlines(p, u, v)
+            for *_, av, ah, i0, j0 in seen:
+                assert (i0, len(av), j0, len(ah)) == box, where
+            share = u[0] == v[0] or u[1] == v[1] or common_blocks(p, u, v)
+            if kind != "behind" and not share:
+                assert got == oracle_reach(g, u, v), where
+            cases.add((kind, is_gridline_vertex(p, u), got))
+            pushes += len(ref_log)
+    assert {(kind, on) for kind, on, _ in cases} == {
+        (kind, on) for kind in ("east", "north", "inside", "behind")
+        for on in (False, True)}, cases
+    assert {got for kind, _, got in cases if kind != "behind"} == {False, True}
+    assert pushes > 500, pushes
 
 
 def test_frame_sweep_closes_each_row_once(monkeypatch):
@@ -1012,8 +1115,9 @@ def test_swept_run_matches_the_tested_run(n, k):
             m = Metrics()
             mt = Metrics()
             ref = reference_run(p, curr, v, av, ah, edge_to(asked))
-            swept = engine._swept_run(p, g, curr, v, av, ah, m, 0, u, base_charge(b, n))
-            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, u)
+            # Full-width markers, indexed from gridline 0 (offsets 0, 0).
+            swept = engine._swept_run(p, g, curr, v, av, ah, m, 0, u, 0, 0, base_charge(b, n))
+            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, u, 0, 0)
             x1, y1 = ne_corner(p, curr)
             lines = {(x1, curr[1]), (curr[0], y1)} - {v}  # decided by the frame
             sweeps = 0  # sweeps answering the target or a candidate tested
@@ -1096,8 +1200,10 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
                     av, ah = [-1] * (k + 1), [n + 1] * (k + 1)
                     for swept in (False, True):
                         m = Metrics()
-                        run = (engine._swept_run(p, g, curr, v, av, ah, m, 0, u, base_charge(b, n))
-                               if swept else engine._run(p, g, curr, v, av, ah, edge_test, m, 0, u))
+                        run = (engine._swept_run(p, g, curr, v, av, ah, m, 0, u, 0, 0,
+                                                 base_charge(b, n))
+                               if swept else engine._run(p, g, curr, v, av, ah, edge_test, m, 0,
+                                                         u, 0, 0))
                         where = (n, k, u, v, curr, swept)
                         assert [w for w in run if w in lines] == want, where
                         assert m.edge_queries == len(lines) + (swept and target), where
@@ -1132,7 +1238,9 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
     p = AuxParams(n, k)
     b = p.b
     assert is_base_side(b, k)
-    held = level_charge(k) + Metrics.FRAME_WORDS  # the level and one frame
+    # The level, with the k+1 markers a side the runs below are handed, and
+    # one frame.
+    held = level_charge(2 * (k + 1)) + Metrics.FRAME_WORDS
     bound = held + base_charge(b, n)
     real = engine._swept_run
     words = []
@@ -1170,7 +1278,7 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
                 rule = _aug_line_filter(b, u, v, curr, v)
                 m = Metrics()
                 m.charge(held)
-                run = engine._swept_run(p, view, curr, v, none_v, none_h, m, 0, u, word)
+                run = engine._swept_run(p, view, curr, v, none_v, none_h, m, 0, u, 0, 0, word)
                 got = next(run, None) == v
                 where = (n, k, u, curr, v)
                 assert got == (rule and lattice_reach(g, box, curr, v)), where
@@ -1186,7 +1294,8 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
 
 
 # (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
-# pushes, pops, edge tests, peak words and base calls.  At epsilon=1.0 (k=4,
+# pushes, pops, edge tests, peak words (each search charging one marker per
+# gridline of its target's box) and base calls.  At epsilon=1.0 (k=4,
 # one divided level) each frame reads its run off one sweep per visit; at
 # epsilon=0.5 (k=2, three divided levels) the upper levels test their
 # candidates one edge at a time.  Every divided level first runs the entry
@@ -1196,14 +1305,14 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
 # a change of counters keeps them.
 PINNED = [
     (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 0, 0, 0, 5, 1),
-    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 33, 47),
-    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 31, 19),
-    (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 33, 25),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 30, 47),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 26, 19),
+    (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 29, 25),
     (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 0, 0, 0, 6, 1),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 59, 114),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 52, 114),
     (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 0, 0, 0, 6, 1),
-    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 62, 62, 213, 55, 90),
-    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 36, 36, 97, 55, 51),
+    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 62, 62, 213, 51, 90),
+    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 36, 36, 97, 46, 51),
 ]
 
 

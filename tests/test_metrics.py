@@ -46,7 +46,7 @@ def _levels_and_bottom(n, k):
     words = 0
     b = n
     for p in decompose(n, k)[:-1]:
-        words += level_charge(p.k) + Metrics.FRAME_WORDS * (2 * p.k + 3)
+        words += level_charge(2 * (p.k + 1)) + Metrics.FRAME_WORDS * (2 * p.k + 3)
         b = p.b
     return words + max(Metrics.WALK_WORDS, base_charge(b, n))
 
