@@ -2,14 +2,16 @@
 
 reach is the one query entry point.  It answers a query on a view by
 dispatching, in order: equal endpoints; impossible (west/south)
-displacement; shared row or column (straight walk); below the top level,
-a two-pass prefilter (_may_reach); small side (the oracle's row sweep);
-both endpoints in one block (auxgraph.ne_corner, the block rule), a query
-on that block; the entry check (_enters), one backward row sweep of the
-target's block that answers NO where no path can enter that block and
-reach the target; otherwise it divides the view into k^2 blocks and runs
-a marker-array DFS over the implicit boundary graph, deciding each edge by
-recursing into the block the rule finds.  A DFS frame is its run, a
+displacement; shared row or column (straight walk); small side (the
+oracle's row sweep); both endpoints in one block (auxgraph.ne_corner, the
+block rule), a query on that block; the entry check (_enters), one
+backward row sweep of the target's block that answers NO where no path
+can enter that block and reach the target; otherwise it divides the view
+into k^2 blocks and runs a marker-array DFS over the implicit boundary
+graph, deciding each edge by recursing into the block the rule finds.  A
+block query goes through the same dispatch, so below the top level a
+query off a common row and column goes straight to its base case, its
+shared block or its entry check.  A DFS frame is its run, a
 generator that first decides the edge into the target, where the target
 lies in the frame's block, and then walks the frame's candidates,
 skipping those the markers rule out.  The two candidates on the frame's
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 from .auxgraph import (AuxParams, box_gridlines, decompose, is_base_side,
                        is_gridline_vertex, iter_candidates, ne_corner)
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
-from .metrics import Metrics, base_charge, level_charge, mask_words
+from .metrics import Metrics, base_charge, level_charge
 
 
 @dataclass(frozen=True)
@@ -413,8 +415,12 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     the vertex.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
-    the gridlines), of visit-once and of the push bound (2(k+1)(n+1)+2
-    pushes) are counted in the metrics' violation counters.
+    the gridlines), of visit-once and of the push bound are counted in the
+    metrics' violation counters.  The push bound is the box's: every push
+    after the source's advances one of its nx vertical and ny horizontal
+    markers, and each marker takes at most one value per row (column) of
+    the box, so a search pushes at most 1 + nx*(v.y-u.y+1) + ny*(v.x-u.x+1)
+    vertices (an empty range counting 0).
     """
     m = metrics
     b = p.b
@@ -459,7 +465,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
                 return True
     finally:
         m.release(level_words + Metrics.FRAME_WORDS * len(stack))
-        if pushes > 2 * (k + 1) * (p.n + 1) + 2:
+        if pushes > 1 + nx * max(0, v[1] - u[1] + 1) + ny * max(0, v[0] - u[0] + 1):
             m.push_bound_violations += 1
 
 
@@ -482,41 +488,6 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
         if not (view.north_row(y) >> x) & 1:
             return False
     return True
-
-
-def _may_reach(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
-               m: Metrics) -> bool:
-    """The prefilter of _reach below the top level, for ux < vx and uy < vy:
-    necessary conditions for a path.  A path crosses every row of the span
-    inside the column range, and every column inside the row range; two
-    cheap mask sweeps prune most dead block queries before any subdivision
-    or base case.  A block query that reaches it comes from a shared-block
-    dispatch or an upper level's edge test.  The last divided level's runs
-    (_swept_run) run none: a frame sweep answers a whole run at once, and
-    a prefilter pass in front of it cost more time than the sweeps it
-    saved; and the target's sweep, which the prefilter screened while the
-    target went through the edge test, reads the same rows its scan
-    would.
-
-    acc, the OR of the span's east rows, holds up to `side` bits, so it is
-    charged as one (side+1)-bit mask, metrics.mask_words; the scan charges
-    nothing else, so the mask is held in one peak update (Metrics.hold).
-    row_span and col_need are not charged: each is a range fixed by two
-    coordinates, as _straight's need is.  _reach skips the prefilter on the
-    top-level view, where acc would be as wide as the oracle's own row
-    mask.
-    """
-    m.hold(mask_words(view.side, view.base.n))
-    nr = view.north_row
-    er = view.east_row
-    row_span = ((2 << (vx - ux)) - 1) << ux
-    col_need = ((1 << (vx - ux)) - 1) << ux
-    acc = er(vy)
-    for y in range(uy, vy):
-        if not nr(y) & row_span:
-            return False
-        acc |= er(y)
-    return acc & col_need == col_need
 
 
 def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
@@ -600,8 +571,6 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
         return False
     if ux == vx or uy == vy:
         return _straight(view, ux, uy, vx, vy, m)
-    if depth and not _may_reach(view, ux, uy, vx, vy, m):
-        return False
     p = levels[depth]
     if p is None:
         return base_dfs(view, u, v, m)

@@ -9,26 +9,19 @@ base case's one reach mask of side+1 bits (in words of ceil(log2(n+1))
 bits) plus its locals.  The last divided level's frame sweep is such a
 base case: it holds the same one mask and locals while a visit of a DFS
 frame runs it, never across a push or pop, so it adds nothing to the
-bound.  So is that
-level's sweep for the target, held before the frame yields the target
-and ends the search.  So is the
-entry check of every divided level: one mask and locals of the level's
-block side, held under the levels above only, before the level charges
-its markers; it is below the prefilter term of the next depth, so it adds
-nothing to the bound either.  Below the top level, the prefilter of a
-block query holds one mask of the block's side+1 bits while it scans;
-its two span masks are ranges fixed by two coordinates and are not
-counted.  It does not run on the top-level view, nor at the last divided
-level, whose frames decide the target without the edge test it used to
-screen.  The read-only input
-graph (with its one whole view and each view's two window masks), the
-output and instrumentation are never counted.
-Space is measured by this explicit instrumentation rather than process
-RSS, which is noisy and dominated by the input itself.
+bound.  So is that level's sweep for the target, held before the frame
+yields the target and ends the search.  So is the entry check of every
+divided level: one mask and locals of the level's block side, held under
+the levels above only, before the level charges its markers; the word
+bound has a term for it.  The read-only input graph (with its one whole
+view and each view's two window masks), the output and instrumentation
+are never counted.  Space is measured by this explicit instrumentation
+rather than process RSS, which is noisy and dominated by the input
+itself.
 
 Leaf work that charges nothing while it holds its words (the base case,
-a straight walk, the prefilter, a frame sweep and the entry check) holds
-them through hold, one peak update, in place of a charge and a release.
+a straight walk, a frame sweep and the entry check) holds them through
+hold, one peak update, in place of a charge and a release.
 
 A marker DFS holds no per-vertex state.  It reports each push and pop to
 note_push and note_pop, which count it and charge or release its frame; a
@@ -43,14 +36,10 @@ whose straight walk counts as the call at the next depth that recursion
 would make.  At the last divided level the frame tests the target in its
 own block, at one edge query: on the vertex's row or column as it tests
 those two, elsewhere by one row sweep that counts one call at the next
-depth and one base_case_calls.  The edge test counted the same edge
-query and call, but its prefilter rejected some targets before the base
-case, so base_case_calls and the peak of such a query read higher than
-they did through the edge test, and never lower.  The candidates a frame
-sweep reads off its mask are not edge tests; each sweep counts one
-base_case_calls and one call at the next depth.  Each entry check counts
-one base_case_calls and no call: it runs inside the call of the query it
-checks.
+depth and one base_case_calls.  The candidates a frame sweep reads off
+its mask are not edge tests; each sweep counts one base_case_calls and
+one call at the next depth.  Each entry check counts one base_case_calls
+and no call: it runs inside the call of the query it checks.
 
 The word bound is the worst case of those same charges over the levels
 of the schedule; the engine charges through level_charge and base_charge.
@@ -149,16 +138,11 @@ def level_charge(markers: int) -> int:
     return markers + Metrics.LEVEL_WORDS
 
 
-def mask_words(side: int, n: int) -> int:
-    """Words of one (side+1)-bit mask on a side-n graph, in words of
-    n.bit_length() = ceil(log2(n+1)) bits."""
-    return -(-(side + 1) // n.bit_length())
-
-
 def base_charge(side: int, n: int) -> int:
     """Words the base case holds on a side-`side` block of a side-n graph:
-    one reach mask (mask_words) plus its locals."""
-    return mask_words(side, n) + Metrics.BASE_WORDS
+    one (side+1)-bit reach mask, in words of n.bit_length() =
+    ceil(log2(n+1)) bits, plus its locals."""
+    return -(-(side + 1) // n.bit_length()) + Metrics.BASE_WORDS
 
 
 @dataclass
@@ -196,17 +180,18 @@ def predicted_words(n: int, k: int) -> int:
     level_charge for the worst case of 2(k+1) marker entries, a box that
     spans every gridline, plus at most 2k+3 frames, and the bottom holds
     the larger of a straight walk and a base case on the last block side
-    (n when no level divides).  Below the top level the prefilter holds
-    one mask of its view's side under the levels above it; where that is
-    more than the levels below would hold, it sets the bound."""
+    (n when no level divides).  Each divided level's entry check holds one
+    base case on that level's block side under the levels above it, before
+    the level charges its own; where that is more than the levels below
+    would hold, it sets the bound."""
     words = 0
-    prefilter = 0
+    entry = 0
     b = n
     for p in decompose(n, k)[:-1]:
-        words += level_charge(2 * (p.k + 1)) + Metrics.FRAME_WORDS * (2 * p.k + 3)
         b = p.b
-        prefilter = max(prefilter, words + mask_words(b, n))
-    return max(prefilter, words + max(Metrics.WALK_WORDS, base_charge(b, n)))
+        entry = max(entry, words + base_charge(b, n))
+        words += level_charge(2 * (p.k + 1)) + Metrics.FRAME_WORDS * (2 * p.k + 3)
+    return max(entry, words + max(Metrics.WALK_WORDS, base_charge(b, n)))
 
 
 # Multipliers for callers that still pass them to Bounds; the bounds are

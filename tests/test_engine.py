@@ -17,13 +17,14 @@ from gridreach import (
     gen_family,
     gen_random,
     oracle_reach,
+    predicted_words,
     reach,
 )
 from gridreach import engine
 from gridreach.auxgraph import (box_gridlines, decompose, is_base_side, is_gridline_vertex,
                                 iter_candidates, ne_corner)
 from gridreach.engine import _schedule
-from gridreach.metrics import base_charge, level_charge, mask_words
+from gridreach.metrics import base_charge, level_charge
 
 from support import (PushLog, box_candidates, common_blocks, gridline_vertices, is_edge,
                      lattice_reach, reference_enters, reference_marker_dfs, reference_run,
@@ -369,46 +370,6 @@ def test_recursion_on_views():
         assert _reach_view(v, s, t, cfg, Metrics()) == oracle_reach(v, s, t)
 
 
-def test_prefilter_charges_its_mask_below_the_top_level(monkeypatch):
-    """The prefilter never scans the top-level view.  Below it, it raises
-    the tracked words by exactly one mask of its view's side while it scans,
-    and returns them to their entry value whichever way it answers."""
-    real = engine._may_reach
-    calls = []
-
-    def spy(view, ux, uy, vx, vy, m):
-        entry, peak = m.cur_tracked_words, m.peak_tracked_words
-        m.peak_tracked_words = entry  # the scan's own charge sets the peak
-        got = real(view, ux, uy, vx, vy, m)
-        calls.append((view.side, view.base.n, m.peak_tracked_words - entry,
-                      m.cur_tracked_words - entry, got))
-        m.peak_tracked_words = max(peak, m.peak_tracked_words)
-        return got
-
-    monkeypatch.setattr(engine, "_may_reach", spy)
-    rng = SplitMix64(1212)
-    # At n=12, k=3 (12 -> 4 -> 2) a side-4 block's 5 bits take two 4-bit
-    # words.
-    for cfg, n in ((EngineConfig(epsilon=1.0), 16), (EngineConfig(k=3), 12),
-                   (EngineConfig(epsilon=0.5), 16)):
-        for _ in range(4):
-            g = gen_random(n, 0.6, 0.6, rng.next_u64())
-            h = n // 2
-            s = (rng.next_below(h), rng.next_below(h))
-            t = (h + rng.next_below(h + 1), h + rng.next_below(h + 1))
-            a = reach(g, s, t, cfg)
-            assert a.reachable == oracle_reach(whole(g), s, t)
-            assert a.metrics.cur_tracked_words == 0
-    assert {got for *_, got in calls} == {False, True}
-    sides = set()
-    for side, n, raised, left, _ in calls:
-        assert side < n, "the prefilter scanned the top-level view"
-        assert raised == mask_words(side, n), (side, n)
-        assert left == 0, (side, n)
-        sides.add(side)
-    assert {8, 4, 2} <= sides  # blocks of several depths and sizes
-
-
 def test_gridline_crawl_instances():
     """Paths that crawl along a gridline through a block crossing; these
     need the endpoint augmentation and are invisible to the plain edge
@@ -547,6 +508,92 @@ def test_entry_check_matches_the_reference():
     assert checked > 1200
     assert cases - {None} == {(c, got) for got in (False, True) for c in (
         "vertical", "horizontal", "corner", "interior", "both", "south", "west", "padded")}
+
+
+class _LiveLevels(Metrics):
+    """Metrics that keep, per live marker DFS, [depth, level words, live
+    frames] in ``levels``, innermost last.  The searches are entered and
+    left by a spy on engine.marker_dfs; a push or pop belongs to the
+    innermost one."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self):
+        super().__init__()
+        self.levels = []
+
+    def note_push(self, depth, w, frames):
+        assert self.levels[-1][0] == depth
+        self.levels[-1][2] = frames
+        super().note_push(depth, w, frames)
+
+    def note_pop(self):
+        self.levels[-1][2] -= 1
+        super().note_pop()
+
+
+@pytest.mark.parametrize("n, cfg", [(16, EngineConfig(epsilon=0.5)), (12, EngineConfig(k=3)),
+                                    (32, EngineConfig(k=2))])
+def test_entry_check_holds_its_mask_under_the_levels_above(monkeypatch, n, cfg):
+    """Each entry check runs under the divided levels above its query
+    alone: the tracked words at its start are those levels' charges, each
+    one's level_charge for its box's markers plus its live frames, with
+    nothing of its own level's.  It raises the peak by exactly one base
+    case on its level's block side, base_charge(b, n), and leaves the
+    tracked words as it found them.  That is the hold the word bound's
+    entry term covers, at every depth the schedule divides."""
+    real_reach, real_dfs, real_enters = engine._reach, engine.marker_dfs, engine._enters
+    depths = []  # the depths of the live block queries, innermost last
+    checks = []
+
+    def reach_spy(view, u, v, m, levels, depth):
+        depths.append(depth)
+        try:
+            return real_reach(view, u, v, m, levels, depth)
+        finally:
+            depths.pop()
+
+    def dfs_spy(p, g, u, v, edge_test, m, depth=0):
+        _, nx, _, ny = box_gridlines(p, u, v)
+        m.levels.append([depth, level_charge(nx + ny), 0])
+        try:
+            return real_dfs(p, g, u, v, edge_test, m, depth)
+        finally:
+            m.levels.pop()
+
+    def enters_spy(view, b, ux, uy, vx, vy, m):
+        depth = depths[-1]
+        above = sum(words + Metrics.FRAME_WORDS * frames
+                    for d, words, frames in m.levels if d < depth)
+        entry, peak = m.cur_tracked_words, m.peak_tracked_words
+        assert entry == above, (depth, m.levels)
+        m.peak_tracked_words = entry  # the check's own hold sets the peak
+        got = real_enters(view, b, ux, uy, vx, vy, m)
+        assert m.peak_tracked_words - entry == base_charge(b, view.base.n), (depth, b)
+        assert m.cur_tracked_words == entry
+        m.peak_tracked_words = max(peak, m.peak_tracked_words)
+        checks.append((depth, above > 0, got))
+        return got
+
+    monkeypatch.setattr(engine, "_reach", reach_spy)
+    monkeypatch.setattr(engine, "marker_dfs", dfs_spy)
+    monkeypatch.setattr(engine, "_enters", enters_spy)
+    rng = SplitMix64(2424 + n)
+    h = n // 2
+    for _ in range(6):
+        g = gen_random(n, 0.7, 0.7, rng.next_u64())
+        s = (rng.next_below(h), rng.next_below(h))
+        t = (h + rng.next_below(h + 1), h + rng.next_below(h + 1))
+        m = _LiveLevels()
+        a = reach(g, s, t, cfg, m)
+        assert a.reachable == oracle_reach(whole(g), s, t)
+        assert m.cur_tracked_words == 0 and m.levels == []
+        assert m.peak_tracked_words <= predicted_words(n, m.k_top)
+    divided = len(_schedule(n, cfg.epsilon, cfg.k)[1]) - 1
+    # Every divided level checks, and below the top level both answers
+    # occur under the levels above.
+    assert {d for d, *_ in checks} == set(range(divided)), checks
+    assert {got for d, under, got in checks if under} == {False, True}
 
 
 @pytest.mark.parametrize("n, cfg", [(24, EngineConfig(epsilon=1.0)), (10, EngineConfig(k=4)),
@@ -1300,8 +1347,8 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
 # epsilon=0.5 (k=2, three divided levels) the upper levels test their
 # candidates one edge at a time.  Every divided level first runs the entry
 # check, one base call: the rows with no push are queries it answers at the
-# top level, and at 0x3fd8e85ac1ae6d0 it answers some of the block queries
-# below.  The ids name each query by its epsilon and graph seed only, so that
+# top level, and at epsilon=0.5 it answers some of the block queries below.
+# The ids name each query by its epsilon and graph seed only, so that
 # a change of counters keeps them.
 PINNED = [
     (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 0, 0, 0, 5, 1),
@@ -1309,10 +1356,10 @@ PINNED = [
     (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 26, 19),
     (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 29, 25),
     (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 0, 0, 0, 6, 1),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 52, 114),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 52, 138),
     (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 0, 0, 0, 6, 1),
-    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 62, 62, 213, 51, 90),
-    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 36, 36, 97, 46, 51),
+    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 119, 119, 295, 51, 187),
+    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 37, 37, 99, 46, 63),
 ]
 
 
@@ -1462,13 +1509,11 @@ def test_injected_faults_trip_the_counters(monkeypatch):
         return got, (m.stack_bound_violations, m.visit_once_violations,
                      m.push_bound_violations)
 
-    # The enumeration climbs column 0 one vertex at a time and stops after
-    # `pushes` vertices.  Past the top it skips the horizontal gridlines,
-    # which have no marker there.
-    bound = 2 * (p.k + 1) * (p.n + 1) + 2
-    ys = [y for y in range(2 * bound) if y <= p.n or y % p.b]
-
-    def climb(pushes):
+    def climb(pushes, target=v):
+        # Climbs column 0 one vertex at a time and stops after `pushes`
+        # vertices.  Above the target's box it skips the horizontal
+        # gridlines, which have no marker there.
+        ys = [y for y in range(2 * pushes) if y <= target[1] or y % p.b]
         nxt = dict(zip(ys[:pushes - 1], ys[1:pushes]))
 
         def fault(p, curr):
@@ -1483,13 +1528,21 @@ def test_injected_faults_trip_the_counters(monkeypatch):
     # Visit-once: runs that ignore the markers offer every vertex again
     # each time a frame reaches it.  Towards (6, 5) the search pushes 13
     # distinct vertices 30 times; the engine's markers admit none of the 17
-    # repeats, nor 3 first pushes of vertices they had ruled out.
-    assert run(None, (6, 5), fresh=True) == (False, (0, 20, 0))
+    # repeats, nor 3 first pushes of vertices they had ruled out.  The 30
+    # pushes also pass that box's push bound, 27 (below).
+    assert run(None, (6, 5), fresh=True) == (False, (0, 20, 1))
 
-    # Push bound: inside the lattice each marker advances at most n+1
-    # times, and every push but the source's advances one, so at most
-    # 2(k+1)(n+1)+1 pushes are admitted and the bound of 2(k+1)(n+1)+2 is
-    # out of reach.  Besides pushes no marker admits, only an enumeration
-    # that leaves the lattice can breach it.
-    assert run(climb(bound)) == (False, (bound - 7, 0, 0))
-    assert run(climb(bound + 1)) == (False, (bound - 6, 0, 1))
+    # Push bound: every push but the source's advances one of the box's
+    # markers, and each takes at most one value per row (column) of the
+    # box, so at most 1 + nx*(v.y-u.y+1) + ny*(v.x-u.x+1) pushes are
+    # admitted.  Besides pushes no marker admits, only an enumeration that
+    # leaves the box can breach it.  On the whole lattice that count is
+    # 1 + 4*13 + 4*13 = 105.
+    assert run(climb(105)) == (False, (105 - 7, 0, 0))
+    assert run(climb(106)) == (False, (106 - 7, 0, 1))
+    # Towards (6, 5) the box holds two gridlines on either axis, 1 + 2*6 +
+    # 2*7 = 27 pushes, far below the full-width 2(k+1)(n+1)+2 = 106.  Its
+    # endpoint lies off the gridlines, so the stack bound is 2k+3 = 9.
+    assert box_gridlines(p, u, (6, 5)) == (0, 2, 0, 2)
+    assert run(climb(27, (6, 5)), (6, 5)) == (False, (27 - 9, 0, 0))
+    assert run(climb(28, (6, 5)), (6, 5)) == (False, (28 - 9, 0, 1))

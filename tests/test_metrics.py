@@ -14,7 +14,7 @@ from gridreach import (
     reach,
 )
 from gridreach.auxgraph import decompose
-from gridreach.metrics import base_charge, level_charge, mask_words
+from gridreach.metrics import base_charge, level_charge
 
 
 def test_predicted_calls_base_and_one_level():
@@ -40,7 +40,7 @@ def test_predicted_words_base_and_one_level():
 
 
 def _levels_and_bottom(n, k):
-    """The word bound without the prefilter term: every divided level's
+    """The word bound without the entry check's term: every divided level's
     charge and frames, plus the larger of a straight walk and the base
     case."""
     words = 0
@@ -51,11 +51,11 @@ def _levels_and_bottom(n, k):
     return words + max(Metrics.WALK_WORDS, base_charge(b, n))
 
 
-def test_prefilter_term_of_the_word_bound():
+def test_entry_check_term_of_the_word_bound():
     # Criterion 7's bounds at epsilon=1.0.
     assert [predicted_words(n, k) for n, k in ((16, 4), (64, 8), (256, 16))] == [
         45, 70, 118]
-    # The prefilter's mask never binds on the schedules the repository runs.
+    # The entry check's mask never binds on the schedules the repository runs.
     moved = checked = 0
     for n in range(2, 2049):
         for k in {choose_k(n, 1.0), choose_k(n, 0.5), 2, 3, 4}:
@@ -63,14 +63,21 @@ def test_prefilter_term_of_the_word_bound():
                 checked += 1
                 moved += predicted_words(n, k) != _levels_and_bottom(n, k)
     assert (checked, moved) == (9804, 0)
-    # It binds at epsilon=0.5, n=65536 (k=16; 65536 -> 4096 -> 256 -> 16):
-    # three levels of 2*17 + 8 + 2*35 = 112 words and a base of 1 + 4 make
-    # 341, while the depth-1 prefilter on a side-4096 block holds 4097 bits
-    # in 17-bit words under one level.
+    # Nor at epsilon=0.5, n=65536 (k=16; 65536 -> 4096 -> 256 -> 16): three
+    # levels of 2*17 + 8 + 2*35 = 112 words and a base of 1 + 4 make 341,
+    # while the depth-0 entry check on a side-4096 block holds 4097 bits in
+    # 17-bit words plus 4 locals under no level.
     assert choose_k(65536, 0.5) == 16
-    assert _levels_and_bottom(65536, 16) == 341
-    assert mask_words(4096, 65536) == 241
-    assert predicted_words(65536, 16) == 112 + 241 == 353
+    assert base_charge(4096, 65536) == 245
+    assert predicted_words(65536, 16) == _levels_and_bottom(65536, 16) == 341
+    # It binds at n=2^18 (k=23; 262144 -> 11398 -> 496 -> 22): three levels
+    # of 2*24 + 8 + 2*49 = 154 words and a base of 2 + 4 make 468, while the
+    # depth-0 entry check holds 11399 bits in 19-bit words, 600, plus 4.
+    n = 1 << 18
+    assert choose_k(n, 0.5) == 23
+    assert decompose(n, 23)[0].b == 11398
+    assert _levels_and_bottom(n, 23) == 468
+    assert predicted_words(n, 23) == base_charge(11398, n) == 604
 
 
 def test_predicted_bounds_monotone_in_n():
