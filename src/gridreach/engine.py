@@ -11,21 +11,20 @@ into k^2 blocks and runs a marker-array DFS over the implicit boundary
 graph, deciding each edge by recursing into the block the rule finds.  A
 block query goes through the same dispatch, so below the top level a
 query off a common row and column goes straight to its base case, its
-shared block or its entry check.  A DFS frame is its run, a
-generator that first decides the edge into the target, where the target
-lies in the frame's block, and then walks the frame's candidates,
-skipping those the markers rule out.  The two candidates on the frame's
-own row and column need no recursion: a path to them runs straight, so
-the frame decides them itself, by the gridline rule and a straight walk
-on its block (_line_edge).  Above the last divided level the run, _run,
-tests the target and every other candidate by recursion.  At the last
-divided level, where the recursion would end in one base-case row sweep
-per edge, the run is _swept_run, which decides every pair inside the
-frame's block itself: the target by the gridline rule and a straight
-walk on the frame's row or column, else by one row sweep of the block up
-to the target's row, and the other candidates, in whole stretches, as
-the set bits of one row sweep of the block per visit, each sweep charged
-as one base case.
+shared block or its entry check.  A DFS frame is its run (_run), one
+generator at every divided level, which first decides the edge into the
+target, where the target lies in the frame's block, and then walks the
+frame's candidates, skipping those the markers rule out.  The two
+candidates on the frame's own row and column, and a target there, need
+no recursion: a path to them runs straight, so the frame decides them
+itself, by the gridline rule and a straight walk on its block
+(_line_edge).  One run, two probes: for the other pairs, in whole
+stretches of admitted candidates, the run asks its probe for the first
+joined vertex.  Above the last divided level the probe is the edge
+test, a recursion per vertex; at the last divided level, where that
+recursion would end in one base-case row sweep per edge, it is one row
+sweep of the frame's block per visit, charged as one base case, whose
+set bits are the joined vertices.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -72,7 +71,10 @@ import math
 from dataclasses import dataclass
 
 from .auxgraph import (AuxParams, box_gridlines, decompose, is_base_side,
-                       is_gridline_vertex, iter_candidates, ne_corner)
+                       is_gridline_vertex, ne_corner)
+# Not called here: perfbench/spans.py patches this binding to time the
+# enumeration, and perfbench/test_smoke.py checks that its tracer restores it.
+from .auxgraph import iter_candidates  # noqa: F401
 from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
 from .metrics import Metrics, base_charge, level_charge
 
@@ -187,8 +189,8 @@ def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w:
     gridline rule (_gridline_rule, which needs the source u and the target
     v), then, where the rule joins them, a straight walk on the block view,
     counted as the call at depth+1 that an edge test's recursion into the
-    block would make.  Frames decide their own-line candidates, and at the
-    last divided level a target on their row or column, here."""
+    block would make.  At every level, frames decide their own-line
+    candidates and a target on their row or column here."""
     m.edge_queries += 1
     if not _gridline_rule(b, u, v, curr, w):
         return False
@@ -197,87 +199,50 @@ def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w:
 
 
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-         ah: list[int], edge_test, m: Metrics, depth: int, u: Vertex, i0: int, j0: int):
-    """A marker-DFS frame at curr above the last divided level: yield v if
-    curr is joined to it, then the candidates of curr's run that the
-    markers admit and that are joined to curr, in run order, skipping v.
-    The generator is the frame: it holds the frame's vertex and its
-    cursor, the resume slot, between visits.
+         ah: list[int], edge_test, m: Metrics, depth: int, u: Vertex, i0: int, j0: int,
+         words: int):
+    """A marker-DFS frame at curr: yield v if curr is joined to it, then the
+    candidates of curr's run that the markers admit and that are joined to
+    curr, in run order, skipping v.  The generator is the frame: it holds
+    the frame's vertex and its cursor, the resume slot, between visits.
 
-    The target comes first, asked of edge_test once where it lies
-    north-east of curr inside curr's north-eastmost block (the block rule,
-    auxgraph.ne_corner), and no marker is consulted for it: a target
-    sitting below a marker must still be recognized.  The run is
-    auxgraph.iter_candidates, the east column of that block going north,
-    then its north row going west, cut to v's box, which the module
-    docstring shows sound: it asks about no vertex east or north of v.  Of
-    its candidates, those the markers admit (_admits, read afresh for each
-    one, so a return after a pop sees the markers the child moved) are
-    decided in run order: the two on curr's own row and column, (x1, cy)
-    and (cx, y1), by the frame itself (_line_edge, on curr's block), every
-    other one by edge_test.
-    """
-    b = p.b
-    cx, cy = curr
-    vx, vy = v
-    if cx > vx or cy > vy:
-        return  # curr lies outside the box, and so does all north-east of it
-    x1, y1 = ne_corner(p, curr)
-    if curr != v and vx <= x1 and vy <= y1 and edge_test(curr, v):
-        yield v
-    x0 = x1 - b
-    y0 = y1 - b
-    view = g.sub(x0, y0, b)  # curr's block: its line walks
-    for w in iter_candidates(p, curr):
-        wx, wy = w
-        if wx > vx or wy > vy or w == v or not any(_admits(b, av, ah, i0, j0, wx, wy)):
-            continue
-        if (_line_edge(view, b, u, v, curr, w, x0, y0, m, depth) if wx == cx or wy == cy
-                else edge_test(curr, w)):
-            yield w
+    The run is the east column of curr's north-eastmost block
+    (auxgraph.ne_corner) going north, then its north row going west, cut
+    to v's box, which the module docstring shows sound: it asks about no
+    vertex east or north of v.  The target comes first, where it lies
+    north-east of curr in that block, whatever the markers say: a target
+    sitting below a marker must still be recognized.  Yielding v ends the
+    search, so nothing is held across that yield.  The target on curr's
+    row or column, and the two candidates there, (x1, cy) and (cx, y1),
+    where a marker admits them, are decided by _line_edge.  The run reads
+    the east column's marker only where that column lies in v's box, and
+    the north row's only where that row does: the arrays hold no others
+    (marker_dfs).
 
+    For the other candidates, each visit (the entry, and each return after
+    a pop) cuts the stretch the markers admit: the east-column rows above
+    the cursor and the vertical marker, the corner (admitted by either
+    marker), and the north-row columns left of the cursor and of the
+    horizontal marker, v excluded.  The markers move only between visits,
+    so the stretch holds for the whole visit, which yields its first
+    joined vertex in run order.  The cursor moves past each hit, and a
+    visit that finds none ends the stretch.
 
-def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
-               ah: list[int], m: Metrics, depth: int, u: Vertex, i0: int, j0: int,
-               words: int):
-    """A marker-DFS frame at curr at the last divided level, where an edge
-    inside a block is one base-case row sweep: it yields what _run yields,
-    in the same order and at the same edge queries and calls by depth, but
-    decides every pair inside curr's block, the view its sweeps read,
-    without an edge test.
-
-    The target comes first, where it lies north-east of curr inside
-    curr's north-eastmost block (auxgraph.ne_corner), whatever the markers
-    say.  On curr's row or column it is decided as an own-line candidate
-    (_line_edge); off both, where the gridline rule joins every pair, by
-    one row sweep of the block from curr to v's row, reading bit v.x,
-    counted as one edge query, one call at depth+1 and one base case and
-    holding base_charge(b, n), the words marker_dfs passes in.  Yielding
-    v ends the search, so nothing is held across that yield.  The run
-    reads the east column's marker only where that column lies in v's
-    box, and the north row's only where that row does: the arrays hold
-    no others (marker_dfs).
-
-    The run is the east column of curr's north-eastmost block going
-    north, then its north row going west, cut to v's box.  Its two
-    candidates on curr's own row and column, (x1, cy) and (cx, y1), are
-    decided by _line_edge, as in _run.  For the others, each visit (the
-    entry, and each return after a pop) cuts the stretch the markers
-    admit: the east-column rows above the cursor and the vertical marker,
-    the corner (admitted by either marker), and the north-row columns left
-    of the cursor and of the horizontal marker, v excluded.  The markers
-    move only between visits, so the stretch holds for the whole visit.
-    The probe is one row sweep of the block from curr, charged as one base
-    case and one call at depth+1 and opened only for a stretch that is not
-    empty: it jumps over the rows below the stretch in one step, reads bit
-    b of each east-column row, and takes the north row's admitted
-    reachable candidates as the set bits of the top row's mask, the
-    highest first; it never sweeps a row above v.  The sweep charges
-    nothing else, so its words are held in one peak update (Metrics.hold)
-    and never across a yield.  Each row it reads is closed once: between
-    the east-column rows it asks about, the closed mask is lifted into the
-    next row before the sweep goes on.  The cursor moves past each hit,
-    and a visit that finds none ends the stretch.
+    The probe, for the stretch and for a target off curr's row and column,
+    is the level's.  Above the last divided level, edge_test decides each
+    vertex in run order, up to the first True.  At the last, marker_dfs
+    hands None, and the gridline rule joins every such pair: the target is
+    one row sweep of curr's block from curr to v's row, reading bit v.x,
+    and the stretch one row sweep from curr per visit, opened only where
+    it is not empty.  Each sweep counts one call at depth+1 and one base
+    case (the target's also one edge query) and holds words,
+    base_charge(b, n), in one peak update (Metrics.hold), never across a
+    yield.  The stretch's sweep jumps over the rows below the stretch in
+    one step, reads bit b of each east-column row, and takes the north
+    row's admitted reachable candidates as the set bits of the top row's
+    mask, the highest first; it never sweeps a row above v.  Each row it
+    reads is closed once: between the east-column rows it asks about, the
+    closed mask is lifted into the next row before the sweep goes on.
     """
     b = p.b
     cx, cy = curr
@@ -294,6 +259,9 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
     if vx <= b and vy <= b and curr != v:  # v lies in curr's block
         if vx == lx or vy == ly:
             if _line_edge(view, b, u, v, curr, v, x0, y0, m, depth):
+                yield v
+        elif edge_test is not None:
+            if edge_test(curr, v):
                 yield v
         else:  # off curr's row and column the gridline rule joins the pair
             m.edge_queries += 1
@@ -334,29 +302,43 @@ def _swept_run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[i
             if ty >= ey and not corner and not top:
                 break
             hit = None
-            m.note_call(depth + 1)
-            m.base_case_calls += 1
-            m.hold(words)
-            reach = 1 << lx
-            sy = ly  # the row reach lies in, not yet closed
-            while ty < ey:  # the east column below the corner
-                reach = row_sweep(view, reach, sy, ty)
-                if (reach >> b) & 1:
-                    hit = x1, y0 + ty
-                    break
-                reach &= view.north_row(ty)  # lifted, so no row closes twice
-                if not reach:
-                    break
-                ty += 1
-                sy = ty
-            if hit is None and reach and (corner or top):
-                reach = row_sweep(view, reach, sy, b)
-                if corner and (reach >> b) & 1:
-                    hit = x1, y1
+            if edge_test is not None:  # one edge test per vertex, in run order
+                for ry in range(y0 + ty, y0 + ey):
+                    if edge_test(curr, (x1, ry)):
+                        hit = x1, ry
+                        break
                 else:
-                    top &= reach
-                    if top:
-                        hit = x0 + top.bit_length() - 1, y1
+                    if corner and edge_test(curr, (x1, y1)):
+                        hit = x1, y1
+                    else:
+                        for rx in range(x0 + hi, cx, -1):
+                            if edge_test(curr, (rx, y1)):
+                                hit = rx, y1
+                                break
+            else:  # one frame sweep
+                m.note_call(depth + 1)
+                m.base_case_calls += 1
+                m.hold(words)
+                reach = 1 << lx
+                sy = ly  # the row reach lies in, not yet closed
+                while ty < ey:  # the east column below the corner
+                    reach = row_sweep(view, reach, sy, ty)
+                    if (reach >> b) & 1:
+                        hit = x1, y0 + ty
+                        break
+                    reach &= view.north_row(ty)  # lifted, so no row closes twice
+                    if not reach:
+                        break
+                    ty += 1
+                    sy = ty
+                if hit is None and reach and (corner or top):
+                    reach = row_sweep(view, reach, sy, b)
+                    if corner and (reach >> b) & 1:
+                        hit = x1, y1
+                    else:
+                        top &= reach
+                        if top:
+                            hit = x0 + top.bit_length() - 1, y1
             if hit is None:
                 break
             y = hit[1] + 1  # past the hit: y1 + 1 once the corner is done
@@ -374,15 +356,14 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     """Marker-array DFS over the implicit boundary graph.
 
     edge_test(curr, w) decides edge membership (recursing into blocks as it
-    sees fit) for the target and for the candidates strictly north-east of
-    the frame's vertex.  The two candidates on the vertex's own row and
-    column are decided by the run itself, by the gridline rule and a
-    straight walk in g, so edge_test must agree with that rule.  The stack
-    holds the frames, and a frame is its run: the generator of its vertex,
-    chosen once per search (_run, or _swept_run where the blocks are base
-    sides), which yields the target first if the vertex is joined to it,
-    then its candidates lazily in counter-clockwise order, skipping v.
-    Each generator keeps its cursor, so returning to a
+    sees fit) for the target and the candidates strictly north-east of the
+    frame's vertex.  The two candidates on the vertex's own row and column,
+    and a target there, are decided by the run itself, by the gridline
+    rule and a straight walk in g, so edge_test must agree with that rule.
+    The stack holds the frames, and a frame is its run: the generator of
+    its vertex (_run), which yields the target first if the vertex is
+    joined to it, then its candidates lazily in counter-clockwise order,
+    skipping v.  Each generator keeps its cursor, so returning to a
     frame resumes strictly past the child it just popped.  The markers gate
     the edges: a candidate that neither of its lines admits (_admits) is
     skipped untested, and every push, the source's included, moves each
@@ -404,15 +385,17 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     those entries plus its locals, metrics.level_charge(len(av) +
     len(ah)); 2(k+1) entries, the word bound's, are the worst case.
 
-    Where the blocks of g are base sides (auxgraph.is_base_side), the run
-    is _swept_run, which decides every pair in the frame's block of g
-    itself: the target by a straight walk or one row sweep, the candidates
-    strictly north-east of the frame's vertex off one row sweep per visit.
-    There edge_test is never asked (_divided hands None); the search
-    computes the sweeps' words, base_charge(b, n), once and hands them to
-    every frame.  Above that, the run is _run, and edge_test is asked
-    about the target and every admitted candidate strictly north-east of
-    the vertex.
+    One run, two probes, chosen once per search by whether the blocks of
+    g are base sides (auxgraph.is_base_side), not by the edge_test handed
+    in.  Where they are, the search hands its frames None for edge_test,
+    and the run decides every pair in the frame's block of g itself: the
+    target off the vertex's row and column by one row sweep, the other
+    candidates off one row sweep per visit, each holding base_charge(b, n)
+    words, which the search computes once and hands to every frame; the
+    edge_test handed in is never asked (_divided hands None).  Above that,
+    edge_test is asked about the target off the vertex's row and column
+    and about the admitted candidates strictly north-east of the vertex,
+    in run order, up to the first joined one of each visit.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -425,9 +408,9 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     m = metrics
     b = p.b
     k = p.k
-    swept = is_base_side(b, k)
-    if swept:  # the words of each of its frames' sweeps
-        words = base_charge(b, g.base.n)
+    if is_base_side(b, k):  # the frames sweep their blocks and test no edge
+        edge_test = None
+    words = base_charge(b, g.base.n)  # the words of one frame sweep
     on_lines = is_gridline_vertex(p, u) and is_gridline_vertex(p, v)
     limit = 2 * k + 1 if on_lines else 2 * k + 3
 
@@ -451,8 +434,7 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
             if pushes and not (admit_v or admit_h):  # the source needs none
                 m.visit_once_violations += 1
             pushes += 1
-            stack.append(_swept_run(p, g, w, v, av, ah, m, depth, u, i0, j0, words) if swept
-                         else _run(p, g, w, v, av, ah, edge_test, m, depth, u, i0, j0))
+            stack.append(_run(p, g, w, v, av, ah, edge_test, m, depth, u, i0, j0, words))
             m.note_push(depth, w, len(stack))
             if len(stack) > limit:
                 m.stack_bound_violations += 1
@@ -594,8 +576,8 @@ def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over view's boundary graph, with its
     edge test.  Where the next level is the base case, the DFS decides its
-    runs on view's blocks and never asks the edge test (see _swept_run),
-    so it gets none.  Kept out of _reach, whose dispatch-only queries
+    runs on view's blocks and never asks the edge test (see _run), so it
+    gets none.  Kept out of _reach, whose dispatch-only queries
     would otherwise pay for creating the edge test's closure cells."""
     depth1 = depth + 1
     if levels[depth1] is None:

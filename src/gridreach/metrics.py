@@ -28,15 +28,16 @@ note_push and note_pop, which count it and charge or release its frame; a
 subclass may override them to observe the search.
 
 edge_queries counts the edge tests of a divided level: each decides one
-pair by the gridline rule and a block query.  Above the last divided
-level the target and the candidates strictly north-east of a frame's
-vertex go through the edge test, which recurses into the block; the two
-candidates on the vertex's own row and column are tested by the frame,
-whose straight walk counts as the call at the next depth that recursion
-would make.  At the last divided level the frame tests the target in its
-own block, at one edge query: on the vertex's row or column as it tests
-those two, elsewhere by one row sweep that counts one call at the next
-depth and one base_case_calls.  The candidates a frame sweep reads off
+pair by the gridline rule and a block query.  At every divided level the
+frame tests the two candidates on its vertex's own row and column, and a
+target there, itself, at one edge query each; its straight walk counts
+as the call at the next depth that a recursion would make.  Above the
+last divided level only a target off the vertex's row and column and the
+candidates strictly north-east of the vertex go through the edge test,
+which recurses into the block.  At the last divided level the frame
+tests a target off the vertex's row and column in its own block, at one
+edge query, by one row sweep that counts one call at the next depth and
+one base_case_calls.  The candidates a frame sweep reads off
 its mask are not edge tests; each sweep counts one base_case_calls and
 one call at the next depth.  Each entry check counts one base_case_calls
 and no call: it runs inside the call of the query it checks.

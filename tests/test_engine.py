@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -835,38 +836,35 @@ def test_search_stays_in_the_targets_box(monkeypatch, n, cfg, targets):
 
 
 def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
-    """Where the next level is the base case, the engine's marker DFS runs
-    its frames as _swept_run, which reads them off frame sweeps, and above
-    it as _run, which tests them: marker_dfs tells the two apart by
-    auxgraph.is_base_side(p.b, p.k), which holds exactly where the
-    schedule's next level is the base case.  With no marker set, the
-    swept run from every gridline vertex (and from the source) on the
-    engine's own view yields exactly the target, if the edge rule plus
-    the endpoint augmentation (_aug_edge_oracle) joins it to the vertex,
-    then the candidates in the target's box (support.box_candidates) that
-    rule joins to it, in run order.  It asks no edge test, deciding the
-    target and the two candidates on the vertex's row and column itself
-    at one edge query each, opens at most one sweep per visit besides the
-    target's, and holds no sweep words at a yield."""
+    """Where the next level is the base case, the engine's marker DFS hands
+    its frames (_run) no edge test, so that they read their candidates off
+    frame sweeps, and above it the edge test, which tests them: marker_dfs
+    tells the two apart by auxgraph.is_base_side(p.b, p.k), which holds
+    exactly where the schedule's next level is the base case.  With no
+    marker set, the swept run from every gridline vertex (and from the
+    source) on the engine's own view yields exactly the target, if the
+    edge rule plus the endpoint augmentation (_aug_edge_oracle) joins it to
+    the vertex, then the candidates in the target's box
+    (support.box_candidates) that rule joins to it, in run order.  It asks
+    no edge test, deciding the target and the two candidates on the
+    vertex's row and column itself at one edge query each, opens at most
+    one sweep per visit besides the target's, and holds no sweep words at
+    a yield."""
     real = engine.marker_dfs
+    real_run = engine._run
     captured = []
-    frames = []  # (the run's name, its p, its depth), one per push
+    frames = []  # (the frame's depth, whether it sweeps), one per push
 
     def spy(p, g, u, v, edge_test, metrics=None, depth=0):
         captured.append((p, g, u, v, edge_test, metrics, depth))
         return real(p, g, u, v, edge_test, metrics, depth)
 
-    def frame_spy(name, at_depth):
-        gen = getattr(engine, name)
-
-        def spied(p, *args):
-            frames.append((name, p, args[at_depth]))
-            return gen(p, *args)
-        monkeypatch.setattr(engine, name, spied)
+    def frame_spy(p, g, curr, v, av, ah, edge_test, m, depth, *rest):
+        frames.append((depth, edge_test is None))
+        return real_run(p, g, curr, v, av, ah, edge_test, m, depth, *rest)
 
     monkeypatch.setattr(engine, "marker_dfs", spy)
-    frame_spy("_run", 7)
-    frame_spy("_swept_run", 6)
+    monkeypatch.setattr(engine, "_run", frame_spy)
     rng = SplitMix64(606)
     sources = set()
     runs = set()
@@ -878,13 +876,13 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
         for p, *_, depth in captured:
             assert is_base_side(p.b, p.k) == (levels[depth + 1] is None), depth
             sources.add(is_base_side(p.b, p.k))
-        for name, p, depth in frames:
-            assert (name == "_swept_run") == (levels[depth + 1] is None), (name, depth)
-            runs.add(name)
+        for depth, swept in frames:
+            assert swept == (levels[depth + 1] is None), depth
+            runs.add(swept)
         captured.clear()
         frames.clear()
     assert sources == {False, True}
-    assert runs == {"_run", "_swept_run"}
+    assert runs == {False, True}
     for n in (12, 16):
         cfg = EngineConfig(k=4)  # one divided level: depth 0 is the last
         for _ in range(3):
@@ -907,8 +905,8 @@ def test_frame_sweep_answers_like_the_edge_rule(monkeypatch):
                 target = c != v and c[0] <= v[0] and c[1] <= v[1] and bool(
                     common_blocks(p, c, v))  # decided in the frame's block
                 edges, base = m.edge_queries, m.base_case_calls
-                run = engine._swept_run(p, view, c, v, [-1] * (p.k + 1),
-                                        [p.n + 1] * (p.k + 1), m, 0, u, 0, 0, words)
+                run = real_run(p, view, c, v, [-1] * (p.k + 1), [p.n + 1] * (p.k + 1),
+                               None, m, 0, u, 0, 0, words)
                 got = []
                 for w in itertools.islice(run, len(want) + 1):
                     assert m.cur_tracked_words == 0, (c, w)
@@ -959,14 +957,14 @@ def watch_marker_arrays(monkeypatch, seen=None):
     """Make every marker-DFS frame, as it is made, set its metrics' arrays
     to the (av, ah) it is handed, and append its (p, u, v, av, ah, i0, j0)
     to seen where that is given."""
-    for name, skip in (("_swept_run", 0), ("_run", 1)):  # _run's edge_test comes first
-        def spied(p, g, curr, v, av, ah, *rest, _real=getattr(engine, name), _skip=skip):
-            m, _, u, i0, j0 = rest[_skip:_skip + 5]
-            m.arrays = av, ah
-            if seen is not None:
-                seen.append((p, u, v, av, ah, i0, j0))
-            return _real(p, g, curr, v, av, ah, *rest)
-        monkeypatch.setattr(engine, name, spied)
+    real = engine._run
+
+    def spied(p, g, curr, v, av, ah, edge_test, m, depth, u, i0, j0, words):
+        m.arrays = av, ah
+        if seen is not None:
+            seen.append((p, u, v, av, ah, i0, j0))
+        return real(p, g, curr, v, av, ah, edge_test, m, depth, u, i0, j0, words)
+    monkeypatch.setattr(engine, "_run", spied)
 
 
 def test_frame_sweep_released_when_the_search_ends(monkeypatch):
@@ -1008,8 +1006,8 @@ class _WordsLog(_FrameWordsMetrics):
         super().note_push(depth, w, frames)
 
 
-# (n, k): two searches at the last divided level (b <= k, _swept_run), one
-# of them on side-2 blocks, and two above it (_run).
+# (n, k): two searches at the last divided level (b <= k, the frames
+# sweep), one of them on side-2 blocks, and two above it (the frames test).
 BOX_MARKER_CASES = [(16, 4), (12, 6), (12, 3), (12, 2)]
 
 
@@ -1110,22 +1108,22 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])
 def test_swept_run_matches_the_tested_run(n, k):
-    """The swept run (_swept_run) and the tested run (_run) yield what the
-    reference run (support.reference_run, cut to the target's box) yields
-    on the reference edge rule (_aug_edge_oracle), visit by visit, with
-    random markers that move between visits: from an interior source and
-    from every gridline vertex (those with cx = n or cy = n included), with
-    the target on the frame's run and off it.  Both yield the target first
-    where the edge rule joins it.  Both decide the two candidates on the
-    frame's own row and column themselves, at one edge query for each one
-    the reference tests.  The tested run asks the edge test about exactly
-    the other candidates the reference asks about, in the same order, and
-    opens no sweep.  The swept run asks no edge test: it decides the
-    target at one edge query where the reference tests it, sweeping for it
-    where it lies off the frame's row and column, and opens one more sweep
-    exactly when the reference tests a candidate other than the target
-    strictly north-east of the frame's vertex; it holds no sweep words at
-    a yield."""
+    """The run (_run) with no edge test, which sweeps, and with one, which
+    tests, yields what the reference run (support.reference_run, cut to the
+    target's box) yields on the reference edge rule (_aug_edge_oracle),
+    visit by visit, with random markers that move between visits: from an
+    interior source and from every gridline vertex (those with cx = n or
+    cy = n included), with the target on the frame's run and off it.  Both
+    probes yield the target first where the edge rule joins it.  Both
+    decide the two candidates on the frame's own row and column, and a
+    target there, themselves, at one edge query for each one the reference
+    tests.  The tested probe asks the edge test about exactly the other
+    candidates the reference asks about, in the same order, and opens no
+    sweep.  The swept probe asks no edge test: it decides a target off the
+    frame's row and column at one edge query and one sweep where the
+    reference tests it, and opens one more sweep exactly when the
+    reference tests a candidate other than the target strictly north-east
+    of the frame's vertex; it holds no sweep words at a yield."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(808 + n)
@@ -1163,10 +1161,13 @@ def test_swept_run_matches_the_tested_run(n, k):
             mt = Metrics()
             ref = reference_run(p, curr, v, av, ah, edge_to(asked))
             # Full-width markers, indexed from gridline 0 (offsets 0, 0).
-            swept = engine._swept_run(p, g, curr, v, av, ah, m, 0, u, 0, 0, base_charge(b, n))
-            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, u, 0, 0)
+            words = base_charge(b, n)
+            swept = engine._run(p, g, curr, v, av, ah, None, m, 0, u, 0, 0, words)
+            tested = engine._run(p, g, curr, v, av, ah, edge_to(probed), mt, 0, u, 0, 0, words)
             x1, y1 = ne_corner(p, curr)
             lines = {(x1, curr[1]), (curr[0], y1)} - {v}  # decided by the frame
+            if v[0] == curr[0] or v[1] == curr[1]:  # and so is a target there
+                lines.add(v)
             sweeps = 0  # sweeps answering the target or a candidate tested
             for _ in range(len(run) + 1):  # a visit yields one candidate or ends
                 asked.clear()
@@ -1179,7 +1180,7 @@ def test_swept_run_matches_the_tested_run(n, k):
                 assert probed == [w for w in asked if w not in lines], where
                 line_tests = sum(w in lines for w in asked)
                 assert (m.edge_queries - spent[0], mt.edge_queries - spent[1]) == (
-                    line_tests + (v in asked), line_tests), where
+                    line_tests + (v in asked and v not in lines), line_tests), where
                 assert m.cur_tracked_words == mt.cur_tracked_words == 0, (curr, want)
                 sweeps += v in asked and v[0] > curr[0] and v[1] > curr[1]
                 sweeps += any(w != v and w[0] > curr[0] and w[1] > curr[1]
@@ -1202,19 +1203,20 @@ def test_swept_run_matches_the_tested_run(n, k):
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2), (18, 3)])
 def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
     """A frame decides the two candidates on its own row and column, (x1,
-    cy) and (cx, y1), without the edge test.  From an interior source and
-    from every gridline vertex, as a frame of that search and as the
-    source itself, towards the far corner and towards a target in the
-    vertex's box, the tested run (_run) and the swept run (_swept_run)
-    with no marker set yield a line candidate exactly where the reference
-    edge rule (_aug_edge_oracle) joins it.  Each line candidate costs one
-    edge query, and each that passes the gridline filter one call at the
-    next depth, its straight walk; the swept run's own decision of a target
-    in the vertex's block adds one edge query, and one walk where the
-    target lies on the vertex's row or column and passes the filter.  The
-    cases cover vertices on a horizontal gridline (cy % b == 0, where
-    (x1, cy) shares their line), on a vertical one (cx % b == 0, where
-    (cx, y1) does), and both verdicts of each."""
+    cy) and (cx, y1), and a target there, without the edge test.  From an
+    interior source and from every gridline vertex, as a frame of that
+    search and as the source itself, towards the far corner and towards a
+    target in the vertex's box, the run (_run) with no marker set, tested
+    or swept, yields a line candidate exactly where the reference edge
+    rule (_aug_edge_oracle) joins it.  Each line candidate costs one edge
+    query, and each that passes the gridline filter one call at the next
+    depth, its straight walk.  A target in the vertex's block on its row
+    or column adds one edge query, and one walk where it passes the
+    filter; the swept probe's decision of a target off them adds one edge
+    query, and the tested probe's none of its own.  The cases cover
+    vertices on a horizontal gridline (cy % b == 0, where (x1, cy) shares
+    their line), on a vertical one (cx % b == 0, where (cx, y1) does), and
+    both verdicts of each."""
     p = AuxParams(n, k)
     b = p.b
     rng = SplitMix64(909 + n)
@@ -1235,27 +1237,27 @@ def test_frame_decides_its_line_candidates_by_the_edge_rule(n, k):
                     want = [w for w in lines if edge(curr, w)]
                     walks = sum(_aug_line_filter(b, u, v, curr, w) for w in lines)
 
+                    # The frame decides a target in curr's block on curr's
+                    # row or column by the same rule and walk.
+                    target = curr != v and bool(common_blocks(p, curr, v))
+                    on_line = target and (v[0] == curr[0] or v[1] == curr[1])
+                    walk = on_line and _aug_line_filter(b, u, v, curr, v)
+
                     def edge_test(c, w):
-                        assert w not in lines, (c, w)
+                        assert w not in lines and not (on_line and w == v), (c, w)
                         return edge(c, w)
 
-                    # The swept run decides a target in curr's block too: on
-                    # curr's row or column by the same rule and walk.
-                    target = curr != v and bool(common_blocks(p, curr, v))
-                    walk = target and (v[0] == curr[0] or v[1] == curr[1]) and (
-                        _aug_line_filter(b, u, v, curr, v))
                     av, ah = [-1] * (k + 1), [n + 1] * (k + 1)
-                    for swept in (False, True):
+                    for probe in (edge_test, None):
                         m = Metrics()
-                        run = (engine._swept_run(p, g, curr, v, av, ah, m, 0, u, 0, 0,
-                                                 base_charge(b, n))
-                               if swept else engine._run(p, g, curr, v, av, ah, edge_test, m, 0,
-                                                         u, 0, 0))
-                        where = (n, k, u, v, curr, swept)
+                        run = engine._run(p, g, curr, v, av, ah, probe, m, 0, u, 0, 0,
+                                          base_charge(b, n))
+                        where = (n, k, u, v, curr, probe is None)
                         assert [w for w in run if w in lines] == want, where
-                        assert m.edge_queries == len(lines) + (swept and target), where
+                        assert m.edge_queries == len(lines) + (
+                            on_line if probe else target), where
                         calls = (m.recursive_calls_by_depth[1:] or [0])[0]
-                        assert calls - m.base_case_calls == walks + (swept and walk), where
+                        assert calls - m.base_case_calls == walks + walk, where
                     for w in lines:
                         line = ("horizontal" if w[1] == curr[1] and curr[1] % b == 0 else
                                 "vertical" if w[0] == curr[0] and curr[0] % b == 0 else
@@ -1289,17 +1291,18 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
     # one frame.
     held = level_charge(2 * (k + 1)) + Metrics.FRAME_WORDS
     bound = held + base_charge(b, n)
-    real = engine._swept_run
+    real = engine._run
     words = []
 
-    def spy(*args):
-        words.append(args[-1])
-        return real(*args)
+    def spy(p, g, curr, v, av, ah, edge_test, *rest):
+        assert edge_test is None  # the search sweeps: it hands no edge test
+        words.append(rest[-1])
+        return real(p, g, curr, v, av, ah, edge_test, *rest)
 
     def no_edge_test(c, w):
         raise AssertionError(f"edge test asked about {c} -> {w}")
 
-    monkeypatch.setattr(engine, "_swept_run", spy)
+    monkeypatch.setattr(engine, "_run", spy)
     none_v, none_h = [n] * (k + 1), [0] * (k + 1)  # markers that admit nothing
     rng = SplitMix64(1700 + n)
     cases = set()
@@ -1325,7 +1328,7 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
                 rule = _aug_line_filter(b, u, v, curr, v)
                 m = Metrics()
                 m.charge(held)
-                run = engine._swept_run(p, view, curr, v, none_v, none_h, m, 0, u, 0, 0, word)
+                run = real(p, view, curr, v, none_v, none_h, None, m, 0, u, 0, 0, word)
                 got = next(run, None) == v
                 where = (n, k, u, curr, v)
                 assert got == (rule and lattice_reach(g, box, curr, v)), where
@@ -1342,30 +1345,34 @@ def test_swept_target_decision_matches_lattice_reach(monkeypatch, n, k):
 
 # (epsilon, graph seed, s, t) of dense SW->NE NO queries at n=16, with their
 # pushes, pops, edge tests, peak words (each search charging one marker per
-# gridline of its target's box) and base calls.  At epsilon=1.0 (k=4,
-# one divided level) each frame reads its run off one sweep per visit; at
-# epsilon=0.5 (k=2, three divided levels) the upper levels test their
-# candidates one edge at a time.  Every divided level first runs the entry
-# check, one base call: the rows with no push are queries it answers at the
-# top level, and at epsilon=0.5 it answers some of the block queries below.
-# The ids name each query by its epsilon and graph seed only, so that
-# a change of counters keeps them.
+# gridline of its target's box), base calls, calls by depth and peak stacks
+# by depth.  At epsilon=1.0 (k=4, one divided level) each frame reads its
+# run off one sweep per visit; at epsilon=0.5 (k=2, three divided levels)
+# the upper levels test their candidates one edge at a time.  Every divided
+# level first runs the entry check, one base call: the rows with no push
+# are queries it answers at the top level, and at epsilon=0.5 it answers
+# some of the block queries below.  The ids name each query by its epsilon
+# and graph seed only, so that a change of counters keeps them.
 PINNED = [
-    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 0, 0, 0, 5, 1),
-    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 30, 47),
-    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 26, 19),
-    (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 29, 25),
-    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 0, 0, 0, 6, 1),
-    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 52, 138),
-    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 0, 0, 0, 6, 1),
-    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 119, 119, 295, 51, 187),
-    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 37, 37, 99, 46, 63),
+    (1.0, 0xa5ae756ef08b54, (3, 2), (9, 11), 0, 0, 0, 5, 1, [1], []),
+    (1.0, 0xfbf7686c79996480, (0, 4), (13, 13), 33, 33, 35, 30, 47, [1, 64], [5]),
+    (1.0, 0x5143cb60fae5d8b0, (1, 3), (10, 12), 18, 18, 22, 26, 19, [1, 30], [4]),
+    (1.0, 0xb823eef2524d39a4, (2, 0), (12, 9), 20, 20, 27, 29, 25, [1, 39], [5]),
+    (0.5, 0x645e3cfb387c1dc2, (2, 7), (12, 9), 0, 0, 0, 6, 1, [1], []),
+    (0.5, 0x3fd8e85ac1ae6d0, (2, 3), (15, 14), 71, 71, 218, 52, 138,
+     [1, 12, 113, 150], [1, 3, 2]),
+    (0.5, 0x5d3894041566196f, (2, 1), (14, 10), 0, 0, 0, 6, 1, [1], []),
+    (0.5, 0x92ba44589415cc44, (0, 2), (14, 9), 119, 119, 295, 51, 187,
+     [1, 15, 136, 242], [1, 2, 2]),
+    (0.5, 0x58210fc51b3a7cfe, (1, 5), (11, 15), 37, 37, 99, 46, 63,
+     [1, 11, 36, 70], [1, 1, 2]),
 ]
 
 
-@pytest.mark.parametrize("eps, seed, s, t, pushes, pops, edges, words, base", PINNED,
-                         ids=[f"{row[0]}-{row[1]:#x}" for row in PINNED])
-def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, base):
+@pytest.mark.parametrize("eps, seed, s, t, pushes, pops, edges, words, base, calls, stacks",
+                         PINNED, ids=[f"{row[0]}-{row[1]:#x}" for row in PINNED])
+def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, base, calls,
+                                 stacks):
     g = gen_random(16, 0.7, 0.7, seed)
     a = reach(g, s, t, EngineConfig(epsilon=eps))
     m = a.metrics
@@ -1373,12 +1380,64 @@ def test_pinned_dense_no_queries(eps, seed, s, t, pushes, pops, edges, words, ba
     assert (m.pushes, m.pops, m.edge_queries, m.peak_tracked_words) == (
         pushes, pops, edges, words)
     assert m.base_case_calls == base
-    # The DFS runs at the top level exactly where the check passes.
-    assert (m.peak_stack_by_depth[:1] != []) == (pushes > 0)
-    if not pushes:
-        assert m.recursive_calls_by_depth == [1]
+    assert (m.recursive_calls_by_depth, m.peak_stack_by_depth) == (calls, stacks)
     assert m.cur_tracked_words == 0
     assert_no_violations(m)
+
+
+def hard_set(n, queries):
+    """The hard set of side n: dense random graphs, each with a source in
+    its south-west quarter and a target in its north-east one, drawn from
+    SplitMix64(4242 + n).  Each query draws, in order, the graph seed
+    (gen_random(n, 0.7, 0.7, seed)), then s, then t."""
+    rng = SplitMix64(4242 + n)
+    half = n // 2
+    for _ in range(queries):
+        g = gen_random(n, 0.7, 0.7, rng.next_u64())
+        s = (rng.next_below(half + 1), rng.next_below(half + 1))
+        t = (half + rng.next_below(n - half + 1), half + rng.next_below(n - half + 1))
+        yield g, s, t
+
+
+# (epsilon, n, queries) of a hard set, with its summed calls by depth,
+# pushes, edge queries and base calls, its peak words, and the SHA-256 of
+# every query's verdict and push log with depths, in order.  At epsilon=0.5
+# the pushes span three and four divided levels, whose upper frames test
+# their candidates; at epsilon=1.0, n=64 one level, whose frames sweep.
+HARD_SETS = [
+    (0.5, 16, 20, [20, 234, 586, 1125], 788, 1536, 1009, 57,
+     "7cbff2abbd9782e6e5c730828fc564f9ee069e4c4f1f00a41d7fc593bda21a77"),
+    (0.5, 24, 20, [20, 267, 830, 2356, 3575], 2945, 5576, 3647, 71,
+     "de8c597d2c20cf9e75625508af99432fc9e8d4fa56dc214804c71a32d1a11328"),
+    (1.0, 64, 6, [6, 494], 226, 249, 366, 45,
+     "cba2dc1caedb0788642de744c51de7f175fb4c99425443d5926d3913925e6913"),
+]
+
+
+@pytest.mark.parametrize("eps, n, queries, calls, pushes, edges, base, words, digest",
+                         HARD_SETS, ids=[f"{row[0]}-{row[1]}" for row in HARD_SETS])
+def test_pinned_hard_sets(eps, n, queries, calls, pushes, edges, base, words, digest):
+    """The hard sets' verdicts, push order across levels and totals stay
+    as pinned; every verdict equals the oracle's."""
+    cfg = EngineConfig(epsilon=eps)
+    h = hashlib.sha256()
+    by_depth = []
+    totals = [0, 0, 0, 0]  # pushes, edge queries, base calls, peak words
+    for g, s, t in hard_set(n, queries):
+        m = PushLog()
+        got = reach(g, s, t, cfg, m).reachable
+        assert got == oracle_reach(whole(g), s, t), (n, s, t)
+        assert_no_violations(m)
+        h.update(repr((got, m.log)).encode())
+        by_depth += [0] * (len(m.recursive_calls_by_depth) - len(by_depth))
+        for d, c in enumerate(m.recursive_calls_by_depth):
+            by_depth[d] += c
+        totals[0] += m.pushes
+        totals[1] += m.edge_queries
+        totals[2] += m.base_case_calls
+        totals[3] = max(totals[3], m.peak_tracked_words)
+    assert (by_depth, *totals) == (calls, pushes, edges, base, words)
+    assert h.hexdigest() == digest
 
 
 class _Markers:
