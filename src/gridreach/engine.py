@@ -3,28 +3,28 @@
 reach is the one query entry point.  It answers a query on a view by
 dispatching, in order: equal endpoints; impossible (west/south)
 displacement; shared row or column (straight walk); small side (the
-oracle's row sweep); both endpoints in one block (auxgraph.ne_corner, the
-block rule), a query on that block; the entry check (_enters), one
-backward row sweep of the target's block that answers NO where no path
-can enter that block and reach the target; otherwise it divides the view
-into k^2 blocks and runs a marker-array DFS over the implicit boundary
-graph, deciding each edge by recursing into the block the rule finds.  A
-block query goes through the same dispatch, so below the top level a
-query off a common row and column goes straight to its base case, its
-shared block or its entry check.  A DFS frame is its run (_run), one
-generator at every divided level, which first decides the edge into the
-target, where the target lies in the frame's block, and then walks the
-frame's candidates, skipping those the markers rule out.  The two
-candidates on the frame's own row and column, and a target there, need
-no recursion: a path to them runs straight, so the frame decides them
-itself, by the gridline rule and a straight walk on its block
-(_line_edge).  One run, two probes: for the other pairs, in whole
+oracle's row sweep); both endpoints in one block (auxgraph.ne_corner,
+the block rule), a query on that block; the entry check (_enters), one
+backward sweep of the target's block (grid.row_cosweep) that answers NO
+where no path can enter that block and reach the target; otherwise it
+divides the view into k^2 blocks and runs a marker-array DFS over the
+implicit boundary graph, deciding each edge by recursing into the block
+the rule finds.  A block query goes through the same dispatch, so below
+the top level a query off a common row and column goes straight to its
+base case, its shared block or its entry check.  A DFS frame is its run
+(_run), one generator at every divided level, which first decides the
+edge into the target, where the target lies in the frame's block, and
+then walks the frame's candidates, skipping those the markers rule out.
+The two candidates on the frame's own row and column, and a target
+there, need no recursion: a path to them runs straight, so the frame
+decides them itself, by the gridline rule and a straight walk on its
+block (_line_edge).  One run, two probes: for the other pairs, in whole
 stretches of admitted candidates, the run asks its probe for the first
-joined vertex.  Above the last divided level the probe is the edge
-test, a recursion per vertex; at the last divided level, where that
-recursion would end in one base-case row sweep per edge, it is one row
-sweep of the frame's block per visit, charged as one base case, whose
-set bits are the joined vertices.
+joined vertex.  Above the last divided level the probe is the edge test,
+a recursion per vertex; at the last divided level, where that recursion
+would end in one base-case row sweep per edge, it is one forward sweep
+of the frame's block per visit (grid.arc_sweep), charged as one base
+case.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -75,7 +75,8 @@ from .auxgraph import (AuxParams, box_gridlines, decompose, is_base_side,
 # Not called here: perfbench/spans.py patches this binding to time the
 # enumeration, and perfbench/test_smoke.py checks that its tracer restores it.
 from .auxgraph import iter_candidates  # noqa: F401
-from .grid import LayeredGridGraph, SubgridView, Vertex, oracle_reach, row_sweep
+from .grid import (LayeredGridGraph, SubgridView, Vertex, arc, arc_sweep, oracle_reach,
+                   row_cosweep, row_sweep)
 from .metrics import Metrics, base_charge, level_charge
 
 
@@ -228,21 +229,19 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     joined vertex in run order.  The cursor moves past each hit, and a
     visit that finds none ends the stretch.
 
-    The probe, for the stretch and for a target off curr's row and column,
-    is the level's.  Above the last divided level, edge_test decides each
-    vertex in run order, up to the first True.  At the last, marker_dfs
-    hands None, and the gridline rule joins every such pair: the target is
-    one row sweep of curr's block from curr to v's row, reading bit v.x,
-    and the stretch one row sweep from curr per visit, opened only where
-    it is not empty.  Each sweep counts one call at depth+1 and one base
-    case (the target's also one edge query) and holds words,
-    base_charge(b, n), in one peak update (Metrics.hold), never across a
-    yield.  The stretch's sweep jumps over the rows below the stretch in
-    one step, reads bit b of each east-column row, and takes the north
-    row's admitted reachable candidates as the set bits of the top row's
-    mask, the highest first; it never sweeps a row above v.  Each row it
-    reads is closed once: between the east-column rows it asks about, the
-    closed mask is lifted into the next row before the sweep goes on.
+    The stretch and the cursor are kept in block coordinates, the stretch
+    as an arc (grid.arc): its east-column rows ty..ey-1 and its north-row
+    columns as a mask, top, whose bit b is the corner.  The probe, for the
+    stretch and for a target off curr's row and column, is the level's.
+    Above the last divided level, edge_test decides each vertex of the arc
+    in run order, up to the first True.  At the last, marker_dfs hands
+    None, and the gridline rule joins every such pair: the target is one
+    row sweep of curr's block from curr to v's row (grid.row_sweep),
+    reading bit v.x, and the stretch one forward sweep of the block from
+    curr per visit (grid.arc_sweep), which never sweeps a row above v.
+    Each sweep counts one call at depth+1 and one base case (the target's
+    also one edge query) and holds words, base_charge(b, n), in one peak
+    update (Metrics.hold), never across a yield.
     """
     b = p.b
     cx, cy = curr
@@ -282,68 +281,44 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     if lx < b and ly < b:
         i = x1 // b - i0  # the markers of the east column and the north
         j = y1 // b - j0  # row, read only where that line lies in the box
-        # The box: the east-column rows below ey, the corner where
-        # in_corner, the north-row columns up to ex.  Where v lies beyond
-        # the block on both axes, that is the whole run.
+        # The box, in block coordinates: the east-column rows below ey, the
+        # corner (bit b of the north row, 0 where it lies outside), the
+        # north-row columns up to ex.  Where v lies beyond the block on
+        # both axes, that is the whole run.
         if vx > b and vy > b:
             ey = ex = b
-            in_corner = True
+            corner = 1 << b
         else:  # up to v's row and column, v excluded
             ey = min(vy + (vx > b), b) if east else 0
-            in_corner = east and north and vx + vy > 2 * b
+            corner = 1 << b if east and north and vx + vy > 2 * b else 0
             ex = vx - (vy == b) if north else lx
-        y = cy + 1  # cursor: the next east-column row (y1 is the corner)
-        x = x1 - 1  # and the next north-row column
+        y = ly + 1  # cursor: the next east-column row (b is the corner)
+        x = b - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
-            ty = max(y, av[i] + 1) - y0 if east else ey  # rows above the marker
-            corner = in_corner and y <= y1 and (av[i] < y1 or ah[j] > x1)
-            hi = min(x - x0, ah[j] - 1 - x0, ex) if north else lx  # cursor, marker, box
+            ty = max(y, av[i] + 1 - y0) if east else ey  # rows above the marker
+            hi = min(x, ah[j] - 1 - x0, ex) if north else lx  # cursor, marker, box
             top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
-            if ty >= ey and not corner and not top:
+            if corner and y <= b and (av[i] < y1 or ah[j] > x1):
+                top |= corner  # admitted by either marker
+            if ty >= ey and not top:
                 break
-            hit = None
-            if edge_test is not None:  # one edge test per vertex, in run order
-                for ry in range(y0 + ty, y0 + ey):
-                    if edge_test(curr, (x1, ry)):
-                        hit = x1, ry
-                        break
-                else:
-                    if corner and edge_test(curr, (x1, y1)):
-                        hit = x1, y1
-                    else:
-                        for rx in range(x0 + hi, cx, -1):
-                            if edge_test(curr, (rx, y1)):
-                                hit = rx, y1
-                                break
-            else:  # one frame sweep
+            if edge_test is None:  # one frame sweep
                 m.note_call(depth + 1)
                 m.base_case_calls += 1
                 m.hold(words)
-                reach = 1 << lx
-                sy = ly  # the row reach lies in, not yet closed
-                while ty < ey:  # the east column below the corner
-                    reach = row_sweep(view, reach, sy, ty)
-                    if (reach >> b) & 1:
-                        hit = x1, y0 + ty
+                hit = arc_sweep(view, 1 << lx, ly, ty, ey, top)
+                if hit is None:
+                    break
+                x, y = hit
+            else:  # one edge test per vertex, in run order
+                for x, y in arc(b, ty, ey, top):
+                    if edge_test(curr, (x0 + x, y0 + y)):
                         break
-                    reach &= view.north_row(ty)  # lifted, so no row closes twice
-                    if not reach:
-                        break
-                    ty += 1
-                    sy = ty
-                if hit is None and reach and (corner or top):
-                    reach = row_sweep(view, reach, sy, b)
-                    if corner and (reach >> b) & 1:
-                        hit = x1, y1
-                    else:
-                        top &= reach
-                        if top:
-                            hit = x0 + top.bit_length() - 1, y1
-            if hit is None:
-                break
-            y = hit[1] + 1  # past the hit: y1 + 1 once the corner is done
-            x = hit[0] - 1  # x1 - 1 until a north-row hit
-            yield hit
+                else:
+                    break
+            yield x0 + x, y0 + y
+            y += 1  # past the hit: b + 1 once the corner is done
+            x -= 1  # b - 1 until a north-row hit
     if ly < b and north:
         w = (cx, y1)
         if (w != v and any(_admits(b, av, ah, i0, j0, cx, y1))
@@ -390,9 +365,9 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     in.  Where they are, the search hands its frames None for edge_test,
     and the run decides every pair in the frame's block of g itself: the
     target off the vertex's row and column by one row sweep, the other
-    candidates off one row sweep per visit, each holding base_charge(b, n)
-    words, which the search computes once and hands to every frame; the
-    edge_test handed in is never asked (_divided hands None).  Above that,
+    candidates off one frame sweep per visit, each holding base_charge(b,
+    n) words, which the search computes once and hands to every frame; the
+    edge_test handed in is never asked.  Above that,
     edge_test is asked about the target off the vertex's row and column
     and about the admitted candidates strictly north-east of the vertex,
     in run order, up to the first joined one of each visit.
@@ -485,15 +460,13 @@ def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
     and its step into B crosses B's west column, where x0 > ux, or its
     south row, where y0 > uy: a step east lands on x = x0, a step north
     on y = y0, and no monotone path comes back into B from its east or
-    north.  From there the path stays in B and in [u, v].  So the check
-    sweeps backward from v over rows vy down to max(y0, uy), inside
-    columns max(x0, ux)..vx, holding one mask: the columns of the row that
-    reach v inside that box.  It returns True at the first row where the
-    west column, where it is an entry, is in the mask (x0's run of east
-    edges meets the mask before the row closes westward, so a YES exits on
-    v's row), or at row y0 where the south row is an entry, since the mask
-    is not empty there.  It returns False when the mask empties, or when
-    the sweep ends on u's row with no entry found.
+    north.  From there the path stays in B and in [u, v].  So the check is
+    one backward sweep from v (grid.row_cosweep) over rows vy down to
+    max(y0, uy), inside columns max(x0, ux)..vx, stopping at the west
+    column where it is an entry.  It returns True where the sweep stops
+    there, or ends on row y0 with a mask that is not empty where the south
+    row is an entry; False where the mask empties, or the sweep ends on
+    u's row.
 
     It holds the mask and locals of one base case, base_charge(b, n), and
     counts one base_case_calls; it makes no recursive call.
@@ -501,36 +474,11 @@ def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
     m.base_case_calls += 1
     m.hold(base_charge(b, view.base.n))
     x0 = (vx - 1) // b * b
-    west = 1 << x0 if x0 > ux else 0  # B's west column, where it is an entry
-    co = 1 << vx  # the columns of row y that reach v in the box
-    y = vy
-    em = view.east_row(y)
-    # x0 reaches v where its run of east edges meets co.  Tested before the
-    # box below is set up, so that a YES pays for v's row alone.
-    if west and ((em + (west & em)) ^ em | west) & co:
-        return True
     y0 = (vy - 1) // b * b
-    lo = x0 if west else ux
-    edges = ((1 << (vx - lo)) - 1) << lo  # east edges from columns lo..vx-1
-    stop = y0 if y0 > uy else uy
-    while True:
-        # Close co westward: column x joins where the edge x -> x+1 leads
-        # into it.  Doubling shifts: g holds the columns with s edges east.
-        g = em & edges
-        s = 1
-        while g:
-            co |= (co >> s) & g
-            g &= g >> s
-            s <<= 1
-        if y == stop:
-            return stop > uy  # the south row, an entry, holds co
-        y -= 1
-        co &= view.north_row(y)
-        if not co:
-            return False
-        em = view.east_row(y)
-        if west and ((em + (west & em)) ^ em | west) & co:
-            return True
+    west = 1 << x0 if x0 > ux else 0  # B's west column, where it is an entry
+    y, co = row_cosweep(view, 1 << vx, vy, y0 if y0 > uy else uy,
+                        x0 if west else ux, west)
+    return co & west != 0 or (co != 0 and y > uy)
 
 
 def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
@@ -575,13 +523,12 @@ def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
 def _divided(view: SubgridView, p: AuxParams, u: Vertex, v: Vertex, m: Metrics,
              levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """A divided level: the marker DFS over view's boundary graph, with its
-    edge test.  Where the next level is the base case, the DFS decides its
-    runs on view's blocks and never asks the edge test (see _run), so it
-    gets none.  Kept out of _reach, whose dispatch-only queries
-    would otherwise pay for creating the edge test's closure cells."""
+    edge test, a recursion into the block the edge rule finds.  Where the
+    next level is the base case, marker_dfs hands its frames no edge test
+    (it decides that by the level's block side), so this one is built and
+    never asked.  Kept out of _reach, whose dispatch-only queries would
+    otherwise pay for creating the edge test's closure cells."""
     depth1 = depth + 1
-    if levels[depth1] is None:
-        return marker_dfs(p, view, u, v, None, m, depth)
     b = p.b
 
     def edge_test(curr: Vertex, w: Vertex) -> bool:

@@ -1,7 +1,16 @@
 """Layered grid graphs: bit-plane storage, the LGG v1 text format,
 instance generators, rectangular views (padding is a view cut past its
-content window), and a full-memory reachability oracle used as ground
-truth by the differential test harness.
+content window), the row sweeps over a view, and a full-memory
+reachability oracle used as ground truth by the differential test
+harness.
+
+The sweeps hold one row mask each.  row_sweep is the forward closure,
+row by row from a reach mask up to a target row; the oracle and the
+engine's base cases run it.  arc and arc_sweep ask the forward question
+of one block: arc is the run order of its east column and north row, and
+arc_sweep the first vertex of that arc a forward sweep reaches (the
+engine's frame sweep).  row_cosweep is the backward sweep: the columns,
+row by row downward, that reach a mask (the engine's entry check).
 
 Vertices live on the (n+1) x (n+1) lattice {0..n}^2, written (x, y) with x
 growing east and y growing north.  Every edge goes exactly one unit north,
@@ -470,6 +479,91 @@ def row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
         if reach == 0:
             return 0
         y += 1
+
+
+def arc(side: int, ty: int, ey: int, top: int):
+    """The vertices of a block's arc in run order: the east-column rows
+    ty..ey-1 going north, then the north-row columns set in top, the
+    highest first.  Bit side of top is the corner (side, side), which so
+    comes between the two."""
+    for y in range(ty, ey):
+        yield side, y
+    while top:
+        x = top.bit_length() - 1
+        yield x, side
+        top ^= 1 << x
+
+
+def arc_sweep(view: SubgridView, reach: int, y: int, ty: int, ey: int,
+              top: int) -> Vertex | None:
+    """The first vertex of arc(view.side, ty, ey, top) that the forward row
+    sweep from row y reaches, or None.  reach holds the columns reached in
+    row y, not yet closed; y <= ty where the arc has east-column rows (ty <
+    ey), else y <= side.
+
+    The sweep jumps over the rows below ty in one row_sweep, then reads the
+    east column's bit of each of the rows ty..ey-1, and takes the north
+    row's reached columns of top as the set bits of the top row's mask.  It
+    sweeps no row above the arc's highest, and each row it reads is closed
+    once: between the east-column rows, the closed mask is lifted into the
+    next row before the sweep goes on.
+    """
+    side = view.side
+    while ty < ey:
+        reach = row_sweep(view, reach, y, ty)
+        if (reach >> side) & 1:
+            return side, ty
+        reach &= view.north_row(ty)  # lifted, so no row closes twice
+        if not reach:
+            return None
+        ty += 1
+        y = ty
+    if top:
+        top &= row_sweep(view, reach, y, side)
+        if top:
+            return top.bit_length() - 1, side
+    return None
+
+
+def row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
+                stop: int) -> tuple[int, int]:
+    """The backward row sweep from row y down to row ty <= y, inside
+    columns lo..: co holds the columns of row y that reach the sweep's
+    targets, and the result is (row, mask) at the first row where the mask
+    meets stop, at row ty, or at the row where the mask empties.
+
+    Each row is closed westward, column x >= lo joining where its east edge
+    leads into the mask, by doubling shifts: g holds the columns with s
+    east edges in a row, and the mask takes the columns s west of it that g
+    holds.  The mask never grows east, so only the edges west of its
+    highest column count: on a wide view that keeps the shifts to the width
+    of the box.  Below, the closed mask is lowered through the north edges
+    into the row beneath.  stop is 0 or one column (a one-bit mask) at or
+    east of lo.  Before a row closes, stop's run of east edges is tested
+    against the mask, which meets it exactly where the closed mask would
+    hold stop; a hit returns the row's mask, unclosed, with stop added, so
+    a YES pays for no closing.  At row ty the mask is closed; where it
+    empties it is 0.
+    """
+    edges = None  # lo .. below co's top; a YES on row y never needs them
+    while True:
+        em = view.east_row(y)
+        if stop and ((em + (stop & em)) ^ em | stop) & co:
+            return y, co | stop
+        if edges is None:
+            edges = ((1 << co.bit_length() >> 1) - 1) >> lo << lo
+        g = em & edges
+        s = 1
+        while g:
+            co |= (co >> s) & g
+            g &= g >> s
+            s <<= 1
+        if y == ty:
+            return y, co
+        y -= 1
+        co &= view.north_row(y)
+        if not co:
+            return y, 0
 
 
 def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:

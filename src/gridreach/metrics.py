@@ -6,14 +6,15 @@ either axis, so at most 2(k+1) per decomposition level), live stack
 frames (2 words each: a vertex record plus its resume slot), a fixed
 constant of locals per live level, the straight-walk cursor, and the
 base case's one reach mask of side+1 bits (in words of ceil(log2(n+1))
-bits) plus its locals.  The last divided level's frame sweep is such a
-base case: it holds the same one mask and locals while a visit of a DFS
-frame runs it, never across a push or pop, so it adds nothing to the
-bound.  So is that level's sweep for the target, held before the frame
-yields the target and ends the search.  So is the entry check of every
-divided level: one mask and locals of the level's block side, held under
-the levels above only, before the level charges its markers; the word
-bound has a term for it.  The read-only input graph (with its one whole
+bits) plus its locals.  The last divided level's frame sweep
+(grid.arc_sweep) is such a base case: it holds the same one mask and
+locals while a visit of a DFS frame runs it, never across a push or pop,
+so it adds nothing to the bound.  So is that level's sweep for the target
+(grid.row_sweep), held before the frame yields the target and ends the
+search.  So is the entry check of every divided level, a backward sweep
+(grid.row_cosweep): one mask and locals of the level's block side, held
+under the levels above only, before the level charges its markers; the
+word bound has a term for it.  The read-only input graph (with its one whole
 view and each view's two window masks), the output and instrumentation
 are never counted.  Space is measured by this explicit instrumentation
 rather than process RSS, which is noisy and dominated by the input
@@ -37,10 +38,10 @@ candidates strictly north-east of the vertex go through the edge test,
 which recurses into the block.  At the last divided level the frame
 tests a target off the vertex's row and column in its own block, at one
 edge query, by one row sweep that counts one call at the next depth and
-one base_case_calls.  The candidates a frame sweep reads off
-its mask are not edge tests; each sweep counts one base_case_calls and
-one call at the next depth.  Each entry check counts one base_case_calls
-and no call: it runs inside the call of the query it checks.
+one base_case_calls.  The candidates a frame sweep finds are not edge
+tests; each sweep counts one base_case_calls and one call at the next
+depth.  Each entry check counts one base_case_calls and no call: it runs
+inside the call of the query it checks.
 
 The word bound is the worst case of those same charges over the levels
 of the schedule; the engine charges through level_charge and base_charge.

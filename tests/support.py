@@ -3,8 +3,12 @@
 The oracles recompute structure from first principles (full closures,
 explicit edge rules) so the engine under test is never used to check
 itself.  The references are the plain loops that faster library code
-replaced (the float-at-a-time generator, the per-character LGG codec, the
-per-bit row closure), kept for differential tests.  The seams build view
+replaced, kept for differential tests: the float-at-a-time generator, the
+per-character LGG codec, and the per-bit row closures forward
+(reference_row_sweep) and backward (reference_row_cosweep).  The block
+checks have references built on lattice_reach and lattice_reached: the
+entry check (reference_enters) and the first vertex of an arc that a
+forward sweep reaches (reference_arc_sweep).  The seams build view
 chains, watch the views sub makes and record the marker DFS's pushes.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 from gridreach import (AuxParams, LayeredGridGraph, LggFormatError, Metrics, SplitMix64,
                        SubgridView)
 from gridreach.auxgraph import iter_candidates
+from gridreach.grid import arc
 
 
 def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
@@ -42,6 +47,42 @@ def lattice_reach(g: LayeredGridGraph, box, s, t) -> bool:
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def lattice_reached(g: LayeredGridGraph, box, sources) -> set:
+    """The vertices that some source reaches over the edges of g with both
+    ends inside the inclusive base-coordinate box (x0, y0, x1, y1): the
+    sources themselves, and lattice_reach's DFS from those inside the box,
+    run once for all of them."""
+    x0, y0, x1, y1 = box
+    x1 = min(x1, g.n)
+    y1 = min(y1, g.n)
+    seen = set(sources)
+    stack = [s for s in seen if x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+    while stack:
+        x, y = stack.pop()
+        for w, ok in (((x + 1, y), x < x1 and g.east(x, y)),
+                      ((x, y + 1), y < y1 and g.north(x, y))):
+            if ok and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reference_arc_sweep(g: LayeredGridGraph, origin, box, side: int, reach: int, y: int,
+                        ty: int, ey: int, top: int):
+    """``grid.arc_sweep`` on a view of side ``side`` from lattice_reached:
+    the first vertex of ``arc(side, ty, ey, top)`` that a set column of
+    reach in row y reaches over the edges inside the view's content box,
+    in the view's local coordinates, or None.  origin and box are as in
+    reference_enters."""
+    ox, oy = origin
+    reached = lattice_reached(g, box, [(ox + x, oy + y) for x in range(reach.bit_length())
+                                       if (reach >> x) & 1])
+    for x, ay in arc(side, ty, ey, top):
+        if (ox + x, oy + ay) in reached:
+            return x, ay
+    return None
 
 
 def reference_enters(g: LayeredGridGraph, origin, box, b: int, u, v) -> bool:
@@ -102,6 +143,30 @@ def reference_row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
         if reach == 0:
             return 0
         y += 1
+
+
+def reference_row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
+                          stop: int) -> tuple[int, int]:
+    """``row_cosweep`` with each row closed one west step per pass: a
+    column x >= lo joins where its east edge leads into the mask, until a
+    pass adds no column.  It stops where the closed mask holds stop,
+    returning that row's mask as it was before it closed, with stop."""
+    while True:
+        em = view.east_row(y) >> lo << lo
+        closed = co
+        while True:
+            spread = closed | ((closed >> 1) & em)
+            if spread == closed:
+                break
+            closed = spread
+        if closed & stop:
+            return y, co | stop
+        if y == ty:
+            return y, closed
+        y -= 1
+        co = closed & view.north_row(y)
+        if co == 0:
+            return y, 0
 
 
 _CHAR_BY_BITS = {(False, False): ".", (True, False): "N", (False, True): "E",

@@ -63,17 +63,29 @@ def _engine_edge_test(g):
     lattice corners, so the endpoint augmentation adds no edge.  The level
     below divides each side-3 block once more, into unit blocks, so the top
     level is not the last divided one: there the frames decide every pair
-    themselves, and _divided hands no edge test
+    themselves, and get no edge test
     (test_last_divided_level_gets_no_edge_test)."""
     return _handed_edge_test(g, (P93, AuxParams(3, 3), None))
 
 
 def test_last_divided_level_gets_no_edge_test():
     """Where the next level is the base case (k = 3 at epsilon 1 on side 9),
-    _divided builds no edge test and hands marker_dfs None."""
+    the level's frames get no edge test: whatever edge test _divided hands
+    it, marker_dfs hands every run None, so the runs sweep their blocks."""
     levels = engine._schedule(9, 1.0, None)[1]
     assert levels == (P93, None)
-    assert _handed_edge_test(gen_family("full", 9), levels) is None
+    real = engine._run
+    handed = []
+
+    def spy(p, g, curr, v, av, ah, edge_test, *rest):
+        handed.append(edge_test)
+        return real(p, g, curr, v, av, ah, edge_test, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_run", spy)
+        assert engine._divided(SubgridView.whole(gen_family("full", 9)), P93, (0, 0),
+                               (9, 9), Metrics(), levels, 0)
+    assert handed and set(handed) == {None}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from gridreach import (
     predicted_words,
     reach,
 )
-from gridreach import engine
+from gridreach import engine, grid
 from gridreach.auxgraph import (box_gridlines, decompose, is_base_side, is_gridline_vertex,
                                 iter_candidates, ne_corner)
 from gridreach.engine import _schedule
@@ -1080,7 +1080,9 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
     rows: each call after the first starts on the row above the one the
     last call closed, the mask lifted into it, never on that row again.
     A visit's first call starts on the frame's own row, below every row
-    the frame's earlier calls closed."""
+    the frame's earlier calls closed.  The spy sits on both bindings: the
+    engine's, which the target's sweep reads, and grid's, which the frame
+    sweep (grid.arc_sweep) reads."""
     real = engine.row_sweep
     calls = []  # (view, first row, last row), the views kept alive
 
@@ -1089,6 +1091,7 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
         return real(view, reach, y, ty)
 
     monkeypatch.setattr(engine, "row_sweep", spy)
+    monkeypatch.setattr(grid, "row_sweep", spy)
     rng = SplitMix64(808)
     for cfg in (EngineConfig(epsilon=1.0), EngineConfig(epsilon=0.5)):
         for _ in range(40):

@@ -17,10 +17,11 @@ from gridreach import (
     parse_lgg,
 )
 
-from gridreach.grid import _GAMMA, _MIX1, _MIX2, _U64, FAMILIES, row_sweep
-from support import (lattice_reach, reference_emit_lgg, reference_gen_random,
-                     reference_parse_lgg, reference_row_sweep, view_chain, watch_windows,
-                     window_holds)
+from gridreach.grid import (_GAMMA, _MIX1, _MIX2, _U64, FAMILIES, arc, arc_sweep, row_cosweep,
+                            row_sweep)
+from support import (lattice_reach, reference_arc_sweep, reference_emit_lgg,
+                     reference_gen_random, reference_parse_lgg, reference_row_cosweep,
+                     reference_row_sweep, view_chain, watch_windows, window_holds)
 
 
 @st.composite
@@ -377,10 +378,21 @@ def swept_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_row_sweep_matches_the_per_bit_closure(case):
     """row_sweep closes each row in one carry step; it equals the closure
-    that spreads one east step per pass."""
+    that spreads one east step per pass.  On the same cases, arc_sweep
+    finds the vertex of its arc that lattice_reached finds first, for a
+    whole arc or for the corner alone; and row_cosweep, from row ty down
+    to row y, equals the closure that spreads one west step per pass."""
     g, reach, y, ty = case
     view = SubgridView.whole(g)
+    n = g.n
     assert row_sweep(view, reach, y, ty) == reference_row_sweep(view, reach, y, ty)
+    ey, top = (n, reach) if y % 2 else (ty, 1 << n)  # a whole arc, or its corner
+    assert arc_sweep(view, reach, y, ty, ey, top) == reference_arc_sweep(
+        g, (0, 0), (0, 0, n, n), n, reach, y, ty, ey, top), (ey, top)
+    span = ty - y  # lo and stop drawn with the case
+    for lo, stop in ((0, 0), (span, 1 << span), (span, 1 << (span + n + 1) // 2)):
+        assert row_cosweep(view, reach, ty, y, lo, stop) == reference_row_cosweep(
+            view, reach, ty, y, lo, stop), (lo, stop)
 
 
 def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
@@ -392,20 +404,61 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
         return lo + rng.next_below(hi - lo + 1)
 
     windows = set()
+    cases = set()
     for _ in range(600):
         n = 2 + rng.next_below(14)
         density = (0.3, 0.6, 0.9)[rng.next_below(3)]
         g = gen_random(n, density, density, rng.next_u64())
-        view, _, _ = view_chain(g, pick(1, 4), pick)
+        view, origin, box = view_chain(g, pick(1, 4), pick)
         side = view.side
+        full = (2 << side) - 1
         windows.update({-1: "-1", 0: "0", side: "side"}.get(w) for w in (view.wx, view.wy))
-        for _ in range(10):
-            reach = rng.next_u64() & ((2 << side) - 1)
+        for i in range(10):
+            reach = rng.next_u64() & full
             y = rng.next_below(side + 1)
             ty = y + rng.next_below(side - y + 1)
             assert row_sweep(view, reach, y, ty) == reference_row_sweep(
                 view, reach, y, ty), (view, reach, y, ty)
+            # The backward sweep from row ty down to row y, inside columns
+            # lo.., stopping at column lo or east of it, or nowhere.
+            lo = pick(0, side) if i % 2 else 0
+            stop = 1 << pick(lo, side) if i % 3 else 0
+            got = row_cosweep(view, reach, ty, y, lo, stop)
+            assert got == reference_row_cosweep(view, reach, ty, y, lo, stop), (
+                view, reach, ty, y, lo, stop)
+            cases.add(("lo > 0" if lo else "lo = 0", "stop" if got[1] & stop else
+                       "emptied" if not got[1] else "row ty"))
+            if i >= 2:
+                continue
+            # The arc's east-column rows ty..ey-1, none where ey <= ty, and
+            # its north-row columns: none, the corner alone, or drawn.
+            ey = ty + rng.next_below(side - ty + 1)
+            kind = rng.next_below(4)
+            top = (0, 1 << side, reach, rng.next_u64() | 1 << side)[kind] & full
+            got = arc_sweep(view, reach, y, ty, ey, top)
+            assert got == reference_arc_sweep(g, origin, box, side, reach, y, ty, ey,
+                                              top), (view, reach, y, ty, ey, top)
+            cases.add(("no east rows" if ey <= ty else "east rows",
+                       ("top = 0", "corner only", "drawn", "drawn")[kind],
+                       None if got is None else "corner" if got == (side, side)
+                       else "east" if got[0] == side else "north"))
     assert {"-1", "0", "side"} <= windows
+    assert {(lo, end) for lo in ("lo = 0", "lo > 0")
+            for end in ("stop", "emptied", "row ty")} <= cases, cases
+    assert {("no east rows", "top = 0", None), ("east rows", "top = 0", None),
+            ("east rows", "top = 0", "east"), ("no east rows", "corner only", None),
+            ("no east rows", "corner only", "corner"), ("east rows", "corner only", None),
+            ("no east rows", "drawn", "north"), ("east rows", "drawn", "north"),
+            ("east rows", "drawn", "east")} <= cases, cases
+
+
+def test_arc_runs_north_then_west():
+    """arc yields the east-column rows ty..ey-1 going north, then the
+    north-row columns of top, the highest first, with bit side the corner
+    between the two."""
+    assert list(arc(4, 1, 3, 0b10110)) == [(4, 1), (4, 2), (4, 4), (2, 4), (1, 4)]
+    assert list(arc(4, 3, 3, 0b00101)) == [(2, 4), (0, 4)]
+    assert list(arc(4, 4, 2, 0)) == []
 
 
 def _with_extra_edge(g, rng):
