@@ -15,16 +15,19 @@ base case, its shared block or its entry check.  A DFS frame is its run
 (_run), one generator at every divided level, which first decides the
 edge into the target, where the target lies in the frame's block, and
 then walks the frame's candidates, skipping those the markers rule out.
-The two candidates on the frame's own row and column, and a target
-there, need no recursion: a path to them runs straight, so the frame
-decides them itself, by the gridline rule and a straight walk on its
-block (_line_edge).  One run, two probes: for the other pairs, in whole
-stretches of admitted candidates, the run asks its probe for the first
-joined vertex.  Above the last divided level the probe is the edge test,
-a recursion per vertex; at the last divided level, where that recursion
-would end in one base-case row sweep per edge, it is one forward sweep
-of the frame's block per visit (grid.arc_sweep), charged as one base
-case.
+A frame holds no view: it reads its block from the level's view, in the
+level's coordinates.  The two candidates on the frame's own row and
+column, and a target there, need no recursion: a path to them runs
+straight, so the frame decides them itself, by the gridline rule and a
+straight walk between the two (_line_edge).  One run, two probes: for
+the other pairs, in whole stretches of admitted candidates, the run asks
+its probe for the first joined vertex.  Above the last divided level the
+probe is the edge test, a recursion per vertex; at the last divided
+level, where that recursion would end in one base-case row sweep per
+edge, it is one forward sweep of the frame's block per visit
+(grid.arc_sweep), charged as one base case.  A frame's sweeps are cut at
+the column they ask about (grid.row_sweep), so they never spread past
+the block's east column.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -183,20 +186,21 @@ def _admits(b: int, av: list[int], ah: list[int], i0: int, j0: int,
             wy % b == 0 and ah[wy // b - j0] > wx)
 
 
-def _line_edge(view: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex,
-               x0: int, y0: int, m: Metrics, depth: int) -> bool:
+def _line_edge(g: SubgridView, b: int, u: Vertex, v: Vertex, curr: Vertex, w: Vertex,
+               m: Metrics, depth: int) -> bool:
     """The edge from curr to w, north-east of it on its row or column in
-    curr's block, which view shows from (x0, y0): one edge query, the
-    gridline rule (_gridline_rule, which needs the source u and the target
-    v), then, where the rule joins them, a straight walk on the block view,
-    counted as the call at depth+1 that an edge test's recursion into the
-    block would make.  At every level, frames decide their own-line
+    curr's block: one edge query, the gridline rule (_gridline_rule, which
+    needs the source u and the target v), then, where the rule joins them,
+    a straight walk on the level's view g, counted as the call at depth+1
+    that an edge test's recursion into the block would make.  The walk
+    needs no block view: it reads only the edges between curr and w, all
+    inside the block.  At every level, frames decide their own-line
     candidates and a target on their row or column here."""
     m.edge_queries += 1
     if not _gridline_rule(b, u, v, curr, w):
         return False
     m.note_call(depth + 1)
-    return _straight(view, curr[0] - x0, curr[1] - y0, w[0] - x0, w[1] - y0, m)
+    return _straight(g, curr[0], curr[1], w[0], w[1], m)
 
 
 def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
@@ -205,10 +209,12 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     """A marker-DFS frame at curr: yield v if curr is joined to it, then the
     candidates of curr's run that the markers admit and that are joined to
     curr, in run order, skipping v.  The generator is the frame: it holds
-    the frame's vertex and its cursor, the resume slot, between visits.
+    the frame's vertex and its cursor, the resume slot, between visits, and
+    no view: it reads its block from the level's view g, in g's
+    coordinates.
 
-    The run is the east column of curr's north-eastmost block
-    (auxgraph.ne_corner) going north, then its north row going west, cut
+    The run is the east column x1 of curr's north-eastmost block
+    (auxgraph.ne_corner) going north, then its north row y1 going west, cut
     to v's box, which the module docstring shows sound: it asks about no
     vertex east or north of v.  The target comes first, where it lies
     north-east of curr in that block, whatever the markers say: a target
@@ -229,35 +235,31 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     joined vertex in run order.  The cursor moves past each hit, and a
     visit that finds none ends the stretch.
 
-    The stretch and the cursor are kept in block coordinates, the stretch
-    as an arc (grid.arc): its east-column rows ty..ey-1 and its north-row
-    columns as a mask, top, whose bit b is the corner.  The probe, for the
-    stretch and for a target off curr's row and column, is the level's.
-    Above the last divided level, edge_test decides each vertex of the arc
-    in run order, up to the first True.  At the last, marker_dfs hands
-    None, and the gridline rule joins every such pair: the target is one
-    row sweep of curr's block from curr to v's row (grid.row_sweep),
-    reading bit v.x, and the stretch one forward sweep of the block from
-    curr per visit (grid.arc_sweep), which never sweeps a row above v.
-    Each sweep counts one call at depth+1 and one base case (the target's
-    also one edge query) and holds words, base_charge(b, n), in one peak
-    update (Metrics.hold), never across a yield.
+    The stretch is kept as an arc (grid.arc): its east-column rows
+    ty..ey-1 and its north-row columns as a mask, top, whose bit x1 is the
+    corner.  The probe, for the stretch and for a target off curr's row and
+    column, is the level's.  Above the last divided level, edge_test
+    decides each vertex of the arc in run order, up to the first True.  At
+    the last, marker_dfs hands None, and the gridline rule joins every such
+    pair: the target is one row sweep from curr to v's row cut at v's
+    column (grid.row_sweep), reading bit v.x, and the stretch one forward
+    sweep from curr per visit cut at x1 (grid.arc_sweep), which never
+    sweeps a row above v.  The cuts keep each sweep inside curr's block:
+    it starts at column cx, spreads only east and stops at the cut, and
+    reads no row above y1.  Each sweep counts one call at depth+1 and one
+    base case (the target's also one edge query) and holds words,
+    base_charge(b, n), in one peak update (Metrics.hold), never across a
+    yield.
     """
     b = p.b
     cx, cy = curr
-    if cx > v[0] or cy > v[1]:
+    vx, vy = v
+    if cx > vx or cy > vy:
         return  # curr lies outside the box, and so does all north-east of it
     x1, y1 = ne_corner(p, curr)
-    x0 = x1 - b
-    y0 = y1 - b
-    view = g.sub(x0, y0, b)  # curr's block: its target, line walks and sweeps
-    lx = cx - x0
-    ly = cy - y0
-    vx = v[0] - x0  # v in the block's coordinates
-    vy = v[1] - y0
-    if vx <= b and vy <= b and curr != v:  # v lies in curr's block
-        if vx == lx or vy == ly:
-            if _line_edge(view, b, u, v, curr, v, x0, y0, m, depth):
+    if vx <= x1 and vy <= y1 and curr != v:  # v lies in curr's block
+        if vx == cx or vy == cy:
+            if _line_edge(g, b, u, v, curr, v, m, depth):
                 yield v
         elif edge_test is not None:
             if edge_test(curr, v):
@@ -267,38 +269,39 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             m.note_call(depth + 1)
             m.base_case_calls += 1
             m.hold(words)
-            if (row_sweep(view, 1 << lx, ly, vy) >> vx) & 1:
+            if (row_sweep(g, 1 << cx, cy, vy, vx) >> vx) & 1:
                 yield v
-    east = vx >= b  # the east column lies in the box
-    north = vy >= b  # the north row lies in the box
+    east = vx >= x1  # the east column lies in the box
+    north = vy >= y1  # the north row lies in the box
     if not (east or north):
         return
-    if lx < b and east:
+    if cx < x1 and east:
         w = (x1, cy)
         if (w != v and any(_admits(b, av, ah, i0, j0, x1, cy))
-                and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
+                and _line_edge(g, b, u, v, curr, w, m, depth)):
             yield w
-    if lx < b and ly < b:
+    if cx < x1 and cy < y1:
         i = x1 // b - i0  # the markers of the east column and the north
         j = y1 // b - j0  # row, read only where that line lies in the box
-        # The box, in block coordinates: the east-column rows below ey, the
-        # corner (bit b of the north row, 0 where it lies outside), the
-        # north-row columns up to ex.  Where v lies beyond the block on
-        # both axes, that is the whole run.
-        if vx > b and vy > b:
-            ey = ex = b
-            corner = 1 << b
+        # The box: the east-column rows below ey, the corner (bit x1 of the
+        # north row, 0 where it lies outside), the north-row columns up to
+        # ex.  Where v lies beyond the block on both axes, that is the
+        # whole run.
+        if vx > x1 and vy > y1:
+            ey = y1
+            ex = x1
+            corner = 1 << x1
         else:  # up to v's row and column, v excluded
-            ey = min(vy + (vx > b), b) if east else 0
-            corner = 1 << b if east and north and vx + vy > 2 * b else 0
-            ex = vx - (vy == b) if north else lx
-        y = ly + 1  # cursor: the next east-column row (b is the corner)
-        x = b - 1  # and the next north-row column
+            ey = min(vy + (vx > x1), y1) if east else 0
+            corner = 1 << x1 if east and north and vx + vy > x1 + y1 else 0
+            ex = vx - (vy == y1) if north else cx
+        y = cy + 1  # cursor: the next east-column row (y1 is the corner)
+        x = x1 - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
-            ty = max(y, av[i] + 1 - y0) if east else ey  # rows above the marker
-            hi = min(x, ah[j] - 1 - x0, ex) if north else lx  # cursor, marker, box
-            top = (2 << hi) - (2 << lx) if hi > lx else 0  # columns lx+1 .. hi
-            if corner and y <= b and (av[i] < y1 or ah[j] > x1):
+            ty = max(y, av[i] + 1) if east else ey  # rows above the marker
+            hi = min(x, ah[j] - 1, ex) if north else cx  # cursor, marker, box
+            top = (2 << hi) - (2 << cx) if hi > cx else 0  # columns cx+1 .. hi
+            if corner and y <= y1 and (av[i] < y1 or ah[j] > x1):
                 top |= corner  # admitted by either marker
             if ty >= ey and not top:
                 break
@@ -306,23 +309,23 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
                 m.note_call(depth + 1)
                 m.base_case_calls += 1
                 m.hold(words)
-                hit = arc_sweep(view, 1 << lx, ly, ty, ey, top)
+                hit = arc_sweep(g, x1, y1, 1 << cx, cy, ty, ey, top)
                 if hit is None:
                     break
-                x, y = hit
             else:  # one edge test per vertex, in run order
-                for x, y in arc(b, ty, ey, top):
-                    if edge_test(curr, (x0 + x, y0 + y)):
+                for hit in arc(x1, y1, ty, ey, top):
+                    if edge_test(curr, hit):
                         break
                 else:
                     break
-            yield x0 + x, y0 + y
-            y += 1  # past the hit: b + 1 once the corner is done
-            x -= 1  # b - 1 until a north-row hit
-    if ly < b and north:
+            yield hit
+            x, y = hit
+            y += 1  # past the hit: y1 + 1 once the corner is done
+            x -= 1  # x1 - 1 until a north-row hit
+    if cy < y1 and north:
         w = (cx, y1)
         if (w != v and any(_admits(b, av, ah, i0, j0, cx, y1))
-                and _line_edge(view, b, u, v, curr, w, x0, y0, m, depth)):
+                and _line_edge(g, b, u, v, curr, w, m, depth)):
             yield w
 
 
@@ -367,7 +370,9 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     target off the vertex's row and column by one row sweep, the other
     candidates off one frame sweep per visit, each holding base_charge(b,
     n) words, which the search computes once and hands to every frame; the
-    edge_test handed in is never asked.  Above that,
+    edge_test handed in is never asked.  No frame cuts a view of its
+    block: every frame reads g itself, its sweeps cut at the columns they
+    ask about.  Above that,
     edge_test is asked about the target off the vertex's row and column
     and about the admitted candidates strictly north-east of the vertex,
     in run order, up to the first joined one of each visit.
@@ -484,8 +489,9 @@ def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
 def _reach(view: SubgridView, u: Vertex, v: Vertex, m: Metrics,
            levels: tuple[AuxParams | None, ...], depth: int) -> bool:
     """The dispatch of the module docstring, at depth.  A divided level pads
-    view to p.n only in the blocks it cuts: view.sub clips each one to the
-    content window, and nothing reads the padded side."""
+    view to p.n only in the blocks it addresses: view.sub clips each block
+    query's view to the content window, a frame's reads of view stop at
+    view's own window, and nothing reads the padded side."""
     rd = m.recursive_calls_by_depth
     if depth < len(rd):
         rd[depth] += 1

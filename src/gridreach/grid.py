@@ -5,12 +5,17 @@ reachability oracle used as ground truth by the differential test
 harness.
 
 The sweeps hold one row mask each.  row_sweep is the forward closure,
-row by row from a reach mask up to a target row; the oracle and the
-engine's base cases run it.  arc and arc_sweep ask the forward question
-of one block: arc is the run order of its east column and north row, and
-arc_sweep the first vertex of that arc a forward sweep reaches (the
-engine's frame sweep).  row_cosweep is the backward sweep: the columns,
-row by row downward, that reach a mask (the engine's entry check).
+row by row from a reach mask up to a target row, cut at the column it
+asks about: it never spreads east of that column, so a sweep never holds
+more columns than the question needs, on however wide a view it runs;
+the oracle and the engine's base cases run it.  arc and arc_sweep ask
+the forward question of one block, named by its east column and north
+row in the view's coordinates: arc is the run order of that column and
+row, and arc_sweep the first vertex of that arc a forward sweep, cut at
+the east column, reaches (the engine's frame sweep, which runs on the
+level's view, not on a view of the block).  row_cosweep is the backward
+sweep: the columns, row by row downward, that reach a mask (the engine's
+entry check).
 
 Vertices live on the (n+1) x (n+1) lattice {0..n}^2, written (x, y) with x
 growing east and y growing north.  Every edge goes exactly one unit north,
@@ -456,22 +461,28 @@ def gen_family(name: str, n: int) -> LayeredGridGraph:
 # ---------------------------------------------------------------------------
 # Full-memory oracle
 
-def row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
-    """The row sweep from row y up to row ty >= y.
+def row_sweep(view: SubgridView, reach: int, y: int, ty: int, x: int) -> int:
+    """The row sweep from row y up to row ty >= y, cut at column x.
 
-    reach holds columns reached in row y.  Each row is closed under its
-    east edges and, below ty, lifted through its north edges into the next
-    row.  Returns the closed reach mask of row ty (0 once a lift leaves
-    nothing).  A mask already closed in row y may be passed back in to
-    continue the sweep.
+    reach holds columns reached in row y, none east of x.  Each row is
+    closed under its east edges west of column x and, below ty, lifted
+    through its north edges into the next row.  Returns the closed reach
+    mask of row ty (0 once a lift leaves nothing).  A mask already closed
+    in row y may be passed back in to continue the sweep.
+
+    The cut is exact for every column up to x: a monotone path to a vertex
+    of column x or west of it never takes an east edge at or past x.  So
+    the mask never spreads east of x, and a sweep on a wide view holds no
+    more columns than the block it asks about.
 
     A row closes in one carry step.  A run of east edges at columns a..c-1
     joins columns a..c.  Adding the reached columns of the run, reach & em,
     to em carries from the lowest reached column i through the run into
     column c, and the xor with em leaves columns i..c set.
     """
+    cut = (1 << x) - 1  # the east edges west of column x
     while True:
-        em = view.east_row(y)
+        em = view.east_row(y) & cut
         reach |= (em + (reach & em)) ^ em
         if y == ty:
             return reach
@@ -481,47 +492,48 @@ def row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
         y += 1
 
 
-def arc(side: int, ty: int, ey: int, top: int):
-    """The vertices of a block's arc in run order: the east-column rows
-    ty..ey-1 going north, then the north-row columns set in top, the
-    highest first.  Bit side of top is the corner (side, side), which so
-    comes between the two."""
+def arc(x1: int, y1: int, ty: int, ey: int, top: int):
+    """The vertices of a block's arc in run order, for the block whose east
+    column is x1 and north row y1: the east-column rows ty..ey-1 going
+    north, then the north-row columns set in top, the highest first.  Bit
+    x1 of top is the corner (x1, y1), which so comes between the two."""
     for y in range(ty, ey):
-        yield side, y
+        yield x1, y
     while top:
         x = top.bit_length() - 1
-        yield x, side
+        yield x, y1
         top ^= 1 << x
 
 
-def arc_sweep(view: SubgridView, reach: int, y: int, ty: int, ey: int,
+def arc_sweep(view: SubgridView, x1: int, y1: int, reach: int, y: int, ty: int, ey: int,
               top: int) -> Vertex | None:
-    """The first vertex of arc(view.side, ty, ey, top) that the forward row
+    """The first vertex of arc(x1, y1, ty, ey, top) that the forward row
     sweep from row y reaches, or None.  reach holds the columns reached in
-    row y, not yet closed; y <= ty where the arc has east-column rows (ty <
-    ey), else y <= side.
+    row y, not yet closed, none east of x1; y <= ty where the arc has
+    east-column rows (ty < ey), else y <= y1.
 
     The sweep jumps over the rows below ty in one row_sweep, then reads the
     east column's bit of each of the rows ty..ey-1, and takes the north
-    row's reached columns of top as the set bits of the top row's mask.  It
-    sweeps no row above the arc's highest, and each row it reads is closed
-    once: between the east-column rows, the closed mask is lifted into the
-    next row before the sweep goes on.
+    row's reached columns of top as the set bits of the top row's mask.
+    Every row_sweep is cut at the east column x1, so the mask never spreads
+    past the block, on whatever view the block lies.  The sweep reads no
+    row above the arc's highest, and each row it reads is closed once:
+    between the east-column rows, the closed mask is lifted into the next
+    row before the sweep goes on.
     """
-    side = view.side
     while ty < ey:
-        reach = row_sweep(view, reach, y, ty)
-        if (reach >> side) & 1:
-            return side, ty
+        reach = row_sweep(view, reach, y, ty, x1)
+        if (reach >> x1) & 1:
+            return x1, ty
         reach &= view.north_row(ty)  # lifted, so no row closes twice
         if not reach:
             return None
         ty += 1
         y = ty
     if top:
-        top &= row_sweep(view, reach, y, side)
+        top &= row_sweep(view, reach, y, y1, x1)
         if top:
-            return top.bit_length() - 1, side
+            return top.bit_length() - 1, y1
     return None
 
 
@@ -569,8 +581,9 @@ def row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
 def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
     """Ground-truth reachability with unrestricted memory.
 
-    The row sweep over bitmasks (row_sweep) from s's row to t's.  Correct
-    because every path visits rows in nondecreasing order.
+    The row sweep over bitmasks (row_sweep) from s's row to t's, cut at
+    t's column.  Correct because every path visits rows in nondecreasing
+    order.
     """
     if not view.contains(s):
         raise ValueError(f"source {s} outside view")
@@ -580,4 +593,4 @@ def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
         return True
     if t[0] < s[0] or t[1] < s[1]:
         return False
-    return (row_sweep(view, 1 << s[0], s[1], t[1]) >> t[0]) & 1 == 1
+    return (row_sweep(view, 1 << s[0], s[1], t[1], t[0]) >> t[0]) & 1 == 1

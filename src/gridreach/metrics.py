@@ -11,7 +11,10 @@ bits) plus its locals.  The last divided level's frame sweep
 locals while a visit of a DFS frame runs it, never across a push or pop,
 so it adds nothing to the bound.  So is that level's sweep for the target
 (grid.row_sweep), held before the frame yields the target and ends the
-search.  So is the entry check of every divided level, a backward sweep
+search.  A frame holds no view of its block and sweeps the level's view,
+but each of its sweeps is cut at the column it asks about (the block's
+east column, or the target's), so its mask spans the columns from the
+frame's vertex to that cut: at most b+1 bits, the block side's base case.  So is the entry check of every divided level, a backward sweep
 (grid.row_cosweep): one mask and locals of the level's block side, held
 under the levels above only, before the level charges its markers; the
 word bound has a term for it.  The read-only input graph (with its one whole

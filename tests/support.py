@@ -4,12 +4,13 @@ The oracles recompute structure from first principles (full closures,
 explicit edge rules) so the engine under test is never used to check
 itself.  The references are the plain loops that faster library code
 replaced, kept for differential tests: the float-at-a-time generator, the
-per-character LGG codec, and the per-bit row closures forward
-(reference_row_sweep) and backward (reference_row_cosweep).  The block
-checks have references built on lattice_reach and lattice_reached: the
-entry check (reference_enters) and the first vertex of an arc that a
-forward sweep reaches (reference_arc_sweep).  The seams build view
-chains, watch the views sub makes and record the marker DFS's pushes.
+per-character LGG codec, and the per-bit backward row closure
+(reference_row_cosweep).  The forward sweeps and the block checks have
+references built on lattice_reach and lattice_reached: the forward row
+sweep cut at a column (reference_row_sweep), the entry check
+(reference_enters) and the first vertex of an arc that a forward sweep
+reaches (reference_arc_sweep).  The seams build view chains, watch the
+views sub makes and record the marker DFS's pushes.
 """
 
 from __future__ import annotations
@@ -69,17 +70,27 @@ def lattice_reached(g: LayeredGridGraph, box, sources) -> set:
     return seen
 
 
-def reference_arc_sweep(g: LayeredGridGraph, origin, box, side: int, reach: int, y: int,
-                        ty: int, ey: int, top: int):
-    """``grid.arc_sweep`` on a view of side ``side`` from lattice_reached:
-    the first vertex of ``arc(side, ty, ey, top)`` that a set column of
-    reach in row y reaches over the edges inside the view's content box,
-    in the view's local coordinates, or None.  origin and box are as in
-    reference_enters."""
+def _reached_from_row(g: LayeredGridGraph, origin, box, reach: int, y: int, cut: int,
+                      ty: int) -> set:
+    """lattice_reached from the set columns of reach in row y, in a view's
+    local coordinates, over the edges inside the view's content box, in
+    columns up to cut and rows up to ty."""
     ox, oy = origin
-    reached = lattice_reached(g, box, [(ox + x, oy + y) for x in range(reach.bit_length())
+    within = (box[0], box[1], min(box[2], ox + cut), min(box[3], oy + ty))
+    return lattice_reached(g, within, [(ox + x, oy + y) for x in range(cut + 1)
                                        if (reach >> x) & 1])
-    for x, ay in arc(side, ty, ey, top):
+
+
+def reference_arc_sweep(g: LayeredGridGraph, origin, box, x1: int, y1: int, reach: int,
+                        y: int, ty: int, ey: int, top: int):
+    """``grid.arc_sweep`` on a view from lattice_reached: the first vertex of
+    ``arc(x1, y1, ty, ey, top)`` that a set column of reach in row y
+    reaches over the edges inside the view's content box and in columns up
+    to the cut x1, in the view's local coordinates, or None.  reach holds
+    no column east of x1; origin and box are as in reference_enters."""
+    ox, oy = origin
+    reached = _reached_from_row(g, origin, box, reach, y, x1, y1)
+    for x, ay in arc(x1, y1, ty, ey, top):
         if (ox + x, oy + ay) in reached:
             return x, ay
     return None
@@ -127,22 +138,16 @@ def reference_gen_random(n: int, p_north: float, p_east: float,
     return LayeredGridGraph(n, north, east)
 
 
-def reference_row_sweep(view: SubgridView, reach: int, y: int, ty: int) -> int:
-    """``row_sweep`` with each row closed one east step per pass: reach
-    spreads along the east edges until a pass adds no column."""
-    while True:
-        em = view.east_row(y)
-        while True:
-            spread = reach | ((reach & em) << 1)
-            if spread == reach:
-                break
-            reach = spread
-        if y == ty:
-            return reach
-        reach &= view.north_row(y)
-        if reach == 0:
-            return 0
-        y += 1
+def reference_row_sweep(g: LayeredGridGraph, origin, box, reach: int, y: int, ty: int,
+                        cut: int) -> int:
+    """``grid.row_sweep`` on a view from lattice_reached: the columns of row
+    ty that a set column of reach in row y reaches over the edges inside
+    the view's content box and in columns up to cut, in the view's local
+    coordinates.  reach holds no column east of cut; origin and box are as
+    in reference_enters."""
+    ox, oy = origin
+    reached = _reached_from_row(g, origin, box, reach, y, cut, ty)
+    return sum(1 << x for x in range(cut + 1) if (ox + x, oy + ty) in reached)
 
 
 def reference_row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,

@@ -603,19 +603,38 @@ def test_cut_views_keep_the_window_invariant(monkeypatch, n, cfg):
     """On schedules that pad (the top level divides a side of p.n > n),
     every view the engine cuts keeps SubgridView's window invariant
     (support.window_holds), on which its row reads rely to stay inside the
-    base graph; blocks that run past the content window are among them."""
+    base graph; where a level below the top pads, its block queries cut
+    views past the content window.  A frame cuts no view: it reads its
+    block from the level's view, whose row reads stop at that view's
+    window.  Some frames' blocks run past the window, and the queries that
+    push such a frame answer as the oracle does."""
     assert _schedule(n, cfg.epsilon, cfg.k)[1][0].n > n
     seen = watch_windows(monkeypatch)
+    real_run = engine._run
+    past = []  # the frames whose block runs past the level's window
+
+    def run_spy(p, g, curr, *rest):
+        x1, y1 = ne_corner(p, curr)
+        if x1 > g.wx or y1 > g.wy:
+            past.append((p.n, g.side, curr))
+        return real_run(p, g, curr, *rest)
+
+    monkeypatch.setattr(engine, "_run", run_spy)
     rng = SplitMix64(1300 + n)
     half = n // 2
+    padded = 0  # queries with a frame past the window
     for _ in range(3 if n < 100 else 1):  # a side-512 graph takes 0.5 s to draw
         g = gen_random(n, 0.7, 0.7, rng.next_u64())
         for _ in range(8):
             s = (rng.next_below(half), rng.next_below(half))
             t = (n - rng.next_below(3), n - rng.next_below(3))
+            past.clear()
             a = reach(g, s, t, cfg)
             assert a.reachable == oracle_reach(whole(g), s, t), (s, t)
-    assert any(v.oy + v.side > n for v in seen)
+            padded += bool(past)
+    assert padded > 0
+    if len(_schedule(n, cfg.epsilon, cfg.k)[1]) > 2:  # a padded level below the top
+        assert any(v.oy + v.side > n for v in seen)  # cuts block queries past it
 
 
 def test_fixed_k_schedule():
@@ -1075,23 +1094,62 @@ def test_box_sized_markers_match_full_width_markers(monkeypatch, n, k):
     assert pushes > 500, pushes
 
 
+def watch_frame_sweeps(monkeypatch) -> list:
+    """Spy on the row sweeps of the frames that sweep (those handed no edge
+    test), on both bindings: the engine's, which the target's sweep reads,
+    and grid's, which the frame sweep (grid.arc_sweep) reads.  Returns the
+    list that gets, for each row_sweep call inside a visit of such a frame,
+    (frame, visit, curr, v.x, x1, wx, kind, reach, y, ty, x, mask): the
+    frame's serial number, the visit's, the frame's vertex, the target's
+    column, the east column of the frame's block and the window of the
+    level's view, then "target" or "arc", the call's arguments and the
+    mask it returns.  A swept frame recurses nowhere, so every row_sweep
+    call inside its visit is its own."""
+    real_run = engine._run
+    real_sweep = grid.row_sweep
+    calls = []
+    frame = [None]  # the swept frame whose visit runs, or None
+    serial = itertools.count()
+
+    def visits(gen, number, *where):
+        for visit in itertools.count():
+            frame[0] = (number, visit, *where)
+            try:
+                w = next(gen)
+            except StopIteration:
+                return
+            finally:
+                frame[0] = None
+            yield w
+
+    def run_spy(p, g, curr, v, av, ah, edge_test, *rest):
+        gen = real_run(p, g, curr, v, av, ah, edge_test, *rest)
+        if edge_test is not None:
+            return gen
+        return visits(gen, next(serial), curr, v[0], ne_corner(p, curr)[0], g.wx)
+
+    def sweep_spy(kind):
+        def spy(view, reach, y, ty, x):
+            mask = real_sweep(view, reach, y, ty, x)
+            if frame[0] is not None:
+                calls.append((*frame[0], kind, reach, y, ty, x, mask))
+            return mask
+        return spy
+
+    monkeypatch.setattr(engine, "_run", run_spy)
+    monkeypatch.setattr(engine, "row_sweep", sweep_spy("target"))
+    monkeypatch.setattr(grid, "row_sweep", sweep_spy("arc"))
+    return calls
+
+
 def test_frame_sweep_closes_each_row_once(monkeypatch):
-    """Within one visit, a frame sweep's row_sweep calls cover disjoint
-    rows: each call after the first starts on the row above the one the
-    last call closed, the mask lifted into it, never on that row again.
-    A visit's first call starts on the frame's own row, below every row
-    the frame's earlier calls closed.  The spy sits on both bindings: the
-    engine's, which the target's sweep reads, and grid's, which the frame
-    sweep (grid.arc_sweep) reads."""
-    real = engine.row_sweep
-    calls = []  # (view, first row, last row), the views kept alive
-
-    def spy(view, reach, y, ty):
-        calls.append((view, y, ty))
-        return real(view, reach, y, ty)
-
-    monkeypatch.setattr(engine, "row_sweep", spy)
-    monkeypatch.setattr(grid, "row_sweep", spy)
+    """Within one visit of a frame, its row_sweep calls cover disjoint
+    rows: each call starts on the frame's own row, where it opens the
+    target's sweep or a frame sweep, or on the row above the one the last
+    call closed, the mask lifted into it, never on that row again.  The
+    frames of a search share the level's view, so the calls are told apart
+    by the frame and the visit that makes them (watch_frame_sweeps)."""
+    calls = watch_frame_sweeps(monkeypatch)
     rng = SplitMix64(808)
     for cfg in (EngineConfig(epsilon=1.0), EngineConfig(epsilon=0.5)):
         for _ in range(40):
@@ -1101,12 +1159,50 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
             assert reach(g, s, t, cfg).reachable == oracle_reach(whole(g), s, t)
     last = {}
     lifted = 0
-    for view, y, ty in calls:
-        prev = last.get(id(view))
-        assert prev is None or y != prev, (view, y, ty)
-        lifted += prev is not None and y == prev + 1
-        last[id(view)] = ty
-    assert lifted > 100
+    for frame, visit, (cx, cy), *_, y, ty, x, mask in calls:
+        prev = last.get((frame, visit))
+        where = (frame, visit, (cx, cy), y, ty)
+        if prev is None:
+            assert y == cy, where
+        else:
+            assert y != prev and y in (cy, prev + 1), where
+            lifted += y == prev + 1
+        last[frame, visit] = ty
+    assert lifted > 100, lifted
+
+
+@pytest.mark.parametrize("n, cfg", [(16, EngineConfig(k=4)), (16, EngineConfig(epsilon=0.5)),
+                                    (13, EngineConfig(k=3)), (24, EngineConfig(epsilon=1.0))])
+def test_frame_sweeps_stop_at_their_cut(monkeypatch, n, cfg):
+    """Every row sweep a frame runs on the level's view is cut at the column
+    it asks about: the target's sweep at the target's column, each row
+    sweep of a frame sweep at the east column x1 of the frame's block.
+    Neither the mask handed in nor the mask returned holds a column east of
+    that cut, so a sweep holds no more columns than the frame's block,
+    b + 1, on unpadded schedules and on padded ones (whose blocks run past
+    the view's window).  Many masks reach their cut, so a sweep that
+    dropped or moved it would spread past it."""
+    calls = watch_frame_sweeps(monkeypatch)
+    rng = SplitMix64(2700 + n)
+    half = n // 2
+    for _ in range(20):
+        g = gen_random(n, 0.7, 0.7, rng.next_u64())
+        s = (rng.next_below(half), rng.next_below(half))
+        t = (half + 1 + rng.next_below(n - half), half + 1 + rng.next_below(n - half))
+        assert reach(g, s, t, cfg).reachable == oracle_reach(whole(g), s, t), (s, t)
+    kinds = set()
+    at_cut = past = 0
+    for *_, vx, x1, wx, kind, reach_in, y, ty, x, mask in calls:
+        cut = vx if kind == "target" else x1
+        assert x == cut and reach_in >> cut + 1 == 0 and mask >> cut + 1 == 0, (
+            kind, cut, x, reach_in, mask)
+        kinds.add(kind)
+        at_cut += mask >> cut & 1
+        past += x1 > wx
+    assert kinds == {"target", "arc"}, kinds
+    assert at_cut > 50, at_cut
+    padded = _schedule(n, cfg.epsilon, cfg.k)[1][0].n > n
+    assert (past > 0) == padded, past
 
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])

@@ -377,18 +377,27 @@ def swept_rows(draw):
 @given(swept_rows())
 @settings(max_examples=300, deadline=None)
 def test_row_sweep_matches_the_per_bit_closure(case):
-    """row_sweep closes each row in one carry step; it equals the closure
-    that spreads one east step per pass.  On the same cases, arc_sweep
-    finds the vertex of its arc that lattice_reached finds first, for a
-    whole arc or for the corner alone; and row_cosweep, from row ty down
-    to row y, equals the closure that spreads one west step per pass."""
+    """row_sweep closes each row in one carry step, over the east edges
+    west of its cut; it equals the columns lattice_reached finds over the
+    edges in columns up to the cut.  On the same cases, arc_sweep finds the
+    vertex of its arc that lattice_reached finds first, for a whole arc or
+    for the corner alone; and row_cosweep, from row ty down to row y,
+    equals the closure that spreads one west step per pass.  The cut is
+    drawn with the case: the lattice's east column, or a column between
+    reach's lowest and it."""
     g, reach, y, ty = case
     view = SubgridView.whole(g)
     n = g.n
-    assert row_sweep(view, reach, y, ty) == reference_row_sweep(view, reach, y, ty)
-    ey, top = (n, reach) if y % 2 else (ty, 1 << n)  # a whole arc, or its corner
-    assert arc_sweep(view, reach, y, ty, ey, top) == reference_arc_sweep(
-        g, (0, 0), (0, 0, n, n), n, reach, y, ty, ey, top), (ey, top)
+    lo = max(0, (reach & -reach).bit_length() - 1)
+    cut = n if ty % 3 == 0 else lo + (ty - y) % (n + 1 - lo)
+    swept = reach & (2 << cut) - 1  # the forward sweeps' reach: none east of the cut
+    whole = (0, 0), (0, 0, n, n)
+    assert row_sweep(view, swept, y, ty, cut) == reference_row_sweep(
+        g, *whole, swept, y, ty, cut), cut
+    # A whole arc up to the lattice's north row, or the corner alone on row ty.
+    ey, y1, top = (n, n, swept) if y % 2 else (ty, ty, 1 << cut)
+    assert arc_sweep(view, cut, y1, swept, y, ty, ey, top) == reference_arc_sweep(
+        g, *whole, cut, y1, swept, y, ty, ey, top), (cut, y1, ey, top)
     span = ty - y  # lo and stop drawn with the case
     for lo, stop in ((0, 0), (span, 1 << span), (span, 1 << (span + n + 1) // 2)):
         assert row_cosweep(view, reach, ty, y, lo, stop) == reference_row_cosweep(
@@ -397,7 +406,9 @@ def test_row_sweep_matches_the_per_bit_closure(case):
 
 def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
     """The same on chains of sub views, padding ones among them, whose
-    content windows include -1 (no column or row), 0 and the whole side."""
+    content windows include -1 (no column or row), 0 and the whole side,
+    with cuts at the view's side and inside it, and arcs whose north row is
+    the view's or lies below it."""
     rng = SplitMix64(43)
 
     def pick(lo, hi):
@@ -414,11 +425,17 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
         full = (2 << side) - 1
         windows.update({-1: "-1", 0: "0", side: "side"}.get(w) for w in (view.wx, view.wy))
         for i in range(10):
-            reach = rng.next_u64() & full
+            draw = rng.next_u64()
+            reach = draw & full
             y = rng.next_below(side + 1)
             ty = y + rng.next_below(side - y + 1)
-            assert row_sweep(view, reach, y, ty) == reference_row_sweep(
-                view, reach, y, ty), (view, reach, y, ty)
+            # The forward sweeps' cut: the view's side, or a column drawn
+            # with reach; their reach holds no column east of it.
+            cut = side if i % 3 == 0 else (draw >> 40) % (side + 1)
+            swept = reach & (2 << cut) - 1
+            assert row_sweep(view, swept, y, ty, cut) == reference_row_sweep(
+                g, origin, box, swept, y, ty, cut), (view, swept, y, ty, cut)
+            cases.add("cut < side" if cut < side else "cut = side")
             # The backward sweep from row ty down to row y, inside columns
             # lo.., stopping at column lo or east of it, or nowhere.
             lo = pick(0, side) if i % 2 else 0
@@ -430,19 +447,23 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
                        "emptied" if not got[1] else "row ty"))
             if i >= 2:
                 continue
-            # The arc's east-column rows ty..ey-1, none where ey <= ty, and
-            # its north-row columns: none, the corner alone, or drawn.
+            # The arc of the block whose east column is the cut: its
+            # east-column rows ty..ey-1, none where ey <= ty, and its
+            # north-row columns: none, the corner alone, or drawn.  Its
+            # north row is the view's, or the highest the sweep needs.
             ey = ty + rng.next_below(side - ty + 1)
+            y1 = side if i == 0 else max(ey, y)
             kind = rng.next_below(4)
-            top = (0, 1 << side, reach, rng.next_u64() | 1 << side)[kind] & full
-            got = arc_sweep(view, reach, y, ty, ey, top)
-            assert got == reference_arc_sweep(g, origin, box, side, reach, y, ty, ey,
-                                              top), (view, reach, y, ty, ey, top)
+            top = (0, 1 << cut, swept, rng.next_u64() | 1 << cut)[kind] & (2 << cut) - 1
+            got = arc_sweep(view, cut, y1, swept, y, ty, ey, top)
+            assert got == reference_arc_sweep(g, origin, box, cut, y1, swept, y, ty, ey,
+                                              top), (view, cut, y1, swept, y, ty, ey, top)
             cases.add(("no east rows" if ey <= ty else "east rows",
                        ("top = 0", "corner only", "drawn", "drawn")[kind],
-                       None if got is None else "corner" if got == (side, side)
-                       else "east" if got[0] == side else "north"))
+                       None if got is None else "corner" if got == (cut, y1)
+                       else "east" if got[0] == cut else "north"))
     assert {"-1", "0", "side"} <= windows
+    assert {"cut < side", "cut = side"} <= cases, cases
     assert {(lo, end) for lo in ("lo = 0", "lo > 0")
             for end in ("stop", "emptied", "row ty")} <= cases, cases
     assert {("no east rows", "top = 0", None), ("east rows", "top = 0", None),
@@ -453,12 +474,13 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
 
 
 def test_arc_runs_north_then_west():
-    """arc yields the east-column rows ty..ey-1 going north, then the
-    north-row columns of top, the highest first, with bit side the corner
-    between the two."""
-    assert list(arc(4, 1, 3, 0b10110)) == [(4, 1), (4, 2), (4, 4), (2, 4), (1, 4)]
-    assert list(arc(4, 3, 3, 0b00101)) == [(2, 4), (0, 4)]
-    assert list(arc(4, 4, 2, 0)) == []
+    """arc yields the east-column rows ty..ey-1 of the block whose east
+    column is x1 and north row y1, going north, then the north-row columns
+    of top, the highest first, with bit x1 the corner between the two."""
+    assert list(arc(4, 4, 1, 3, 0b10110)) == [(4, 1), (4, 2), (4, 4), (2, 4), (1, 4)]
+    assert list(arc(4, 4, 3, 3, 0b00101)) == [(2, 4), (0, 4)]
+    assert list(arc(4, 4, 4, 2, 0)) == []
+    assert list(arc(7, 5, 3, 5, 0b11000000)) == [(7, 3), (7, 4), (7, 5), (6, 5)]
 
 
 def _with_extra_edge(g, rng):
