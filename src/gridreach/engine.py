@@ -25,9 +25,11 @@ its probe for the first joined vertex.  Above the last divided level the
 probe is the edge test, a recursion per vertex; at the last divided
 level, where that recursion would end in one base-case row sweep per
 edge, it is one forward sweep of the frame's block per visit
-(grid.arc_sweep), charged as one base case.  A frame's sweeps are cut at
-the column they ask about (grid.row_sweep), so they never spread past
-the block's east column.
+(grid.arc_sweep), charged as one base case.  A frame's sweeps start at
+its own column, their origin, and are cut at the column they ask about
+(grid.row_sweep), so they never spread past the block's east column, and
+each of their masks is an int of at most b+1 bits, bit i for column
+cx+i, however wide the level's view is.
 
 The marker arrays hold, per vertical gridline, the topmost vertex pushed
 so far, and per horizontal gridline the leftmost; they take the place of
@@ -236,20 +238,21 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     visit that finds none ends the stretch.
 
     The stretch is kept as an arc (grid.arc): its east-column rows
-    ty..ey-1 and its north-row columns as a mask, top, whose bit x1 is the
-    corner.  The probe, for the stretch and for a target off curr's row and
-    column, is the level's.  Above the last divided level, edge_test
-    decides each vertex of the arc in run order, up to the first True.  At
-    the last, marker_dfs hands None, and the gridline rule joins every such
-    pair: the target is one row sweep from curr to v's row cut at v's
-    column (grid.row_sweep), reading bit v.x, and the stretch one forward
-    sweep from curr per visit cut at x1 (grid.arc_sweep), which never
-    sweeps a row above v.  The cuts keep each sweep inside curr's block:
-    it starts at column cx, spreads only east and stops at the cut, and
-    reads no row above y1.  Each sweep counts one call at depth+1 and one
-    base case (the target's also one edge query) and holds words,
-    base_charge(b, n), in one peak update (Metrics.hold), never across a
-    yield.
+    ty..ey-1 and its north-row columns as a mask, top, relative to the
+    frame's column (bit i is column cx+i), whose bit x1-cx is the corner,
+    so no local a frame keeps across a yield is wider than its block.  The
+    probe, for the stretch and for a target off curr's row and column, is
+    the level's.  Above the last divided level, edge_test decides each
+    vertex of the arc in run order, up to the first True.  At the last,
+    marker_dfs hands None, and the gridline rule joins every such pair: the
+    target is one row sweep from curr to v's row cut at v's column
+    (grid.row_sweep), reading v's bit, and the stretch one forward sweep
+    from curr per visit cut at x1 (grid.arc_sweep), which never sweeps a
+    row above v.  The cuts keep each sweep inside curr's block: its origin
+    is column cx, it spreads only east and stops at the cut, and it reads
+    no row above y1.  Each sweep counts one call at depth+1 and one base
+    case (the target's also one edge query) and holds words, base_charge(b,
+    n), in one peak update (Metrics.hold), never across a yield.
     """
     b = p.b
     cx, cy = curr
@@ -269,7 +272,7 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
             m.note_call(depth + 1)
             m.base_case_calls += 1
             m.hold(words)
-            if (row_sweep(g, 1 << cx, cy, vy, vx) >> vx) & 1:
+            if (row_sweep(g, cx, 1, cy, vy, vx) >> (vx - cx)) & 1:
                 yield v
     east = vx >= x1  # the east column lies in the box
     north = vy >= y1  # the north row lies in the box
@@ -283,24 +286,24 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
     if cx < x1 and cy < y1:
         i = x1 // b - i0  # the markers of the east column and the north
         j = y1 // b - j0  # row, read only where that line lies in the box
-        # The box: the east-column rows below ey, the corner (bit x1 of the
-        # north row, 0 where it lies outside), the north-row columns up to
-        # ex.  Where v lies beyond the block on both axes, that is the
-        # whole run.
+        # The box: the east-column rows below ey, the corner (the north
+        # row's bit x1 - cx, origin cx; 0 where it lies outside), the
+        # north-row columns up to ex.  Where v lies beyond the block on
+        # both axes, that is the whole run.
         if vx > x1 and vy > y1:
             ey = y1
             ex = x1
-            corner = 1 << x1
+            corner = 1 << (x1 - cx)
         else:  # up to v's row and column, v excluded
             ey = min(vy + (vx > x1), y1) if east else 0
-            corner = 1 << x1 if east and north and vx + vy > x1 + y1 else 0
+            corner = 1 << (x1 - cx) if east and north and vx + vy > x1 + y1 else 0
             ex = vx - (vy == y1) if north else cx
         y = cy + 1  # cursor: the next east-column row (y1 is the corner)
         x = x1 - 1  # and the next north-row column
         while True:  # one pass per visit; the markers hold still during it
             ty = max(y, av[i] + 1) if east else ey  # rows above the marker
             hi = min(x, ah[j] - 1, ex) if north else cx  # cursor, marker, box
-            top = (2 << hi) - (2 << cx) if hi > cx else 0  # columns cx+1 .. hi
+            top = (2 << (hi - cx)) - 2 if hi > cx else 0  # columns cx+1 .. hi
             if corner and y <= y1 and (av[i] < y1 or ah[j] > x1):
                 top |= corner  # admitted by either marker
             if ty >= ey and not top:
@@ -309,11 +312,11 @@ def _run(p: AuxParams, g: SubgridView, curr: Vertex, v: Vertex, av: list[int],
                 m.note_call(depth + 1)
                 m.base_case_calls += 1
                 m.hold(words)
-                hit = arc_sweep(g, x1, y1, 1 << cx, cy, ty, ey, top)
+                hit = arc_sweep(g, cx, x1, y1, 1, cy, ty, ey, top)
                 if hit is None:
                     break
             else:  # one edge test per vertex, in run order
-                for hit in arc(x1, y1, ty, ey, top):
+                for hit in arc(cx, x1, y1, ty, ey, top):
                     if edge_test(curr, hit):
                         break
                 else:
@@ -371,11 +374,11 @@ def marker_dfs(p: AuxParams, g: SubgridView, u: Vertex, v: Vertex, edge_test,
     candidates off one frame sweep per visit, each holding base_charge(b,
     n) words, which the search computes once and hands to every frame; the
     edge_test handed in is never asked.  No frame cuts a view of its
-    block: every frame reads g itself, its sweeps cut at the columns they
-    ask about.  Above that,
-    edge_test is asked about the target off the vertex's row and column
-    and about the admitted candidates strictly north-east of the vertex,
-    in run order, up to the first joined one of each visit.
+    block: every frame reads g itself, its sweeps starting at its own
+    column and cut at the columns they ask about.  Above that, edge_test
+    is asked about the target off the vertex's row and column and about
+    the admitted candidates strictly north-east of the vertex, in run
+    order, up to the first joined one of each visit.
 
     Breaches of the stack bound (2k+1 frames, 2k+3 when an endpoint is off
     the gridlines), of visit-once and of the push bound are counted in the
@@ -438,16 +441,19 @@ def _straight(view: SubgridView, ux: int, uy: int, vx: int, vy: int,
 
     Any path between two vertices of a common row (column) must run
     straight along it, because the other coordinate can never dip and
-    recover; so it exists iff every edge in between does.  Tracked state is
-    O(1) words beyond the endpoints.
+    recover; so it exists iff every edge in between does.  Both walks read
+    through the view's cut of columns ux..vx (SubgridView.cut), so no read
+    is wider than the walk: a row walk reads its row's east edges between
+    the two once, a column walk one bit per row.  Tracked state is O(1)
+    words beyond the endpoints.
     """
     m.hold(Metrics.WALK_WORDS)
     if uy == vy:
-        need = ((1 << (vx - ux)) - 1) << ux
-        return view.east_row(uy) & need == need
-    x = ux
+        s, _, em = view.cut(ux, vx)
+        return view.east_row(uy, s, em) == (1 << (vx - ux)) - 1
+    s, nm, _ = view.cut(ux, ux)  # column ux's north edges: one bit per row
     for y in range(uy, vy):
-        if not (view.north_row(y) >> x) & 1:
+        if not view.north_row(y, s, nm):
             return False
     return True
 
@@ -468,10 +474,11 @@ def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
     north.  From there the path stays in B and in [u, v].  So the check is
     one backward sweep from v (grid.row_cosweep) over rows vy down to
     max(y0, uy), inside columns max(x0, ux)..vx, stopping at the west
-    column where it is an entry.  It returns True where the sweep stops
-    there, or ends on row y0 with a mask that is not empty where the south
-    row is an entry; False where the mask empties, or the sweep ends on
-    u's row.
+    column where it is an entry.  That west column, lo, is the sweep's
+    origin, so its masks hold at most vx-lo+1 <= b+1 bits.  It returns True
+    where the sweep stops there, or ends on row y0 with a mask that is not
+    empty where the south row is an entry; False where the mask empties,
+    or the sweep ends on u's row.
 
     It holds the mask and locals of one base case, base_charge(b, n), and
     counts one base_case_calls; it makes no recursive call.
@@ -480,9 +487,9 @@ def _enters(view: SubgridView, b: int, ux: int, uy: int, vx: int, vy: int,
     m.hold(base_charge(b, view.base.n))
     x0 = (vx - 1) // b * b
     y0 = (vy - 1) // b * b
-    west = 1 << x0 if x0 > ux else 0  # B's west column, where it is an entry
-    y, co = row_cosweep(view, 1 << vx, vy, y0 if y0 > uy else uy,
-                        x0 if west else ux, west)
+    lo = x0 if x0 > ux else ux  # the sweep's west column and origin
+    west = 1 if x0 > ux else 0  # B's west column, where it is an entry
+    y, co = row_cosweep(view, lo, 1 << (vx - lo), vy, y0 if y0 > uy else uy, west)
     return co & west != 0 or (co != 0 and y > uy)
 
 

@@ -4,18 +4,22 @@ content window), the row sweeps over a view, and a full-memory
 reachability oracle used as ground truth by the differential test
 harness.
 
-The sweeps hold one row mask each.  row_sweep is the forward closure,
-row by row from a reach mask up to a target row, cut at the column it
-asks about: it never spreads east of that column, so a sweep never holds
-more columns than the question needs, on however wide a view it runs;
-the oracle and the engine's base cases run it.  arc and arc_sweep ask
-the forward question of one block, named by its east column and north
-row in the view's coordinates: arc is the run order of that column and
-row, and arc_sweep the first vertex of that arc a forward sweep, cut at
-the east column, reaches (the engine's frame sweep, which runs on the
-level's view, not on a view of the block).  row_cosweep is the backward
-sweep: the columns, row by row downward, that reach a mask (the engine's
-entry check).
+The sweeps hold one row mask each.  Each takes an origin column, lo,
+and every mask it takes, holds or returns is relative to it: bit i is
+column lo+i.  It reads each row once through the view's cut of its
+columns (SubgridView.cut), shifted to the origin, so no mask and no row
+it reads is wider than its columns, on however wide a view it runs.
+row_sweep is the forward closure, row by row from a reach mask up to a
+target row, inside columns lo up to the column it asks about: it never
+spreads east of that column, so a sweep never holds more columns than
+the question needs; the oracle and the engine's base cases run it.  arc
+and arc_sweep ask the forward question of one block, named by its east
+column and north row in the view's coordinates: arc is the run order of
+that column and row, and arc_sweep the first vertex of that arc a
+forward sweep, cut at the east column, reaches (the engine's frame
+sweep, which runs on the level's view, not on a view of the block).
+row_cosweep is the backward sweep: the columns, row by row downward,
+that reach a mask (the engine's entry check).
 
 Vertices live on the (n+1) x (n+1) lattice {0..n}^2, written (x, y) with x
 growing east and y growing north.  Every edge goes exactly one unit north,
@@ -182,20 +186,24 @@ class SubgridView:
 
     Every view keeps ``-1 <= wx <= side`` and, where ``wx >= 0``,
     ``ox + wx <= base.n`` (likewise for y), so a row read inside the
-    window never leaves the base graph.  A view cuts its two window masks
-    once, when it is made: ``north_mask`` holds columns 0..wx, the north
-    edges the window shows, and ``east_mask`` columns 0..wx-1, its east
-    edges.
+    window never leaves the base graph.
+
+    Rows are read through one rule.  ``cut(lo, hi)`` sets up the read of
+    the edges inside columns lo..hi, origin lo: the north edges of columns
+    lo..hi and the east edges of columns lo..hi-1, both cut to the window's
+    columns.  ``north_row`` and ``east_row`` then read one row with those
+    parameters, cut to the window's rows, bit i for column lo+i; so a read
+    is never wider than its columns, however wide the base graph is.  A
+    sweep sets the read up once and reads each row through it; ``north``
+    and ``east`` read one edge through it.
     """
 
-    __slots__ = ("base", "ox", "oy", "side", "wx", "wy", "north_mask", "east_mask")
+    __slots__ = ("base", "ox", "oy", "side", "wx", "wy")
 
     def __init__(self, base: LayeredGridGraph):
         self.base = base
         self.ox = self.oy = 0
         self.side = self.wx = self.wy = base.n
-        self.north_mask = (1 << (base.n + 1)) - 1
-        self.east_mask = self.north_mask >> 1
 
     @staticmethod
     def whole(g: LayeredGridGraph) -> "SubgridView":
@@ -204,25 +212,46 @@ class SubgridView:
     def contains(self, v: Vertex) -> bool:
         return 0 <= v[0] <= self.side and 0 <= v[1] <= self.side
 
+    def cut(self, lo: int, hi: int) -> tuple[int, int, int]:
+        """The read of the edges inside columns lo..hi (lo >= 0), origin lo:
+        (shift, north mask, east mask) for north_row and east_row.  The
+        north mask holds bits 0..c-lo and the east mask bits 0..c-lo-1,
+        where c = min(hi, wx), the window's last column; both are 0 where
+        c < lo."""
+        if hi > self.wx:
+            hi = self.wx
+        if hi < lo:
+            return 0, 0, 0
+        m = (2 << (hi - lo)) - 1
+        return self.ox + lo, m, m >> 1
+
     # The two row reads index the base graph's bit-planes directly, not
-    # through its north_row/east_row: every search step reads rows here.
-    def north_row(self, y: int) -> int:
-        """Bit x set iff the local edge (x, y) -> (x, y+1) is visible."""
+    # through its north_row/east_row: every sweep step reads rows here.
+    def north_row(self, y: int, s: int, m: int) -> int:
+        """Row y's north edges for the read cut set up: bit i set iff the
+        local edge (lo+i, y) -> (lo+i, y+1) is visible and inside the cut."""
         if y < 0 or y >= self.wy:
             return 0
-        return self.base._north[self.oy + y] >> self.ox & self.north_mask
+        return self.base._north[self.oy + y] >> s & m
 
-    def east_row(self, y: int) -> int:
-        """Bit x set iff the local edge (x, y) -> (x+1, y) is visible."""
+    def east_row(self, y: int, s: int, m: int) -> int:
+        """Row y's east edges for the read cut set up: bit i set iff the
+        local edge (lo+i, y) -> (lo+i+1, y) is visible and inside the cut."""
         if y < 0 or y > self.wy:
             return 0
-        return self.base._east[self.oy + y] >> self.ox & self.east_mask
+        return self.base._east[self.oy + y] >> s & m
 
     def north(self, x: int, y: int) -> bool:
-        return 0 <= x and (self.north_row(y) >> x) & 1 == 1
+        if x < 0:
+            return False
+        s, m, _ = self.cut(x, x)
+        return self.north_row(y, s, m) == 1
 
     def east(self, x: int, y: int) -> bool:
-        return 0 <= x and (self.east_row(y) >> x) & 1 == 1
+        if x < 0:
+            return False
+        s, _, m = self.cut(x, x + 1)
+        return self.east_row(y, s, m) == 1
 
     def sub(self, ox: int, oy: int, side: int) -> "SubgridView":
         """Window of this view; the content clip propagates.  With
@@ -246,8 +275,6 @@ class SubgridView:
             wy = -1
         v.wx = wx
         v.wy = wy
-        v.north_mask = m = (1 << (wx + 1)) - 1
-        v.east_mask = m >> 1
         return v
 
     def __repr__(self) -> str:
@@ -461,119 +488,125 @@ def gen_family(name: str, n: int) -> LayeredGridGraph:
 # ---------------------------------------------------------------------------
 # Full-memory oracle
 
-def row_sweep(view: SubgridView, reach: int, y: int, ty: int, x: int) -> int:
-    """The row sweep from row y up to row ty >= y, cut at column x.
+def row_sweep(view: SubgridView, lo: int, reach: int, y: int, ty: int, x: int) -> int:
+    """The row sweep from row y up to row ty >= y, inside columns lo..x.
 
-    reach holds columns reached in row y, none east of x.  Each row is
-    closed under its east edges west of column x and, below ty, lifted
-    through its north edges into the next row.  Returns the closed reach
-    mask of row ty (0 once a lift leaves nothing).  A mask already closed
-    in row y may be passed back in to continue the sweep.
+    reach holds the columns reached in row y, origin lo (bit i is column
+    lo+i), none east of x.  Each row is closed under its east edges inside
+    the columns and, below ty, lifted through its north edges into the next
+    row.  Returns the closed reach mask of row ty, origin lo (0 once a lift
+    leaves nothing).  A mask already closed in row y may be passed back in
+    to continue the sweep.
 
-    The cut is exact for every column up to x: a monotone path to a vertex
-    of column x or west of it never takes an east edge at or past x.  So
-    the mask never spreads east of x, and a sweep on a wide view holds no
-    more columns than the block it asks about.
+    The cut at x is exact for every column up to x: a monotone path to a
+    vertex of column x or west of it never takes an east edge at or past
+    x.  So the mask never spreads east of x, and never holds more than
+    x-lo+1 bits, on however wide a view it runs.
 
     A row closes in one carry step.  A run of east edges at columns a..c-1
     joins columns a..c.  Adding the reached columns of the run, reach & em,
     to em carries from the lowest reached column i through the run into
     column c, and the xor with em leaves columns i..c set.
     """
-    cut = (1 << x) - 1  # the east edges west of column x
+    s, nm, em = view.cut(lo, x)
     while True:
-        em = view.east_row(y) & cut
-        reach |= (em + (reach & em)) ^ em
+        e = view.east_row(y, s, em)
+        reach |= (e + (reach & e)) ^ e
         if y == ty:
             return reach
-        reach &= view.north_row(y)
+        reach &= view.north_row(y, s, nm)
         if reach == 0:
             return 0
         y += 1
 
 
-def arc(x1: int, y1: int, ty: int, ey: int, top: int):
+def arc(lo: int, x1: int, y1: int, ty: int, ey: int, top: int):
     """The vertices of a block's arc in run order, for the block whose east
     column is x1 and north row y1: the east-column rows ty..ey-1 going
-    north, then the north-row columns set in top, the highest first.  Bit
-    x1 of top is the corner (x1, y1), which so comes between the two."""
+    north, then the north-row columns set in top, origin lo (bit i is
+    column lo+i), the highest first.  Bit x1-lo of top is the corner
+    (x1, y1), which so comes between the two."""
     for y in range(ty, ey):
         yield x1, y
     while top:
-        x = top.bit_length() - 1
-        yield x, y1
-        top ^= 1 << x
+        i = top.bit_length() - 1
+        yield lo + i, y1
+        top ^= 1 << i
 
 
-def arc_sweep(view: SubgridView, x1: int, y1: int, reach: int, y: int, ty: int, ey: int,
-              top: int) -> Vertex | None:
-    """The first vertex of arc(x1, y1, ty, ey, top) that the forward row
-    sweep from row y reaches, or None.  reach holds the columns reached in
-    row y, not yet closed, none east of x1; y <= ty where the arc has
-    east-column rows (ty < ey), else y <= y1.
+def arc_sweep(view: SubgridView, lo: int, x1: int, y1: int, reach: int, y: int, ty: int,
+              ey: int, top: int) -> Vertex | None:
+    """The first vertex of arc(lo, x1, y1, ty, ey, top) that the forward row
+    sweep from row y reaches inside columns lo..x1, or None.  reach holds
+    the columns reached in row y, not yet closed, and top the arc's
+    north-row columns, both origin lo; y <= ty where the arc has east-column
+    rows (ty < ey), else y <= y1.
 
-    The sweep jumps over the rows below ty in one row_sweep, then reads the
-    east column's bit of each of the rows ty..ey-1, and takes the north
-    row's reached columns of top as the set bits of the top row's mask.
-    Every row_sweep is cut at the east column x1, so the mask never spreads
-    past the block, on whatever view the block lies.  The sweep reads no
-    row above the arc's highest, and each row it reads is closed once:
-    between the east-column rows, the closed mask is lifted into the next
-    row before the sweep goes on.
+    It is row_sweep's sweep, cut at the east column x1, so the mask never
+    spreads past the block, on whatever view the block lies.  It reads the
+    east column's bit of each of the rows ty..ey-1 once that row is closed,
+    and takes the north row's reached columns of top as the set bits of the
+    top row's closed mask.  It reads no row above the arc's highest, and
+    closes each row it reads once.
     """
-    while ty < ey:
-        reach = row_sweep(view, reach, y, ty, x1)
-        if (reach >> x1) & 1:
-            return x1, ty
-        reach &= view.north_row(ty)  # lifted, so no row closes twice
+    if top:  # the arc's highest row
+        end = y1
+    elif ty < ey:
+        end = ey - 1
+    else:
+        return None
+    s, nm, em = view.cut(lo, x1)
+    c = x1 - lo  # the east column's bit
+    while True:
+        e = view.east_row(y, s, em)
+        reach |= (e + (reach & e)) ^ e
+        if ty <= y < ey and reach >> c & 1:
+            return x1, y
+        if y == end:
+            top &= reach
+            return (lo + top.bit_length() - 1, y1) if top else None
+        reach &= view.north_row(y, s, nm)
         if not reach:
             return None
-        ty += 1
-        y = ty
-    if top:
-        top &= row_sweep(view, reach, y, y1, x1)
-        if top:
-            return top.bit_length() - 1, y1
-    return None
+        y += 1
 
 
-def row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
+def row_cosweep(view: SubgridView, lo: int, co: int, y: int, ty: int,
                 stop: int) -> tuple[int, int]:
     """The backward row sweep from row y down to row ty <= y, inside
-    columns lo..: co holds the columns of row y that reach the sweep's
-    targets, and the result is (row, mask) at the first row where the mask
+    columns lo.. up to co's highest: co holds the columns of row y that
+    reach the sweep's targets, origin lo (bit i is column lo+i), and the
+    result is (row, mask), origin lo, at the first row where the mask
     meets stop, at row ty, or at the row where the mask empties.
 
     Each row is closed westward, column x >= lo joining where its east edge
-    leads into the mask, by doubling shifts: g holds the columns with s
-    east edges in a row, and the mask takes the columns s west of it that g
+    leads into the mask, by doubling shifts: g holds the columns with d
+    east edges in a row, and the mask takes the columns d west of it that g
     holds.  The mask never grows east, so only the edges west of its
-    highest column count: on a wide view that keeps the shifts to the width
-    of the box.  Below, the closed mask is lowered through the north edges
-    into the row beneath.  stop is 0 or one column (a one-bit mask) at or
-    east of lo.  Before a row closes, stop's run of east edges is tested
-    against the mask, which meets it exactly where the closed mask would
-    hold stop; a hit returns the row's mask, unclosed, with stop added, so
-    a YES pays for no closing.  At row ty the mask is closed; where it
-    empties it is 0.
+    highest column count: the read is cut there once, before the first
+    row, and no mask or row is wider than co.  Below, the closed mask is
+    lowered through the north edges into the row beneath.  stop is 0 or
+    one column (a one-bit mask), origin lo.  Before a row closes, stop's
+    run of east edges is tested against the mask, which meets it exactly
+    where the closed mask would hold stop; a hit returns the row's mask,
+    unclosed, with stop added, so a YES pays for no closing.  At row ty
+    the mask is closed; where it empties it is 0.
     """
-    edges = None  # lo .. below co's top; a YES on row y never needs them
+    s, nm, em = view.cut(lo, lo + co.bit_length() - 1)
     while True:
-        em = view.east_row(y)
-        if stop and ((em + (stop & em)) ^ em | stop) & co:
+        e = view.east_row(y, s, em)
+        if stop and ((e + (stop & e)) ^ e | stop) & co:
             return y, co | stop
-        if edges is None:
-            edges = ((1 << co.bit_length() >> 1) - 1) >> lo << lo
-        g = em & edges
-        s = 1
+        g = e
+        d = 1
         while g:
-            co |= (co >> s) & g
-            g &= g >> s
-            s <<= 1
+            co |= (co >> d) & g
+            g &= g >> d
+            d <<= 1
         if y == ty:
             return y, co
         y -= 1
-        co &= view.north_row(y)
+        co &= view.north_row(y, s, nm)
         if not co:
             return y, 0
 
@@ -581,9 +614,9 @@ def row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
 def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
     """Ground-truth reachability with unrestricted memory.
 
-    The row sweep over bitmasks (row_sweep) from s's row to t's, cut at
-    t's column.  Correct because every path visits rows in nondecreasing
-    order.
+    The row sweep over bitmasks (row_sweep) from s's row to t's, inside
+    columns s.x..t.x.  Correct because every path visits rows in
+    nondecreasing order.
     """
     if not view.contains(s):
         raise ValueError(f"source {s} outside view")
@@ -593,4 +626,4 @@ def oracle_reach(view: SubgridView, s: Vertex, t: Vertex) -> bool:
         return True
     if t[0] < s[0] or t[1] < s[1]:
         return False
-    return (row_sweep(view, 1 << s[0], s[1], t[1], t[0]) >> t[0]) & 1 == 1
+    return (row_sweep(view, s[0], 1, s[1], t[1], t[0]) >> (t[0] - s[0])) & 1 == 1

@@ -14,12 +14,17 @@ so it adds nothing to the bound.  So is that level's sweep for the target
 search.  A frame holds no view of its block and sweeps the level's view,
 but each of its sweeps is cut at the column it asks about (the block's
 east column, or the target's), so its mask spans the columns from the
-frame's vertex to that cut: at most b+1 bits, the block side's base case.  So is the entry check of every divided level, a backward sweep
+frame's vertex to that cut: at most b+1 bits, the block side's base case.
+So is the entry check of every divided level, a backward sweep
 (grid.row_cosweep): one mask and locals of the level's block side, held
 under the levels above only, before the level charges its markers; the
-word bound has a term for it.  The read-only input graph (with its one whole
-view and each view's two window masks), the output and instrumentation
-are never counted.  Space is measured by this explicit instrumentation
+word bound has a term for it.  Every sweep's mask is an int relative to
+the sweep's origin column (bit i is column origin+i), so the int itself
+holds at most b+1 bits, the width charged for it, on however wide a view
+the sweep runs; a frame's own masks, kept across its yields, are
+relative to its column too.  The read-only input graph (with its one
+whole view and each view's window), the output and instrumentation are
+never counted.  Space is measured by this explicit instrumentation
 rather than process RSS, which is noisy and dominated by the input
 itself.
 

@@ -70,27 +70,28 @@ def lattice_reached(g: LayeredGridGraph, box, sources) -> set:
     return seen
 
 
-def _reached_from_row(g: LayeredGridGraph, origin, box, reach: int, y: int, cut: int,
-                      ty: int) -> set:
-    """lattice_reached from the set columns of reach in row y, in a view's
-    local coordinates, over the edges inside the view's content box, in
-    columns up to cut and rows up to ty."""
+def _reached_from_row(g: LayeredGridGraph, origin, box, lo: int, reach: int, y: int,
+                      cut: int, ty: int) -> set:
+    """lattice_reached from the set columns of reach in row y, bit i for
+    column lo+i, in a view's local coordinates, over the edges inside the
+    view's content box, in columns up to cut and rows up to ty."""
     ox, oy = origin
     within = (box[0], box[1], min(box[2], ox + cut), min(box[3], oy + ty))
-    return lattice_reached(g, within, [(ox + x, oy + y) for x in range(cut + 1)
-                                       if (reach >> x) & 1])
+    return lattice_reached(g, within, [(ox + x, oy + y) for x in range(lo, cut + 1)
+                                       if (reach >> (x - lo)) & 1])
 
 
-def reference_arc_sweep(g: LayeredGridGraph, origin, box, x1: int, y1: int, reach: int,
-                        y: int, ty: int, ey: int, top: int):
+def reference_arc_sweep(g: LayeredGridGraph, origin, box, lo: int, x1: int, y1: int,
+                        reach: int, y: int, ty: int, ey: int, top: int):
     """``grid.arc_sweep`` on a view from lattice_reached: the first vertex of
-    ``arc(x1, y1, ty, ey, top)`` that a set column of reach in row y
-    reaches over the edges inside the view's content box and in columns up
-    to the cut x1, in the view's local coordinates, or None.  reach holds
-    no column east of x1; origin and box are as in reference_enters."""
+    ``arc(lo, x1, y1, ty, ey, top)`` that a set column of reach in row y
+    (bit i for column lo+i) reaches over the edges inside the view's
+    content box and in columns up to the cut x1, in the view's local
+    coordinates, or None.  reach holds no column east of x1; origin and box
+    are as in reference_enters."""
     ox, oy = origin
-    reached = _reached_from_row(g, origin, box, reach, y, x1, y1)
-    for x, ay in arc(x1, y1, ty, ey, top):
+    reached = _reached_from_row(g, origin, box, lo, reach, y, x1, y1)
+    for x, ay in arc(lo, x1, y1, ty, ey, top):
         if (ox + x, oy + ay) in reached:
             return x, ay
     return None
@@ -138,26 +139,30 @@ def reference_gen_random(n: int, p_north: float, p_east: float,
     return LayeredGridGraph(n, north, east)
 
 
-def reference_row_sweep(g: LayeredGridGraph, origin, box, reach: int, y: int, ty: int,
-                        cut: int) -> int:
+def reference_row_sweep(g: LayeredGridGraph, origin, box, lo: int, reach: int, y: int,
+                        ty: int, cut: int) -> int:
     """``grid.row_sweep`` on a view from lattice_reached: the columns of row
     ty that a set column of reach in row y reaches over the edges inside
     the view's content box and in columns up to cut, in the view's local
-    coordinates.  reach holds no column east of cut; origin and box are as
-    in reference_enters."""
+    coordinates, bit i for column lo+i in reach and in the result.  reach
+    holds no column east of cut; origin and box are as in
+    reference_enters."""
     ox, oy = origin
-    reached = _reached_from_row(g, origin, box, reach, y, cut, ty)
-    return sum(1 << x for x in range(cut + 1) if (ox + x, oy + ty) in reached)
+    reached = _reached_from_row(g, origin, box, lo, reach, y, cut, ty)
+    return sum(1 << (x - lo) for x in range(lo, cut + 1) if (ox + x, oy + ty) in reached)
 
 
-def reference_row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
+def reference_row_cosweep(view: SubgridView, lo: int, co: int, y: int, ty: int,
                           stop: int) -> tuple[int, int]:
-    """``row_cosweep`` with each row closed one west step per pass: a
-    column x >= lo joins where its east edge leads into the mask, until a
-    pass adds no column.  It stops where the closed mask holds stop,
-    returning that row's mask as it was before it closed, with stop."""
+    """``row_cosweep`` on the view's whole rows with each row closed one
+    west step per pass: a column x >= lo joins where its east edge leads
+    into the mask, until a pass adds no column.  It stops where the closed
+    mask holds stop, returning that row's mask as it was before it closed,
+    with stop.  co, stop and the mask returned hold bit i for column lo+i."""
+    co <<= lo
+    stop <<= lo
     while True:
-        em = view.east_row(y) >> lo << lo
+        em = view_rows(view, y)[1] >> lo << lo
         closed = co
         while True:
             spread = closed | ((closed >> 1) & em)
@@ -165,11 +170,11 @@ def reference_row_cosweep(view: SubgridView, co: int, y: int, ty: int, lo: int,
                 break
             closed = spread
         if closed & stop:
-            return y, co | stop
+            return y, (co | stop) >> lo
         if y == ty:
-            return y, closed
+            return y, closed >> lo
         y -= 1
-        co = closed & view.north_row(y)
+        co = closed & view_rows(view, y)[0]
         if co == 0:
             return y, 0
 
@@ -265,17 +270,27 @@ def view_chain(g: LayeredGridGraph, steps: int, pick):
     return view, (ox, oy), box
 
 
+def view_rows(view: SubgridView, y: int) -> tuple[int, int]:
+    """Row y of the whole view, (north edges, east edges), bit x for column
+    x: the view's read cut to all its columns."""
+    s, north, east = view.cut(0, view.side)
+    return view.north_row(y, s, north), view.east_row(y, s, east)
+
+
 def window_holds(view: SubgridView) -> bool:
     """SubgridView's window invariant: -1 <= wx <= side and, where wx >= 0,
-    ox + wx <= base.n; likewise for y.  The view's stored masks are those of
-    its window: north_mask holds columns 0..wx, east_mask columns 0..wx-1."""
+    ox + wx <= base.n; likewise for y.  The read of the whole view is that
+    of its window: cut(0, side) shifts by ox and masks the north edges of
+    columns 0..wx and the east edges of columns 0..wx-1."""
     n = view.base.n
     wx = view.wx
+    shift, north, east = view.cut(0, view.side)
     return (-1 <= wx <= view.side and -1 <= view.wy <= view.side
             and (wx < 0 or view.ox + wx <= n)
             and (view.wy < 0 or view.oy + view.wy <= n)
-            and view.north_mask == sum(1 << x for x in range(wx + 1))
-            and view.east_mask == sum(1 << x for x in range(wx)))
+            and (wx < 0 or shift == view.ox)
+            and north == sum(1 << x for x in range(wx + 1))
+            and east == sum(1 << x for x in range(wx)))
 
 
 def watch_windows(monkeypatch) -> list[SubgridView]:

@@ -1095,20 +1095,25 @@ def test_box_sized_markers_match_full_width_markers(monkeypatch, n, k):
 
 
 def watch_frame_sweeps(monkeypatch) -> list:
-    """Spy on the row sweeps of the frames that sweep (those handed no edge
-    test), on both bindings: the engine's, which the target's sweep reads,
-    and grid's, which the frame sweep (grid.arc_sweep) reads.  Returns the
-    list that gets, for each row_sweep call inside a visit of such a frame,
-    (frame, visit, curr, v.x, x1, wx, kind, reach, y, ty, x, mask): the
-    frame's serial number, the visit's, the frame's vertex, the target's
-    column, the east column of the frame's block and the window of the
-    level's view, then "target" or "arc", the call's arguments and the
-    mask it returns.  A swept frame recurses nowhere, so every row_sweep
-    call inside its visit is its own."""
+    """Spy on the sweeps of the frames that sweep (those handed no edge
+    test): the target's sweep (row_sweep) and the frame sweep (arc_sweep),
+    both through the engine's bindings, and the east-edge row reads
+    (SubgridView.east_row) each of them makes, one per row it closes.
+    Returns the list that gets, for each sweep inside a visit of such a
+    frame, (frame, visit, curr, v.x, x1, wx, kind, lo, reach, y, cut,
+    masks, rows): the frame's serial number, the visit's, the frame's
+    vertex, the target's column, the east column of the frame's block and
+    the window of the level's view, then "target" or "arc", the sweep's
+    origin, reach mask, first row and cut column (v.x or x1), the masks it
+    takes and returns (its reach and, for the arc, top; the target's
+    closed mask) with the row reads it makes, and the rows it closes, in
+    order.  A swept frame recurses nowhere, so every sweep inside its
+    visit is its own."""
     real_run = engine._run
-    real_sweep = grid.row_sweep
+    real_east = SubgridView.east_row
     calls = []
     frame = [None]  # the swept frame whose visit runs, or None
+    sweep = [None]  # the (masks, rows) of the sweep that runs, or None
     serial = itertools.count()
 
     def visits(gen, number, *where):
@@ -1128,27 +1133,49 @@ def watch_frame_sweeps(monkeypatch) -> list:
             return gen
         return visits(gen, next(serial), curr, v[0], ne_corner(p, curr)[0], g.wx)
 
-    def sweep_spy(kind):
-        def spy(view, reach, y, ty, x):
-            mask = real_sweep(view, reach, y, ty, x)
-            if frame[0] is not None:
-                calls.append((*frame[0], kind, reach, y, ty, x, mask))
-            return mask
+    def east_spy(view, y, s, m):
+        bits = real_east(view, y, s, m)
+        if sweep[0] is not None:
+            sweep[0][0].append(bits)
+            sweep[0][1].append(y)
+        return bits
+
+    def watched(kind, real, cut_of, masks_of):
+        def spy(view, lo, *args):
+            if frame[0] is None:
+                return real(view, lo, *args)
+            sweep[0] = masks, rows = list(masks_of(args)), []
+            try:
+                got = real(view, lo, *args)
+            finally:
+                sweep[0] = None
+            if kind == "target":
+                masks.append(got)
+            calls.append((*frame[0], kind, lo, args[0] if kind == "target" else args[2],
+                          args[1] if kind == "target" else args[3], cut_of(args), masks,
+                          rows))
+            return got
         return spy
 
     monkeypatch.setattr(engine, "_run", run_spy)
-    monkeypatch.setattr(engine, "row_sweep", sweep_spy("target"))
-    monkeypatch.setattr(grid, "row_sweep", sweep_spy("arc"))
+    monkeypatch.setattr(SubgridView, "east_row", east_spy)
+    # row_sweep(view, lo, reach, y, ty, x); arc_sweep(view, lo, x1, y1, reach,
+    # y, ty, ey, top)
+    monkeypatch.setattr(engine, "row_sweep", watched(
+        "target", engine.row_sweep, lambda a: a[3], lambda a: [a[0]]))
+    monkeypatch.setattr(engine, "arc_sweep", watched(
+        "arc", engine.arc_sweep, lambda a: a[0], lambda a: [a[2], a[6]]))
     return calls
 
 
 def test_frame_sweep_closes_each_row_once(monkeypatch):
-    """Within one visit of a frame, its row_sweep calls cover disjoint
-    rows: each call starts on the frame's own row, where it opens the
-    target's sweep or a frame sweep, or on the row above the one the last
-    call closed, the mask lifted into it, never on that row again.  The
-    frames of a search share the level's view, so the calls are told apart
-    by the frame and the visit that makes them (watch_frame_sweeps)."""
+    """Within one visit of a frame, each sweep closes the rows it reads
+    once each: it starts on the frame's own row, where it opens the
+    target's sweep or a frame sweep, and each next row it closes is the one
+    above the last, the mask lifted into it, never that row again.  The
+    frames of a search share the level's view, so the sweeps are told
+    apart by the frame and the visit that makes them
+    (watch_frame_sweeps)."""
     calls = watch_frame_sweeps(monkeypatch)
     rng = SplitMix64(808)
     for cfg in (EngineConfig(epsilon=1.0), EngineConfig(epsilon=0.5)):
@@ -1157,34 +1184,40 @@ def test_frame_sweep_closes_each_row_once(monkeypatch):
             s = (rng.next_below(8), rng.next_below(8))
             t = (9 + rng.next_below(8), 9 + rng.next_below(8))
             assert reach(g, s, t, cfg).reachable == oracle_reach(whole(g), s, t)
-    last = {}
     lifted = 0
-    for frame, visit, (cx, cy), *_, y, ty, x, mask in calls:
-        prev = last.get((frame, visit))
-        where = (frame, visit, (cx, cy), y, ty)
-        if prev is None:
-            assert y == cy, where
-        else:
-            assert y != prev and y in (cy, prev + 1), where
-            lifted += y == prev + 1
-        last[frame, visit] = ty
+    for frame, visit, (cx, cy), *_, kind, lo, reach_in, y, cut, masks, rows in calls:
+        where = (frame, visit, (cx, cy), kind, rows)
+        assert y == cy and rows[0] == cy, where
+        assert rows == list(range(cy, cy + len(rows))), where
+        lifted += len(rows) - 1
     assert lifted > 100, lifted
 
 
 @pytest.mark.parametrize("n, cfg", [(16, EngineConfig(k=4)), (16, EngineConfig(epsilon=0.5)),
                                     (13, EngineConfig(k=3)), (24, EngineConfig(epsilon=1.0))])
 def test_frame_sweeps_stop_at_their_cut(monkeypatch, n, cfg):
-    """Every row sweep a frame runs on the level's view is cut at the column
-    it asks about: the target's sweep at the target's column, each row
-    sweep of a frame sweep at the east column x1 of the frame's block.
-    Neither the mask handed in nor the mask returned holds a column east of
-    that cut, so a sweep holds no more columns than the frame's block,
+    """Every sweep a frame runs on the level's view spans the columns from
+    the frame's vertex to the column it asks about: its origin is the
+    vertex's column cx, and its cut the target's column for the target's
+    sweep, the east column x1 of the frame's block for a frame sweep.  No
+    mask it takes or returns, and no row it reads, holds more than cut -
+    cx + 1 bits, so a sweep holds no more columns than the frame's block,
     b + 1, on unpadded schedules and on padded ones (whose blocks run past
-    the view's window).  Many masks reach their cut, so a sweep that
-    dropped or moved it would spread past it."""
+    the view's window).  Many sweeps reach their cut (the target's bit of
+    its closed mask, or a frame sweep's hit on the east column), so a sweep
+    that dropped or moved its cut would spread past it."""
     calls = watch_frame_sweeps(monkeypatch)
     rng = SplitMix64(2700 + n)
     half = n // 2
+    hits = []
+    real_arc = engine.arc_sweep
+
+    def arc_spy(view, lo, x1, *args):
+        hit = real_arc(view, lo, x1, *args)
+        hits.append(hit is not None and hit[0] == x1)
+        return hit
+
+    monkeypatch.setattr(engine, "arc_sweep", arc_spy)
     for _ in range(20):
         g = gen_random(n, 0.7, 0.7, rng.next_u64())
         s = (rng.next_below(half), rng.next_below(half))
@@ -1192,17 +1225,131 @@ def test_frame_sweeps_stop_at_their_cut(monkeypatch, n, cfg):
         assert reach(g, s, t, cfg).reachable == oracle_reach(whole(g), s, t), (s, t)
     kinds = set()
     at_cut = past = 0
-    for *_, vx, x1, wx, kind, reach_in, y, ty, x, mask in calls:
-        cut = vx if kind == "target" else x1
-        assert x == cut and reach_in >> cut + 1 == 0 and mask >> cut + 1 == 0, (
-            kind, cut, x, reach_in, mask)
+    for *_, (cx, _), vx, x1, wx, kind, lo, reach_in, y, cut, masks, rows in calls:
+        assert lo == cx and cut == (vx if kind == "target" else x1), (kind, cx, lo, cut)
+        assert all(mask >> cut - lo + 1 == 0 for mask in masks), (kind, cut - lo, masks)
         kinds.add(kind)
-        at_cut += mask >> cut & 1
+        at_cut += kind == "target" and masks[-1] >> cut - lo & 1
         past += x1 > wx
+    at_cut += sum(hits)
     assert kinds == {"target", "arc"}, kinds
     assert at_cut > 50, at_cut
     padded = _schedule(n, cfg.epsilon, cfg.k)[1][0].n > n
     assert (past > 0) == padded, past
+
+
+@pytest.mark.parametrize("n, cfg", [(16, EngineConfig(k=4)), (24, EngineConfig(epsilon=1.0)),
+                                    (64, EngineConfig(epsilon=1.0)),
+                                    (64, EngineConfig(epsilon=0.5)),
+                                    (130, EngineConfig(epsilon=1.0)),
+                                    (256, EngineConfig(epsilon=1.0))])
+def test_no_frame_or_sweep_holds_an_int_wider_than_its_block(monkeypatch, n, cfg):
+    """The space claim holds of the ints themselves, not only of the words
+    charged for them.  No int local of a suspended DFS frame (_run) is
+    wider than max(b + 2, n.bit_length()) bits, b its level's block side:
+    a frame keeps its arc's north-row columns (top, corner) relative to
+    its own column, not as absolute masks.  A frame's locals change only
+    while it runs, so checking them each time it suspends (it yields a
+    vertex, which the search then pushes) checks every suspended frame at
+    every push.  Every mask a sweep takes or returns, and every row it
+    reads, has at most cut - origin + 1 bits: the target's sweep and the
+    frame sweep from the frame's column to their cut, the entry check's
+    backward sweep from its west column to the target's, and the base
+    case's sweep (oracle_reach) from the source's column to the target's.
+    Every row a query reads is read by one of those sweeps or by a straight
+    walk (_straight), whose reads hold at most its vx - ux + 1 columns: no
+    query reads a whole row of a view.  On unpadded schedules and
+    padded ones (n = 24, 130), and at n >= 64 with epsilon = 1, where a
+    row spans several 30-bit digits."""
+    real_run = engine._run
+    real_enters = engine._enters
+    real_straight = engine._straight
+    widest = {}  # per frame local: the widest int it held
+    kinds = set()  # the sweeps seen
+    target_x = []  # the target column of the entry check that runs
+    cols = []  # the columns of each sweep that runs, innermost last
+
+    def run_spy(p, *args):
+        gen = real_run(p, *args)
+        bound = max(p.b + 2, n.bit_length())
+        for w in gen:
+            for name, val in gen.gi_frame.f_locals.items():
+                if isinstance(val, int):
+                    width = val.bit_length()
+                    widest[name] = max(widest.get(name, 0), width)
+                    assert width <= bound, (name, width, bound, gen.gi_frame.f_locals)
+            yield w
+
+    def enters_spy(view, b, ux, uy, vx, vy, m):
+        target_x.append(vx)
+        try:
+            return real_enters(view, b, ux, uy, vx, vy, m)
+        finally:
+            target_x.pop()
+
+    def straight_spy(view, ux, uy, vx, vy, m):
+        cols.append(vx - ux + 1)
+        try:
+            return real_straight(view, ux, uy, vx, vy, m)
+        finally:
+            cols.pop()
+
+    def fits(what, *masks):
+        assert all(mask >> cols[-1] == 0 for mask in masks), (what, cols[-1], masks)
+
+    def watch(owner, name, kind):
+        real = getattr(owner, name)
+
+        def spy(view, lo, *args):
+            if name == "row_sweep":  # (reach, y, ty, x)
+                cols.append(args[3] - lo + 1)
+                masks = [args[0]]
+            elif name == "arc_sweep":  # (x1, y1, reach, y, ty, ey, top)
+                cols.append(args[0] - lo + 1)
+                masks = [args[2], args[6]]
+            else:  # row_cosweep: (co, y, ty, stop), from the entry check
+                cols.append(target_x[-1] - lo + 1)
+                masks = [args[0], args[3]]
+            try:
+                got = real(view, lo, *args)
+                fits(kind, *masks, got if name == "row_sweep" else
+                     got[1] if name == "row_cosweep" else 0)
+            finally:
+                cols.pop()
+            kinds.add(kind)
+            return got
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def watch_reads(name):
+        real = getattr(SubgridView, name)
+
+        def spy(view, y, s, m):
+            bits = real(view, y, s, m)
+            assert cols, (name, y)  # no read outside a sweep or a walk
+            fits(name, bits)
+            return bits
+
+        monkeypatch.setattr(SubgridView, name, spy)
+
+    monkeypatch.setattr(engine, "_run", run_spy)
+    monkeypatch.setattr(engine, "_enters", enters_spy)
+    monkeypatch.setattr(engine, "_straight", straight_spy)
+    watch(engine, "row_sweep", "target")
+    watch(engine, "arc_sweep", "arc")
+    watch(engine, "row_cosweep", "entry")
+    watch(grid, "row_sweep", "base")  # oracle_reach's binding, base_dfs's sweep
+    watch_reads("north_row")
+    watch_reads("east_row")
+    rng = SplitMix64(4100 + n)
+    for _ in range(2 if n > 100 else 6):
+        g = gen_random(n, 0.7, 0.7, rng.next_u64())
+        s = (rng.next_below(n // 4), rng.next_below(n // 4))
+        t = (n - rng.next_below(n // 4), n - rng.next_below(n // 4))
+        want = oracle_reach(whole(g), s, t)
+        assert reach(g, s, t, cfg).reachable == want, (s, t)
+    assert {"top", "corner"} <= widest.keys(), widest
+    assert kinds == {"target", "arc", "entry", "base"}, kinds
 
 
 @pytest.mark.parametrize("n, k", [(12, 3), (16, 4), (10, 2)])

@@ -21,7 +21,7 @@ from gridreach.grid import (_GAMMA, _MIX1, _MIX2, _U64, FAMILIES, arc, arc_sweep
                             row_sweep)
 from support import (lattice_reach, reference_arc_sweep, reference_emit_lgg,
                      reference_gen_random, reference_parse_lgg, reference_row_cosweep,
-                     reference_row_sweep, view_chain, watch_windows, window_holds)
+                     reference_row_sweep, view_chain, view_rows, watch_windows, window_holds)
 
 
 @st.composite
@@ -296,8 +296,8 @@ def _padded(g, k):
 
 
 def _view_rows(view):
-    return ([view.north_row(y) for y in range(view.side + 1)],
-            [view.east_row(y) for y in range(view.side + 1)])
+    rows = [view_rows(view, y) for y in range(view.side + 1)]
+    return [north for north, _ in rows], [east for _, east in rows]
 
 
 def test_pad_noop_when_divisible():
@@ -312,12 +312,10 @@ def test_pad_grows_and_keeps_content():
     padded = _padded(g, 4)
     assert padded.side == 12
     for y in range(11):
-        assert padded.north_row(y) == g.north_row(y)
-        assert padded.east_row(y) == g.east_row(y)
+        assert view_rows(padded, y) == (g.north_row(y), g.east_row(y))
     # the added rows and columns carry no edges, and nothing enters them
     for y in range(11, 13):
-        assert padded.north_row(y) == 0
-        assert padded.east_row(y) == 0
+        assert view_rows(padded, y) == (0, 0)
     north, east = _view_rows(padded)
     assert sum(m.bit_count() for m in north + east) == g.edge_count
 
@@ -384,24 +382,30 @@ def test_row_sweep_matches_the_per_bit_closure(case):
     for the corner alone; and row_cosweep, from row ty down to row y,
     equals the closure that spreads one west step per pass.  The cut is
     drawn with the case: the lattice's east column, or a column between
-    reach's lowest and it."""
+    reach's lowest and it.  The forward sweeps' origin is reach's lowest
+    column; the backward sweep's is its west column lo, and it keeps the
+    columns of reach from lo on.  Every mask a sweep returns is
+    origin-relative, at most its cut - origin + 1 bits wide."""
     g, reach, y, ty = case
     view = SubgridView.whole(g)
     n = g.n
     lo = max(0, (reach & -reach).bit_length() - 1)
     cut = n if ty % 3 == 0 else lo + (ty - y) % (n + 1 - lo)
-    swept = reach & (2 << cut) - 1  # the forward sweeps' reach: none east of the cut
+    swept = (reach & (2 << cut) - 1) >> lo  # the forward sweeps' reach: lo..cut
     whole = (0, 0), (0, 0, n, n)
-    assert row_sweep(view, swept, y, ty, cut) == reference_row_sweep(
-        g, *whole, swept, y, ty, cut), cut
+    got = row_sweep(view, lo, swept, y, ty, cut)
+    assert got == reference_row_sweep(g, *whole, lo, swept, y, ty, cut), cut
+    assert got.bit_length() <= cut - lo + 1
     # A whole arc up to the lattice's north row, or the corner alone on row ty.
-    ey, y1, top = (n, n, swept) if y % 2 else (ty, ty, 1 << cut)
-    assert arc_sweep(view, cut, y1, swept, y, ty, ey, top) == reference_arc_sweep(
-        g, *whole, cut, y1, swept, y, ty, ey, top), (cut, y1, ey, top)
+    ey, y1, top = (n, n, swept) if y % 2 else (ty, ty, 1 << cut - lo)
+    assert arc_sweep(view, lo, cut, y1, swept, y, ty, ey, top) == reference_arc_sweep(
+        g, *whole, lo, cut, y1, swept, y, ty, ey, top), (cut, y1, ey, top)
     span = ty - y  # lo and stop drawn with the case
     for lo, stop in ((0, 0), (span, 1 << span), (span, 1 << (span + n + 1) // 2)):
-        assert row_cosweep(view, reach, ty, y, lo, stop) == reference_row_cosweep(
-            view, reach, ty, y, lo, stop), (lo, stop)
+        co = reach >> lo
+        got = row_cosweep(view, lo, co, ty, y, stop >> lo)
+        assert got == reference_row_cosweep(view, lo, co, ty, y, stop >> lo), (lo, stop)
+        assert got[1].bit_length() <= co.bit_length()
 
 
 def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
@@ -433,17 +437,24 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
             # with reach; their reach holds no column east of it.
             cut = side if i % 3 == 0 else (draw >> 40) % (side + 1)
             swept = reach & (2 << cut) - 1
-            assert row_sweep(view, swept, y, ty, cut) == reference_row_sweep(
-                g, origin, box, swept, y, ty, cut), (view, swept, y, ty, cut)
+            # The forward sweeps' origin: the lowest column of their reach.
+            x0 = max(0, (swept & -swept).bit_length() - 1)
+            swept >>= x0
+            got = row_sweep(view, x0, swept, y, ty, cut)
+            assert got == reference_row_sweep(g, origin, box, x0, swept, y, ty, cut), (
+                view, x0, swept, y, ty, cut)
+            assert got.bit_length() <= cut - x0 + 1
             cases.add("cut < side" if cut < side else "cut = side")
             # The backward sweep from row ty down to row y, inside columns
             # lo.., stopping at column lo or east of it, or nowhere.
             lo = pick(0, side) if i % 2 else 0
             stop = 1 << pick(lo, side) if i % 3 else 0
-            got = row_cosweep(view, reach, ty, y, lo, stop)
-            assert got == reference_row_cosweep(view, reach, ty, y, lo, stop), (
-                view, reach, ty, y, lo, stop)
-            cases.add(("lo > 0" if lo else "lo = 0", "stop" if got[1] & stop else
+            co = reach >> lo
+            got = row_cosweep(view, lo, co, ty, y, stop >> lo)
+            assert got == reference_row_cosweep(view, lo, co, ty, y, stop >> lo), (
+                view, lo, co, ty, y, stop)
+            assert got[1].bit_length() <= co.bit_length()
+            cases.add(("lo > 0" if lo else "lo = 0", "stop" if got[1] & stop >> lo else
                        "emptied" if not got[1] else "row ty"))
             if i >= 2:
                 continue
@@ -454,10 +465,12 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
             ey = ty + rng.next_below(side - ty + 1)
             y1 = side if i == 0 else max(ey, y)
             kind = rng.next_below(4)
-            top = (0, 1 << cut, swept, rng.next_u64() | 1 << cut)[kind] & (2 << cut) - 1
-            got = arc_sweep(view, cut, y1, swept, y, ty, ey, top)
-            assert got == reference_arc_sweep(g, origin, box, cut, y1, swept, y, ty, ey,
-                                              top), (view, cut, y1, swept, y, ty, ey, top)
+            top = (0, 1 << cut, swept << x0, rng.next_u64() | 1 << cut)[kind]
+            top = (top & (2 << cut) - 1) >> x0
+            got = arc_sweep(view, x0, cut, y1, swept, y, ty, ey, top)
+            assert got == reference_arc_sweep(g, origin, box, x0, cut, y1, swept, y, ty,
+                                              ey, top), (view, x0, cut, y1, swept, y, ty,
+                                                         ey, top)
             cases.add(("no east rows" if ey <= ty else "east rows",
                        ("top = 0", "corner only", "drawn", "drawn")[kind],
                        None if got is None else "corner" if got == (cut, y1)
@@ -476,11 +489,13 @@ def test_row_sweep_matches_the_per_bit_closure_on_view_chains():
 def test_arc_runs_north_then_west():
     """arc yields the east-column rows ty..ey-1 of the block whose east
     column is x1 and north row y1, going north, then the north-row columns
-    of top, the highest first, with bit x1 the corner between the two."""
-    assert list(arc(4, 4, 1, 3, 0b10110)) == [(4, 1), (4, 2), (4, 4), (2, 4), (1, 4)]
-    assert list(arc(4, 4, 3, 3, 0b00101)) == [(2, 4), (0, 4)]
-    assert list(arc(4, 4, 4, 2, 0)) == []
-    assert list(arc(7, 5, 3, 5, 0b11000000)) == [(7, 3), (7, 4), (7, 5), (6, 5)]
+    of top, the highest first, with bit x1 - lo the corner between the two:
+    top's bit i is column lo + i."""
+    assert list(arc(0, 4, 4, 1, 3, 0b10110)) == [(4, 1), (4, 2), (4, 4), (2, 4), (1, 4)]
+    assert list(arc(0, 4, 4, 3, 3, 0b00101)) == [(2, 4), (0, 4)]
+    assert list(arc(0, 4, 4, 4, 2, 0)) == []
+    assert list(arc(0, 7, 5, 3, 5, 0b11000000)) == [(7, 3), (7, 4), (7, 5), (6, 5)]
+    assert list(arc(5, 7, 5, 3, 5, 0b110)) == [(7, 3), (7, 4), (7, 5), (6, 5)]
 
 
 def _with_extra_edge(g, rng):
@@ -553,8 +568,12 @@ def test_row_reads_match_the_edges_inside_the_window():
     """Every row read of a view, rows -1..side+1, equals the mask built bit
     by bit from the base graph's edge predicates inside the content box the
     chain cut (support.view_chain), on padded and clipped views and views
-    wholly past the graph, so windows -1 and 0 occur."""
+    wholly past the graph, so windows -1 and 0 occur.  A read cut to columns
+    lo..hi (SubgridView.cut), hi up to past the view's side, equals the same
+    mask's bits of those columns, shifted to lo: north edges of columns
+    lo..hi, east edges of columns lo..hi-1."""
     rng = SplitMix64(47)
+    cuts = SplitMix64(48)  # the narrow cuts, drawn apart from the views
 
     def pick(lo, hi):
         return lo + rng.next_below(hi - lo + 1)
@@ -568,6 +587,9 @@ def test_row_reads_match_the_edges_inside_the_window():
         side = view.side
         windows.update({-1: "-1", 0: "0", side: "side"}.get(w) for w in (view.wx, view.wy))
         xs = range(max(x0, ox), min(x1, ox + side) + 1)  # base columns in the box
+        lo = cuts.next_below(side + 1)
+        hi = lo + cuts.next_below(side + 3 - lo)
+        shift, north_mask, east_mask = view.cut(lo, hi)
         for y in range(-1, side + 2):
             by = oy + y
             north = east = 0
@@ -577,8 +599,9 @@ def test_row_reads_match_the_edges_inside_the_window():
                         north |= 1 << (bx - ox)
                     if bx < x1 and g.east(bx, by):
                         east |= 1 << (bx - ox)
-            assert view.north_row(y) == north, (view, y)
-            assert view.east_row(y) == east, (view, y)
+            assert view_rows(view, y) == (north, east), (view, y)
+            assert view.north_row(y, shift, north_mask) == north >> lo & (2 << hi - lo) - 1
+            assert view.east_row(y, shift, east_mask) == east >> lo & (1 << hi - lo) - 1
     assert {"-1", "0", "side"} <= windows
 
 
